@@ -132,6 +132,8 @@ class ExperimentConfig:
                 f"unknown target {self.target!r}, expected one of "
                 f"{tuple(presets.TARGET_PRESETS)}"
             )
+        if self.target == "ramp" and self.dimension != 1:
+            raise ConfigError(f"target 'ramp' is 1D only, preset {self.preset!r} is 2D")
         if self.control_class not in ("all_of_F", "smooth", "smooth_vanishing_at_T"):
             raise ConfigError(f"unknown control_class {self.control_class!r}")
         if self.nx < 0 or self.ny < 0 or self.n_modes < 0:

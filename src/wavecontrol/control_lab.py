@@ -25,17 +25,21 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .geometry import DomainSpec, FilledRegion
-from .regularizer import MollifierKernel
-from .spectral import SpectralBasis, project, reconstruct
+from .regularizer import mollifier_matrix
+from .spectral import SpectralBasis, fd_operator, project, reconstruct
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
+    _observe_modal,
+    _sin_factors,
     control_to_modal,
     f_inner,
     observe,
+    time_grid,
     time_weights,
 )
 
@@ -119,15 +123,10 @@ def _class_operators(problem: SynthesisProblem, n_t: int):
         ident = lambda g: g
         return ident, ident
     T = problem.T
-    times = np.linspace(0.0, T, n_t)
-    mask = times >= problem.delta - 1e-12 * T
-    kern = MollifierKernel(problem.epsilon)
-    wt = time_weights(n_t, T / (n_t - 1))
-    diff = times[:, None] - times[None, :]
-    K = kern(diff)
-    if problem.control_class == "smooth_vanishing_at_T":
-        K = K - kern((2 * T - times)[:, None] - times[None, :])
-    KW = K * wt[None, :]
+    mask = np.linspace(0.0, T, n_t) >= problem.delta - 1e-12 * T
+    KW = mollifier_matrix(
+        problem.epsilon, T, n_t, antisymmetric=problem.control_class == "smooth_vanishing_at_T"
+    )
 
     def apply_c(g):
         return (g * mask) @ KW.T
@@ -173,7 +172,7 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
             converged = True
         p = s_vec + (gamma_new / gamma) * p
         gamma = gamma_new
-    return g, np.array(history), its, converged
+    return g, np.array(history), its, bool(converged)
 
 
 def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
@@ -196,15 +195,11 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
         base.samples = apply_c(g)
         return weights_s * control_to_modal(base, basis)
 
-    wt = time_weights(n_t, dt)
-    from .waveop import _sin_factors  # shared sine factors
-
-    S = _sin_factors(basis.lambdas, np.linspace(0, problem.T, n_t), problem.T)
+    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
 
     def adj(z):
         # adjoint of fwd w.r.t. the boundary-cylinder inner product
-        trace = np.einsum("k,kg,kt->gt", weights_s * z, basis.conormal_traces, S)
-        return apply_ct(trace)
+        return apply_ct(_observe_modal(weights_s * z, basis, S))
 
     inner_data = lambda u, v: float(u @ v)
     inner_ctrl = lambda u, v: f_inner(u, v, basis.boundary_weights, dt)
@@ -417,65 +412,18 @@ def h1_norm(u: np.ndarray, basis: SpectralBasis) -> float:
 def _boundary_lift(domain: DomainSpec) -> np.ndarray:
     """Columns lifting unit boundary-node data into the domain.
 
-    1D: linear interpolant between the endpoint values.  2D: discrete
-    harmonic extension under the assembled operator.  Shape (n_nodes, n_bnd).
+    Discrete harmonic extension under the assembled operator: each column is
+    one on its boundary node, zero on the others, and annihilated by the
+    interior rows of fd_operator.  Shape (n_nodes, n_bnd).
     """
-    nodes = domain.boundary_nodes()
-    n_bnd = len(nodes)
-    size = int(np.prod(domain.shape))
-    cols = np.zeros((size, n_bnd))
-    if domain.dimension == 1:
-        x = domain.axes[0]
-        lo, hi = domain.extents[0]
-        s = (x - lo) / (hi - lo)
-        cols[:, 0] = 1.0 - s
-        cols[:, 1] = s
-        return cols
-    from scipy.sparse import lil_matrix
-    from scipy.sparse.linalg import splu
-
-    nx, ny = domain.shape
-    hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0]
-    a22 = domain.coeff[..., 1, 1]
-    q = domain.potential
-    mx, my = nx - 2, ny - 2
-
-    def flat_int(i, j):
-        return (i - 1) * my + (j - 1)
-
-    A = lil_matrix((mx * my, mx * my))
-    rhs_stencils = {}  # interior row -> list of (boundary column, weight)
-    bindex = {tuple(n): m for m, n in enumerate(nodes)}
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            r = flat_int(i, j)
-            axp = 2 * a11[i, j] * a11[i + 1, j] / (a11[i, j] + a11[i + 1, j]) / hx**2
-            axm = 2 * a11[i, j] * a11[i - 1, j] / (a11[i, j] + a11[i - 1, j]) / hx**2
-            ayp = 2 * a22[i, j] * a22[i, j + 1] / (a22[i, j] + a22[i, j + 1]) / hy**2
-            aym = 2 * a22[i, j] * a22[i, j - 1] / (a22[i, j] + a22[i, j - 1]) / hy**2
-            A[r, r] = axp + axm + ayp + aym + (q[i, j] if q is not None else 0.0)
-            for (ii, jj), cpl in (
-                ((i + 1, j), axp),
-                ((i - 1, j), axm),
-                ((i, j + 1), ayp),
-                ((i, j - 1), aym),
-            ):
-                if (ii, jj) in bindex:
-                    rhs_stencils.setdefault(r, []).append((bindex[(ii, jj)], cpl))
-                else:
-                    A[r, flat_int(ii, jj)] = -cpl
-    lu = splu(A.tocsc())
-    rhs = np.zeros((mx * my, n_bnd))
-    for r, pairs in rhs_stencils.items():
-        for col, cpl in pairs:
-            rhs[r, col] += cpl
-    interior = lu.solve(rhs)
-    grid_cols = cols.reshape(nx, ny, n_bnd)
-    grid_cols[1:-1, 1:-1, :] = interior.reshape(mx, my, n_bnd)
-    for m, (i, j) in enumerate(nodes):
-        grid_cols[i, j, m] = 1.0
-    return grid_cols.reshape(size, n_bnd)
+    L = fd_operator(domain)
+    bnd = domain.boundary_mask.ravel()
+    inner, outer = np.flatnonzero(~bnd), np.flatnonzero(bnd)
+    L_inner = L[inner]
+    cols = np.zeros((bnd.size, len(outer)))
+    cols[inner] = splu(L_inner[:, inner].tocsc()).solve(-L_inner[:, outer].toarray())
+    cols[outer, np.arange(len(outer))] = 1.0
+    return cols
 
 
 def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> StateField:
@@ -545,16 +493,14 @@ def h1_star_experiment(
         state = lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes
         return state.reshape(shape)
 
-    from .waveop import _sin_factors
-
-    S = _sin_factors(basis.lambdas, np.linspace(0, T, n_t), T)
+    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
     wt = time_weights(n_t, dt)
 
     def adj(z):
         d = np.array(
             [h1_inner(basis.modes[k], z, basis) for k in range(basis.n_modes)]
         )
-        trace = np.einsum("k,kg,kt->gt", d, basis.conormal_traces, S)
+        trace = _observe_modal(d, basis, S)
         # boundary part: lift columns paired with z, minus modal shadow
         lift_pair = np.array(
             [h1_inner(lift_cols[:, m].reshape(shape), z, basis) for m in range(n_bnd)]

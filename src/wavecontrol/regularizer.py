@@ -31,6 +31,7 @@ __all__ = [
     "beta",
     "beta_table",
     "regularize_state",
+    "mollifier_matrix",
     "smooth_control",
     "write_beta_csv",
 ]
@@ -129,6 +130,21 @@ def regularize_state(y: StateField, epsilon: float, basis: SpectralBasis) -> Sta
     return StateField(values=reconstruct(alphas * betas, basis), role=y.role)
 
 
+def mollifier_matrix(epsilon: float, T: float, n_t: int, antisymmetric: bool) -> np.ndarray:
+    """Trapezoid discretization of time mollification on n_t samples of [0, T].
+
+    Entry (i, j) is phi_eps(t_i - s_j) w_j, minus phi_eps(2T - t_i - s_j) w_j
+    when antisymmetric (the reflection about the horizon); a control's
+    samples map to samples @ matrix.T.
+    """
+    t = np.linspace(0.0, T, n_t)
+    kern = MollifierKernel(epsilon)
+    K = kern(t[:, None] - t[None, :])
+    if antisymmetric:
+        K = K - kern((2 * T - t)[:, None] - t[None, :])
+    return K * time_weights(n_t, T / (n_t - 1))[None, :]
+
+
 def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> BoundaryControl:
     """Time smoothing of a control supported in [delta, T].
 
@@ -153,12 +169,7 @@ def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> Boundary
             f"control must vanish before t=delta={delta}; "
             f"nonzero sample at boundary row {bad[0]}, t={t[early][bad[1]]:g}"
         )
-    kern = MollifierKernel(epsilon)
-    diff = t[:, None] - t[None, :]  # t_i - s_j
-    refl = (2 * f.T - t)[:, None] - t[None, :]  # 2T - t_i - s_j
-    K = kern(diff) - kern(refl)
-    wt = time_weights(f.n_t, f.dt)
-    out = f.samples @ (K * wt[None, :]).T
+    out = f.samples @ mollifier_matrix(epsilon, f.T, f.n_t, antisymmetric=True).T
     return BoundaryControl(
         samples=out,
         T=f.T,

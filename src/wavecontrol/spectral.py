@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse import csr_matrix
 
-from .geometry import DomainSpec, trapezoid_weights
+from .geometry import DomainSpec, interval, trapezoid_weights
 
 __all__ = [
     "SpectralBasis",
     "ModalCoefficients",
     "eigensolve",
+    "fd_operator",
     "project",
     "reconstruct",
     "ds_inner",
@@ -180,30 +182,47 @@ def _analytic_modes(domain: DomainSpec, n_modes: int):
     return lambdas, modes
 
 
-def _harmonic_half(a: np.ndarray) -> np.ndarray:
-    """Harmonic mean of consecutive node values."""
-    return 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+def fd_operator(domain: DomainSpec) -> csr_matrix:
+    """The discrete elliptic operator as a sparse matrix over all grid nodes.
 
-
-def _fd_matrix_1d(a: np.ndarray, q: np.ndarray | None, h: float):
-    """Symmetric tridiagonal interior matrix (diag, offdiag)."""
-    ah = _harmonic_half(a)  # length n-1, value at i+1/2
-    n = len(a)
-    diag = (ah[:-1] + ah[1:]) / h**2
-    if q is not None:
-        diag = diag + q[1:-1]
-    off = -ah[1:-1] / h**2
-    return diag, off
+    Interior rows hold the symmetric 3-point (1D) or 5-point (2D) stencil with
+    the coefficients harmonically averaged at half-nodes, plus q.  Boundary
+    rows are empty; the boundary columns carry the interior-to-boundary
+    coupling, so L @ u is the interior action with boundary values read as
+    data.  Nodes are numbered in C order, like domain.boundary_mask.ravel().
+    """
+    if domain.dimension == 2 and np.any(domain.coeff[..., 0, 1] != 0):
+        raise NotImplementedError(
+            "finite-difference eigensolve supports axis-aligned coefficients only"
+        )
+    size = int(np.prod(domain.shape))
+    index = np.arange(size).reshape(domain.shape)
+    diag = np.zeros(size)
+    rows, cols, vals = [], [], []
+    for axis, h in enumerate(domain.spacings):
+        a = np.moveaxis(domain.coeff[..., axis, axis], axis, 0)
+        node = np.moveaxis(index, axis, 0)
+        half = 2 * a[:-1] * a[1:] / (a[:-1] + a[1:])  # value at the half-node
+        axis_diag = np.zeros_like(a)
+        axis_diag[1:-1] = half[:-1] + half[1:]
+        diag[node.ravel()] += axis_diag.ravel() / h**2
+        lo, hi, w = node[:-1].ravel(), node[1:].ravel(), -half.ravel() / h**2
+        rows += [lo, hi]
+        cols += [hi, lo]
+        vals += [w, w]
+    if domain.potential is not None:
+        diag += domain.potential.ravel()
+    interior = ~domain.boundary_mask.ravel()
+    rows = np.concatenate(rows + [index.ravel()])
+    cols = np.concatenate(cols + [index.ravel()])
+    vals = np.concatenate(vals + [diag])
+    keep = interior[rows]
+    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
 
 
 def _fd_modes(domain: DomainSpec, n_modes: int):
     if domain.dimension == 1:
         return _fd_modes_1d(domain, n_modes)
-    a12 = domain.coeff[..., 0, 1]
-    if np.any(a12 != 0):
-        raise NotImplementedError(
-            "finite-difference eigensolve supports axis-aligned coefficients only"
-        )
     if _is_constant_isotropic(domain):
         return _fd_modes_2d_separable(domain, n_modes)
     return _fd_modes_2d_general(domain, n_modes)
@@ -212,9 +231,10 @@ def _fd_modes(domain: DomainSpec, n_modes: int):
 def _fd_modes_1d(domain: DomainSpec, n_modes: int):
     (n,) = domain.shape
     (h,) = domain.spacings
-    a = domain.coeff[:, 0, 0]
-    diag, off = _fd_matrix_1d(a, domain.potential, h)
-    lambdas, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_modes - 1))
+    A = fd_operator(domain)[1:-1, 1:-1]
+    lambdas, vecs = eigh_tridiagonal(
+        A.diagonal(), A.diagonal(1), select="i", select_range=(0, n_modes - 1)
+    )
     modes = np.zeros((n_modes, n))
     # eigh returns Euclid-orthonormal columns; mass weight h on the interior
     modes[:, 1:-1] = vecs.T / np.sqrt(h)
@@ -227,12 +247,12 @@ def _fd_modes_2d_separable(domain: DomainSpec, n_modes: int):
     a = float(domain.coeff[..., 0, 0].flat[0])
     q = 0.0 if domain.potential is None else float(domain.potential.flat[0])
     lams_1d, vecs_1d = [], []
-    for ax, ((lo, hi), n) in enumerate(zip(domain.extents, domain.shape)):
-        h = (hi - lo) / (n - 1)
-        diag, off = _fd_matrix_1d(np.full(n, a), None, h)
-        lam, vec = eigh_tridiagonal(diag, off)
+    for (lo, hi), n in zip(domain.extents, domain.shape):
+        factor = interval(n=n, x0=lo, x1=hi, a=a, q=None)
+        A = fd_operator(factor)[1:-1, 1:-1]
+        lam, vec = eigh_tridiagonal(A.diagonal(), A.diagonal(1))
         lams_1d.append(lam)
-        vecs_1d.append(vec / np.sqrt(h))
+        vecs_1d.append(vec / np.sqrt(factor.spacings[0]))
     order = _mode_order(lams_1d)[:n_modes]
     nx, ny = domain.shape
     lambdas = np.array([lam + q for lam, _ in order])
@@ -240,41 +260,6 @@ def _fd_modes_2d_separable(domain: DomainSpec, n_modes: int):
     for m, (_, (kx, ky)) in enumerate(order):
         modes[m, 1:-1, 1:-1] = np.outer(vecs_1d[0][:, kx], vecs_1d[1][:, ky])
     return lambdas, modes
-
-
-def _fd_matrix_2d(domain: DomainSpec) -> np.ndarray:
-    """Dense symmetric interior matrix for axis-aligned 2D coefficients."""
-    nx, ny = domain.shape
-    hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0]
-    a22 = domain.coeff[..., 1, 1]
-    q = domain.potential
-    mx, my = nx - 2, ny - 2
-    n = mx * my
-
-    def flat(i, j):
-        return (i - 1) * my + (j - 1)
-
-    A = np.zeros((n, n))
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            r = flat(i, j)
-            axp = 2 * a11[i, j] * a11[i + 1, j] / (a11[i, j] + a11[i + 1, j])
-            axm = 2 * a11[i, j] * a11[i - 1, j] / (a11[i, j] + a11[i - 1, j])
-            ayp = 2 * a22[i, j] * a22[i, j + 1] / (a22[i, j] + a22[i, j + 1])
-            aym = 2 * a22[i, j] * a22[i, j - 1] / (a22[i, j] + a22[i, j - 1])
-            A[r, r] = (axp + axm) / hx**2 + (ayp + aym) / hy**2
-            if q is not None:
-                A[r, r] += q[i, j]
-            if i + 1 < nx - 1:
-                A[r, flat(i + 1, j)] = -axp / hx**2
-            if i - 1 > 0:
-                A[r, flat(i - 1, j)] = -axm / hx**2
-            if j + 1 < ny - 1:
-                A[r, flat(i, j + 1)] = -ayp / hy**2
-            if j - 1 > 0:
-                A[r, flat(i, j - 1)] = -aym / hy**2
-    return A
 
 
 def _fd_modes_2d_general(domain: DomainSpec, n_modes: int):
@@ -285,7 +270,8 @@ def _fd_modes_2d_general(domain: DomainSpec, n_modes: int):
             f"dense 2D eigensolve limited to 5000 interior unknowns, got {interior}; "
             "use a coarser grid for variable 2D coefficients"
         )
-    A = _fd_matrix_2d(domain)
+    inner = np.flatnonzero(~domain.boundary_mask.ravel())
+    A = fd_operator(domain)[inner][:, inner].toarray()
     asym = np.max(np.abs(A - A.T))
     if asym != 0:
         raise RuntimeError(f"assembled matrix not symmetric, max deviation {asym:g}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DomainSpec, FilledRegion, trapezoid_weights
-from .spectral import SpectralBasis, project, reconstruct
+from .spectral import SpectralBasis, fd_operator, project, reconstruct
 
 __all__ = [
     "BoundaryControl",
@@ -184,16 +184,17 @@ def observe(
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alphas = project(y.values, basis).alphas
-    return _observe_modal(alphas, T, basis, n_steps)
+    S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
+    return BoundaryTrace(samples=_observe_modal(alphas, basis, S), T=T)
 
 
-def _observe_modal(
-    alphas: np.ndarray, T: float, basis: SpectralBasis, n_steps: int
-) -> BoundaryTrace:
-    times = time_grid(T, n_steps)
-    S = _sin_factors(basis.lambdas, times, T)
-    g = np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
-    return BoundaryTrace(samples=g, T=T)
+def _observe_modal(alphas: np.ndarray, basis: SpectralBasis, S: np.ndarray) -> np.ndarray:
+    """Trace samples of the dual wave with modal data alphas; S from _sin_factors.
+
+    Solvers hoist S out of their iterations: it costs several times the
+    contraction itself.
+    """
+    return np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
 
 
 def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
@@ -253,52 +254,18 @@ def verify_duality(
 # independent finite-difference oracle
 
 
-def _apply_operator(domain: DomainSpec, u: np.ndarray) -> np.ndarray:
-    """Interior action of the elliptic operator, boundary values read as data."""
-    if domain.dimension == 1:
-        (h,) = domain.spacings
-        a = domain.coeff[:, 0, 0]
-        ah = 2 * a[:-1] * a[1:] / (a[:-1] + a[1:])
-        out = np.zeros_like(u)
-        out[1:-1] = -(ah[1:] * (u[2:] - u[1:-1]) - ah[:-1] * (u[1:-1] - u[:-2])) / h**2
-        if domain.potential is not None:
-            out[1:-1] += domain.potential[1:-1] * u[1:-1]
-        return out
-    hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0]
-    a22 = domain.coeff[..., 1, 1]
-    hmx = 2 * a11[:-1, :] * a11[1:, :] / (a11[:-1, :] + a11[1:, :])
-    hmy = 2 * a22[:, :-1] * a22[:, 1:] / (a22[:, :-1] + a22[:, 1:])
-    out = np.zeros_like(u)
-    out[1:-1, 1:-1] = (
-        -(
-            hmx[1:, 1:-1] * (u[2:, 1:-1] - u[1:-1, 1:-1])
-            - hmx[:-1, 1:-1] * (u[1:-1, 1:-1] - u[:-2, 1:-1])
-        )
-        / hx**2
-        - (
-            hmy[1:-1, 1:] * (u[1:-1, 2:] - u[1:-1, 1:-1])
-            - hmy[1:-1, :-1] * (u[1:-1, 1:-1] - u[1:-1, :-2])
-        )
-        / hy**2
-    )
-    if domain.potential is not None:
-        out[1:-1, 1:-1] += domain.potential[1:-1, 1:-1] * u[1:-1, 1:-1]
-    return out
-
-
 def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
     """Leapfrog time stepping of the boundary-driven wave, u^f(., T).
 
-    Independent of the spectral pipeline: explicit second-order stepping with
-    Dirichlet injection of f.  Refuses time steps outside the stability bound
-    dt <= h_min / sqrt(d * max coefficient eigenvalue).
+    Independent of the modal pipeline: explicit second-order stepping of the
+    assembled operator with Dirichlet injection of f.  Refuses time steps
+    outside the stability bound dt <= h_min / sqrt(d * max coefficient
+    eigenvalue).
     """
     if f.samples.shape[0] != len(domain.boundary_nodes()):
         raise ValueError("control rows do not match domain boundary nodes")
     dt = f.dt
     d = domain.dimension
-    eig_max = float(np.max(domain._node_eigenvalues() + 0))
     # max eigenvalue of the coefficient matrix over nodes
     if d == 2:
         a11 = domain.coeff[..., 0, 0]
@@ -316,19 +283,17 @@ def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
             f"time step {dt:g} violates the stability bound {limit:g} "
             f"(grid spacing {h_min:g}, max coefficient eigenvalue {eig_max:g})"
         )
-    bnodes = [tuple(n) for n in domain.boundary_nodes()]
-    shape = tuple(domain.shape)
-    prev = np.zeros(shape)
-    curr = np.zeros(shape)
-    for m, node in enumerate(bnodes):
-        prev[node] = f.samples[m, 0]
-        curr[node] = f.samples[m, 1]
+    L = fd_operator(domain)
+    bnd = np.flatnonzero(domain.boundary_mask)  # ordered like boundary_nodes()
+    prev = np.zeros(L.shape[0])
+    curr = np.zeros(L.shape[0])
+    prev[bnd] = f.samples[:, 0]
+    curr[bnd] = f.samples[:, 1]
     for step in range(1, f.n_t - 1):
-        nxt = 2 * curr - prev - dt**2 * _apply_operator(domain, curr)
-        for m, node in enumerate(bnodes):
-            nxt[node] = f.samples[m, step + 1]
+        nxt = 2 * curr - prev - dt**2 * (L @ curr)
+        nxt[bnd] = f.samples[:, step + 1]
         prev, curr = curr, nxt
-    return StateField(values=curr, role="wave_snapshot")
+    return StateField(values=curr.reshape(domain.shape), role="wave_snapshot")
 
 
 def support_violation(

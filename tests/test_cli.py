@@ -269,6 +269,28 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_rejects_ramp_on_square(tmp_path, capsys):
+    cfg_file = tmp_path / "ramp.cfg"
+    cfg_file.write_text("preset = square\ntarget = ramp\n")
+    status = cli.main(["control", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert status == 2
+    assert "ramp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["control", "h1star"])
+def test_unconverged_run_writes_artifacts(tmp_path, subcommand):
+    # the desk grid at a budget too small to converge
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("budget = 2\ntarget = in_range\n")
+    out = tmp_path / "out"
+    status = cli.main([subcommand, "--config", str(cfg_file), "--out-dir", str(out)])
+    assert status == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == 2
+    assert (out / "manifest.json").is_file()
+
+
 def test_main_rejects_negative_seed(tmp_path):
     status = cli.main(["eigen", "--out-dir", str(tmp_path), "--seed", "-1"])
     assert status == 2

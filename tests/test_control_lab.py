@@ -5,6 +5,7 @@ from wavecontrol import geometry, presets
 from wavecontrol.control_lab import (
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
+    _boundary_lift,
     _class_operators,
     h1_inner,
     h1_norm,
@@ -327,6 +328,16 @@ def test_lifted_state_matches_plain_snapshot_for_interior_pulse(desk_basis):
     lifted = lifted_final_state(g, desk_basis)
     plain = control_to_state(g, desk_basis)
     assert np.max(np.abs(lifted.values - plain.values)) < 1e-12
+
+
+def test_boundary_lift_reproduces_affine_data_2d():
+    # constant coefficients, no potential: affine functions are discrete
+    # harmonic, so lifting their boundary values must return them everywhere
+    dom = geometry.rectangle(shape=(33, 29), extents=((0.0, 1.0), (0.0, 0.8)), a11=1.0, a22=2.5)
+    X, Y = dom.grids()
+    u = 0.3 + 1.7 * X - 0.9 * Y
+    lifted = _boundary_lift(dom) @ u[dom.boundary_mask]
+    assert np.abs(lifted - u.ravel()).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,60 @@ def test_mixed_derivative_not_implemented():
         spectral.eigensolve(dom, 4)
 
 
+# ---------------------------------------------------------------------------
+# assembled operator
+
+
+def _edge_energy(a, u, h, axis):
+    """sum over grid edges of the half-node harmonic mean times (du/h)^2."""
+    lo = np.take(a, np.arange(a.shape[axis] - 1), axis=axis)
+    hi = np.take(a, np.arange(1, a.shape[axis]), axis=axis)
+    return float(np.sum(2 * lo * hi / (lo + hi) * (np.diff(u, axis=axis) / h) ** 2))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        geometry.rectangle(
+            shape=(23, 19),
+            extents=((0.0, 1.0), (0.0, 0.7)),
+            a11=lambda X, Y: 1.0 + 0.5 * np.sin(3 * X) * Y,
+            a22=lambda X, Y: 2.0 + X * Y,
+            q=lambda X, Y: 3.0 + X,
+        ),
+        geometry.interval(n=41, a=lambda x: 1.0 + x**2, q=lambda x: 2.0 + x),
+    ],
+    ids=["2d", "1d"],
+)
+def test_fd_operator_quadratic_form(dom, rng):
+    # zero boundary values: u.Lu is the edge energy plus the potential term
+    u = rng.standard_normal(dom.shape)
+    u[dom.boundary_mask] = 0.0
+    Lu = spectral.fd_operator(dom) @ u.ravel()
+    energy = float(np.sum(dom.potential * u**2))
+    for axis, h in enumerate(dom.spacings):
+        energy += _edge_energy(dom.coeff[..., axis, axis], u, h, axis)
+    assert float(u.ravel() @ Lu) == pytest.approx(energy, rel=1e-12)
+
+
+def test_fd_operator_annihilates_affine_functions():
+    dom = geometry.rectangle(shape=(33, 29), extents=((0.0, 1.0), (0.0, 0.8)), a11=1.0, a22=2.5)
+    X, Y = dom.grids()
+    u = (0.3 + 1.7 * X - 0.9 * Y).ravel()
+    L = spectral.fd_operator(dom)
+    interior = ~dom.boundary_mask.ravel()
+    scale = abs(L).sum(axis=1).max() * np.abs(u).max()
+    assert np.abs((L @ u)[interior]).max() <= 1e-14 * scale
+    # boundary rows carry no equation
+    assert np.abs((L @ u)[~interior]).max() == 0.0
+
+
+def test_fd_operator_mixed_derivative_not_implemented():
+    dom = geometry.rectangle(shape=(17, 17), a11=1.0, a12=0.1, a22=1.0)
+    with pytest.raises(NotImplementedError, match="axis-aligned"):
+        spectral.fd_operator(dom)
+
+
 def test_n_modes_guard(small_domain):
     with pytest.raises(ValueError, match="modes"):
         spectral.eigensolve(small_domain, 64)  # only 63 interior nodes

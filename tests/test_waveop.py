@@ -122,6 +122,28 @@ def test_fd_oracle_matches_transposition(interval_domain, interval_basis):
     assert rel <= 2e-2
 
 
+def test_fd_oracle_matches_transposition_2d():
+    # sin^2(pi x) pulse on the y = 0 edge; the leapfrog and the 400-mode
+    # spectral forward map share the operator, so their gap is the stepping
+    # and truncation error and shrinks with the grid
+    T, n_steps = 0.75, 2048
+    rels = []
+    for n in (33, 65):
+        dom = geometry.rectangle(shape=(n, n))
+        basis = spectral.eigensolve(dom, 400, backend="fd")
+        nodes = dom.boundary_nodes()
+        edge = nodes[:, 1] == 0
+        pulse = presets._pulse_samples(np.linspace(0.0, T, n_steps + 1), (0.0, 0.5), 4.0)
+        samples = np.zeros((len(nodes), n_steps + 1))
+        samples[edge] = np.outer(np.sin(np.pi * dom.axes[0][nodes[edge, 0]]) ** 2, pulse)
+        f = waveop.BoundaryControl(samples=samples, T=T)
+        u_fd = waveop.fd_oracle_forward(f, dom)
+        u_modal = waveop.control_to_state(f, basis)
+        rels.append(basis.h_norm(u_modal.values - u_fd.values) / basis.h_norm(u_fd.values))
+    assert rels[1] <= 4e-2
+    assert rels[1] / rels[0] <= 0.35
+
+
 def test_support_violation_zero_after_fill(interval_domain, interval_basis):
     T = 0.75
     f = presets.stored_reference_control(T, 2, n_steps=1024)
