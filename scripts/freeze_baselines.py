@@ -51,17 +51,17 @@ def main():
     put(
         "bump_normalization",
         bump_normalization(),
-        "adaptive quadrature of the unnormalized bump, epsabs=1e-12",
+        "composite 32-point Gauss-Legendre rule of the unnormalized bump, 16 panels",
     )
     put(
         "second_moment",
         second_moment(),
-        "adaptive quadrature of t^2 * profile, epsabs=1e-12",
+        "composite 32-point Gauss-Legendre rule of t^2 * profile, 16 panels",
     )
     put(
         "beta_phase_1",
         beta(1.0, 1.0),
-        "modal multiplier at unit phase, adaptive quadrature",
+        "modal multiplier at unit phase, composite 32-point Gauss-Legendre rule",
     )
 
     y_smooth = presets.smooth_interior_target(domain)

@@ -44,6 +44,9 @@ from .spectral import eigensolve, project, reconstruct, write_spectrum_csv
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
+    StateField,
+    control_to_modal,
+    control_to_state,
     f_norm,
     observe,
     random_control,
@@ -285,8 +288,6 @@ def _run_forward(cfg, out, domain, timings):
     n_bnd = len(basis.boundary_weights)
     f = presets.stored_reference_control(cfg.T, n_bnd, n_steps=cfg.n_steps)
     t0 = time.perf_counter()
-    from .waveop import control_to_state
-
     u = control_to_state(f, basis)
     timings["forward"] = time.perf_counter() - t0
     dist = geometry.eikonal_distance(domain)
@@ -311,7 +312,6 @@ def _run_dual(cfg, out, domain, timings):
     t0 = time.perf_counter()
     snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
     timings["dual"] = time.perf_counter() - t0
-    from .waveop import StateField
 
     write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0], role="dual_snapshot"))
     _write_json(
@@ -537,7 +537,6 @@ def _suite_regularizer(cfg, basis, rng):
         }
     )
     k = int(rng.integers(0, basis.n_modes))
-    from .waveop import StateField
 
     ek = StateField(basis.modes[k].copy())
     smoothed = regularize_state(ek, cfg.epsilon, basis)
@@ -557,8 +556,6 @@ def _suite_regularizer(cfg, basis, rng):
 
 
 def _suite_finite_speed(cfg, domain, basis):
-    from .waveop import control_to_state
-
     n_bnd = len(basis.boundary_weights)
     T = min(cfg.T, 0.3)
     f = presets.pulse_control(T, n_bnd, support=(0.1 * T, 0.6 * T), n_steps=cfg.n_steps)
@@ -580,8 +577,6 @@ def _suite_finite_speed(cfg, domain, basis):
 def _suite_smoothing_identity(cfg, basis, rng):
     # pairing with the raw control equals pairing of the regularized state
     # with the smoothed control, per the kernel antisymmetrization
-    from .waveop import control_to_modal
-
     worst = 0.0
     dt = cfg.T / cfg.n_steps
     bvals = beta_table(cfg.epsilon, basis.lambdas)

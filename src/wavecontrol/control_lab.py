@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .geometry import DomainSpec, FilledRegion
+from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
 from .regularizer import mollifier_matrix
 from .spectral import SpectralBasis, fd_operator, project, reconstruct
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
+    _control_modal,
     _observe_modal,
     _sin_factors,
     control_to_modal,
@@ -189,13 +190,11 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     apply_c, apply_ct = _class_operators(problem, n_t)
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis).alphas
-    base = BoundaryControl(samples=np.zeros((n_bnd, n_t)), T=problem.T)
+    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
+    wt = time_weights(n_t, dt)
 
     def fwd(g):
-        base.samples = apply_c(g)
-        return weights_s * control_to_modal(base, basis)
-
-    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
+        return weights_s * _control_modal(apply_c(g), basis, S, wt)
 
     def adj(z):
         # adjoint of fwd w.r.t. the boundary-cylinder inner product
@@ -296,13 +295,7 @@ def unreachability_bound(
     mass outside bounds the misfit from below; the band-dilated figure
     discounts the discrete smearing layer and is the honest certificate.
     """
-    shape = region.indicator.shape
-    ws = []
-    for n, h in zip(shape, region.spacings):
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        ws.append(w)
-    weights = ws[0] if len(ws) == 1 else np.outer(ws[0], ws[1])
+    weights = grid_trapezoid_weights(region.indicator.shape, region.spacings)
     outside = ~region.indicator
     value = float(np.sqrt(np.sum(weights[outside] * target.values[outside] ** 2)))
     outside_d = ~region.dilated(band)
@@ -482,19 +475,16 @@ def h1_star_experiment(
     flat_modes = basis.modes.reshape(basis.n_modes, -1)
     # modal mass coefficients of each lift column, for the correction term
     lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
-    base = BoundaryControl(samples=np.zeros((n_bnd, n_t)), T=T)
     shape = tuple(dom.shape)
+    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
+    wt = time_weights(n_t, dt)
 
     def fwd(g):
         f = apply_c(g)
-        base.samples = f
-        coeffs = control_to_modal(base, basis)
+        coeffs = _control_modal(f, basis, S, wt)
         b = f[:, -1]  # final-time boundary values
         state = lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes
         return state.reshape(shape)
-
-    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
-    wt = time_weights(n_t, dt)
 
     def adj(z):
         d = np.array(

@@ -27,6 +27,7 @@ __all__ = [
     "eikonal_distance",
     "filled_subdomain",
     "filling_time",
+    "grid_trapezoid_weights",
     "trapezoid_weights",
     "write_distance_csv",
     "write_region_csv",
@@ -159,17 +160,19 @@ class DomainSpec:
         return w
 
 
-def trapezoid_weights(domain: DomainSpec) -> np.ndarray:
-    """Tensor trapezoid quadrature weights over all nodes."""
+def grid_trapezoid_weights(shape: tuple, spacings: tuple) -> np.ndarray:
+    """Tensor trapezoid quadrature weights on a uniform grid of this shape."""
     ws = []
-    for (lo, hi), n in zip(domain.extents, domain.shape):
-        h = (hi - lo) / (n - 1)
+    for n, h in zip(shape, spacings):
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
         ws.append(w)
-    if domain.dimension == 1:
-        return ws[0]
-    return np.outer(ws[0], ws[1])
+    return ws[0] if len(ws) == 1 else np.outer(ws[0], ws[1])
+
+
+def trapezoid_weights(domain: DomainSpec) -> np.ndarray:
+    """Tensor trapezoid quadrature weights over all nodes."""
+    return grid_trapezoid_weights(domain.shape, domain.spacings)
 
 
 @dataclass(frozen=True)

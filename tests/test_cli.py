@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavecontrol
 from wavecontrol import cli
 from wavecontrol.cli import ConfigError, ExperimentConfig, parse_config
 
@@ -343,3 +347,18 @@ def test_same_seed_reproduces_artifacts_byte_for_byte(tmp_path):
         if name == "manifest.json":
             continue  # carries wall-clock timings
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the mollifier multipliers need no adaptive quadrature; importing
+    # scipy.integrate would add its load time to every interpreter start
+    src = str(Path(wavecontrol.__file__).resolve().parents[1])
+    code = "import sys, wavecontrol.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

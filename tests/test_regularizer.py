@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from wavecontrol import presets, regularizer, spectral, waveop
 
@@ -95,6 +96,33 @@ def test_beta_matches_gauss_legendre_at_tail_phases(desk_basis):
         oracle = np.cos(np.outer(phases, x)) @ weights
         got = regularizer.beta_table(eps, lambdas)
         assert np.abs(got - oracle).max() <= 1e-14
+
+
+QAWO_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def _scalar_bump(t):
+    return float(regularizer.bump_profile(t))
+
+
+def test_beta_matches_qawo():
+    # independent adaptive oscillatory quadrature (QUADPACK QAWO) of the
+    # defining cosine integral, from the first phases to far into the tail
+    phases = np.array([0.0, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1600.0])
+    oracle = np.array(
+        [quad(_scalar_bump, -1.0, 1.0, weight="cos", wvar=p, **QAWO_OPTS)[0] for p in phases]
+    )
+    table = regularizer.beta_table(1.0, phases**2)
+    scalars = np.array([regularizer.beta(1.0, p**2) for p in phases])
+    assert np.abs(table - oracle).max() <= 1e-13
+    assert np.abs(scalars - oracle).max() <= 1e-13
+
+
+def test_bump_constants_match_adaptive_quadrature():
+    mass, _ = quad(lambda t: float(np.exp(-1.0 / (1.0 - t * t))), -1.0, 1.0, **QAWO_OPTS)
+    assert regularizer.bump_normalization() == pytest.approx(1.0 / mass, rel=1e-13)
+    m2, _ = quad(lambda t: t * t * _scalar_bump(t), -1.0, 1.0, **QAWO_OPTS)
+    assert regularizer.second_moment() == pytest.approx(m2, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)

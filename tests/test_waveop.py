@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +226,24 @@ def test_trace_csv(tmp_path, interval_basis):
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma_id,t,g"
     assert len(lines) == 1 + 2 * 5
+
+
+def test_trace_csv_matches_csv_writer(tmp_path):
+    samples = np.array(
+        [
+            [0.0, -0.0, 5e-324, 1e-300, -1.5],
+            [1.5e300, np.pi, -1.0 / 3.0, 12345678901234567.0, 1e-7],
+            [0.1, 0.2, 0.30000000000000004, -2.0, 7.0],
+        ]
+    )
+    trace = waveop.BoundaryTrace(samples=samples, T=0.7)
+    expect = tmp_path / "expect.csv"
+    with open(expect, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gamma_id", "t", "g"])
+        for g_id in range(samples.shape[0]):
+            for i, t in enumerate(trace.times):
+                writer.writerow([g_id, f"{t:.17g}", f"{samples[g_id, i]:.17g}"])
+    got = tmp_path / "got.csv"
+    waveop.write_trace_csv(got, trace)
+    assert got.read_bytes() == expect.read_bytes()
