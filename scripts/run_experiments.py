@@ -29,6 +29,7 @@ EXPERIMENTS = (
         "control",
         {"target": "smooth_interior", "s": 1.0, "control_class": "smooth_vanishing_at_T"},
     ),
+    ("control_square", "control", {"preset": "square"}),
     ("h1star_ramp", "h1star", {"target": "ramp"}),
     ("verify_default", "verify", {}),
 )

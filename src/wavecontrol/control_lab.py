@@ -34,8 +34,8 @@ from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
-    _control_modal,
-    _observe_modal,
+    _expand,
+    _pair,
     _sin_factors,
     control_to_modal,
     f_inner,
@@ -191,17 +191,17 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis).alphas
     S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
+    bw = basis.boundary_weights
     wt = time_weights(n_t, dt)
-
-    def fwd(g):
-        return weights_s * _control_modal(apply_c(g), basis, S, wt)
-
-    def adj(z):
-        # adjoint of fwd w.r.t. the boundary-cylinder inner product
-        return apply_ct(_observe_modal(weights_s * z, basis, S))
+    # rank-K factors of the weighted forward map W C; the class operator acts
+    # in time only, so its adjoint folds into the K sine rows once per solve
+    U = weights_s[:, None] * basis.conormal_traces
+    V = apply_ct(S)
+    fwd = lambda g: _pair(g, U, V, bw, wt)
+    adj = lambda z: _expand(z, U, V)  # adjoint w.r.t. the boundary-cylinder product
 
     inner_data = lambda u, v: float(u @ v)
-    inner_ctrl = lambda u, v: f_inner(u, v, basis.boundary_weights, dt)
+    inner_ctrl = lambda u, v: f_inner(u, v, bw, dt)
     g, history, its, converged = _cgls(
         fwd,
         adj,
@@ -374,28 +374,21 @@ def _axis_diff_weights(domain: DomainSpec, axis: int) -> np.ndarray:
     return hy * np.tile(w_trans[:, None], (1, ny - 1))
 
 
-def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float:
+def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.ndarray:
     """Grid gradient quadrature plus the mass term.
 
     Uses forward difference quotients per axis, so boundary values enter;
-    targets are not required to vanish on the boundary.
+    targets are not required to vanish on the boundary.  u may also be a
+    stack of grid functions along a leading axis, paired with v one by one.
     """
     dom = basis.domain
-    total = float(np.sum(basis.mass_weights * u * v))
-    if dom.dimension == 1:
-        (h,) = dom.spacings
-        du = np.diff(u) / h
-        dv = np.diff(v) / h
-        total += float(np.sum(_axis_diff_weights(dom, 0) * du * dv))
-        return total
-    hx, hy = dom.spacings
-    dux = np.diff(u, axis=0) / hx
-    dvx = np.diff(v, axis=0) / hx
-    duy = np.diff(u, axis=1) / hy
-    dvy = np.diff(v, axis=1) / hy
-    total += float(np.sum(_axis_diff_weights(dom, 0) * dux * dvx))
-    total += float(np.sum(_axis_diff_weights(dom, 1) * duy * dvy))
-    return total
+    dim = dom.dimension
+    # weights go on v, so a stack u costs one temporary per axis
+    total = np.tensordot(u, basis.mass_weights * v, axes=dim)
+    for axis, h in enumerate(dom.spacings):
+        dv = _axis_diff_weights(dom, axis) * np.diff(v, axis=axis) / h**2
+        total = total + np.tensordot(np.diff(u, axis=axis - dim), dv, axes=dim)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def h1_norm(u: np.ndarray, basis: SpectralBasis) -> float:
@@ -476,32 +469,31 @@ def h1_star_experiment(
     # modal mass coefficients of each lift column, for the correction term
     lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
     shape = tuple(dom.shape)
-    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
+    bw = basis.boundary_weights
     wt = time_weights(n_t, dt)
+    # K mode rows (traces x sines) and n_bnd terminal-spike rows, whose
+    # pairing reads (C g)[m, -1], all with the class adjoint folded in
+    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
+    spikes = np.zeros((n_bnd, n_t))
+    spikes[:, -1] = 1.0 / wt[-1]
+    U = np.vstack([basis.conormal_traces, np.diag(1.0 / bw)])
+    V = apply_ct(np.vstack([S, spikes]))
+    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + shape)])
 
     def fwd(g):
-        f = apply_c(g)
-        coeffs = _control_modal(f, basis, S, wt)
-        b = f[:, -1]  # final-time boundary values
+        pairs = _pair(g, U, V, bw, wt)
+        coeffs, b = pairs[: basis.n_modes], pairs[basis.n_modes :]  # b: final-time values
         state = lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes
         return state.reshape(shape)
 
     def adj(z):
-        d = np.array(
-            [h1_inner(basis.modes[k], z, basis) for k in range(basis.n_modes)]
-        )
-        trace = _observe_modal(d, basis, S)
-        # boundary part: lift columns paired with z, minus modal shadow
-        lift_pair = np.array(
-            [h1_inner(lift_cols[:, m].reshape(shape), z, basis) for m in range(n_bnd)]
-        )
-        bvec = lift_pair - lift_modal.T @ d
-        spike = np.zeros((n_bnd, n_t))
-        spike[:, -1] = bvec / (basis.boundary_weights * wt[-1])
-        return apply_ct(trace + spike)
+        d = h1_inner(h1_rows, z, basis)
+        # boundary part: lift columns paired with z, minus their modal shadow
+        d[basis.n_modes :] -= lift_modal.T @ d[: basis.n_modes]
+        return _expand(d, U, V)
 
     inner_data = lambda u, v: h1_inner(u, v, basis)
-    inner_ctrl = lambda u, v: f_inner(u, v, basis.boundary_weights, dt)
+    inner_ctrl = lambda u, v: f_inner(u, v, bw, dt)
     g, history, its, converged = _cgls(
         fwd,
         adj,

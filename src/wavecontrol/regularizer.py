@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import hankel, toeplitz
 
 from .spectral import SpectralBasis, project, reconstruct
 from .waveop import BoundaryControl, StateField, time_weights
@@ -150,14 +151,17 @@ def mollifier_matrix(epsilon: float, T: float, n_t: int, antisymmetric: bool) ->
 
     Entry (i, j) is phi_eps(t_i - s_j) w_j, minus phi_eps(2T - t_i - s_j) w_j
     when antisymmetric (the reflection about the horizon); a control's
-    samples map to samples @ matrix.T.
+    samples map to samples @ matrix.T.  The first term depends on i - j and
+    the reflection on i + j only, so 2 n_t - 1 kernel samples fill both.
     """
-    t = np.linspace(0.0, T, n_t)
-    kern = MollifierKernel(epsilon)
-    K = kern(t[:, None] - t[None, :])
+    dt = T / (n_t - 1)
+    kern = MollifierKernel(epsilon)(np.arange(2 * n_t - 1) * dt)
+    K = toeplitz(kern[:n_t])
     if antisymmetric:
-        K = K - kern((2 * T - t)[:, None] - t[None, :])
-    return K * time_weights(n_t, T / (n_t - 1))[None, :]
+        rev = kern[::-1]  # phi_eps(2T - t_i - s_j) at index i + j
+        K -= hankel(rev[:n_t], rev[n_t - 1 :])
+    K *= time_weights(n_t, dt)[None, :]
+    return K
 
 
 def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> BoundaryControl:

@@ -50,8 +50,27 @@ __all__ = [
 DEFAULT_TIME_STEPS = 1024  # trapezoid grid has DEFAULT_TIME_STEPS + 1 samples
 
 
+class _TimeSampled:
+    """Samples of shape (n_boundary, n_t) on the uniform grid of [0, T]."""
+
+    samples: np.ndarray
+    T: float
+
+    @property
+    def n_t(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def dt(self) -> float:
+        return self.T / (self.n_t - 1)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.n_t)
+
+
 @dataclass
-class BoundaryControl:
+class BoundaryControl(_TimeSampled):
     """Dirichlet data on the boundary cylinder, sampled on a uniform time grid.
 
     samples : (n_boundary, n_t) values; column i is time i*T/(n_t-1)
@@ -78,37 +97,13 @@ class BoundaryControl:
             if np.any(self.samples[:, t < self.zero_band] != 0):
                 raise ValueError("control flagged as vanishing near t=0 but is not")
 
-    @property
-    def n_t(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def dt(self) -> float:
-        return self.T / (self.n_t - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
-
 
 @dataclass
-class BoundaryTrace:
+class BoundaryTrace(_TimeSampled):
     """Conormal derivative samples on the boundary cylinder."""
 
     samples: np.ndarray
     T: float
-
-    @property
-    def n_t(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def dt(self) -> float:
-        return self.T / (self.n_t - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
 
 
 @dataclass
@@ -185,16 +180,7 @@ def observe(
         raise ValueError(f"horizon must be positive, got {T}")
     alphas = project(y.values, basis).alphas
     S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
-    return BoundaryTrace(samples=_observe_modal(alphas, basis, S), T=T)
-
-
-def _observe_modal(alphas: np.ndarray, basis: SpectralBasis, S: np.ndarray) -> np.ndarray:
-    """Trace samples of the dual wave with modal data alphas; S from _sin_factors.
-
-    Solvers hoist S out of their iterations: it costs several times the
-    contraction itself.
-    """
-    return np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
+    return BoundaryTrace(samples=_expand(alphas, basis.conormal_traces, S), T=T)
 
 
 def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
@@ -210,17 +196,26 @@ def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
             f"domain has {len(basis.boundary_weights)} boundary nodes"
         )
     S = _sin_factors(basis.lambdas, f.times, f.T)
-    return _control_modal(f.samples, basis, S, time_weights(f.n_t, f.dt))
-
-
-def _control_modal(
-    samples: np.ndarray, basis: SpectralBasis, S: np.ndarray, wt: np.ndarray
-) -> np.ndarray:
-    """control_to_modal on raw samples, with S from _sin_factors and wt from
-    time_weights hoisted out of solver iterations as for _observe_modal."""
-    return np.einsum(
-        "gt,kg,kt,g,t->k", samples, basis.conormal_traces, S, basis.boundary_weights, wt
+    return _pair(
+        f.samples, basis.conormal_traces, S, basis.boundary_weights, time_weights(f.n_t, f.dt)
     )
+
+
+# Every control-space operator here has rank at most J: a stack of boundary
+# factors U (J, n_bnd) and time factors V (J, n_t).  Solvers build the
+# factors once per solve and apply them through these two kernels.
+
+
+def _pair(
+    g: np.ndarray, U: np.ndarray, V: np.ndarray, bw: np.ndarray, wt: np.ndarray
+) -> np.ndarray:
+    """<g, U_j x V_j>_F for every j, boundary weights bw and time weights wt."""
+    return np.sum(((U * bw) @ g) * (V * wt), axis=1)
+
+
+def _expand(c: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_j c_j U_j x V_j as (n_bnd, n_t) samples; adjoint of _pair."""
+    return (U.T * c) @ V
 
 
 def control_to_state(f: BoundaryControl, basis: SpectralBasis) -> StateField:

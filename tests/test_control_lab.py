@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavecontrol import geometry, presets
+from wavecontrol import control_lab, geometry, presets
 from wavecontrol.control_lab import (
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
@@ -16,7 +16,14 @@ from wavecontrol.control_lab import (
     synthesize_control,
     unreachability_bound,
 )
-from wavecontrol.waveop import StateField, control_to_state, f_inner
+from wavecontrol.waveop import (
+    StateField,
+    _pair,
+    _sin_factors,
+    control_to_state,
+    f_inner,
+    time_weights,
+)
 
 T_DESK = 0.75
 
@@ -76,6 +83,61 @@ def test_class_operator_adjoint_pair(small_basis, rng, control_class):
         rhs = f_inner(g, apply_ct(z), w, dt)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) / scale < 1e-12
+
+
+@pytest.mark.parametrize("control_class", ["smooth", "smooth_vanishing_at_T"])
+def test_class_operator_folds_into_time_factors(small_basis, rng, control_class):
+    """_pair(g, U, C* S) = _pair(C g, U, S); a terminal-spike row reads (C g)[:, -1]."""
+    n_t = 129
+    wt = time_weights(n_t, T_DESK / (n_t - 1))
+    bw = small_basis.boundary_weights
+    y = StateField(values=np.zeros(small_basis.domain.shape[0]), role="target")
+    prob = SynthesisProblem(target=y, T=T_DESK, control_class=control_class)
+    apply_c, apply_ct = _class_operators(prob, n_t)
+    U = small_basis.conormal_traces
+    S = _sin_factors(small_basis.lambdas, np.linspace(0.0, T_DESK, n_t), T_DESK)
+    g = rng.standard_normal((len(bw), n_t))
+    folded = _pair(g, U, apply_ct(S), bw, wt)
+    direct = _pair(apply_c(g), U, S, bw, wt)
+    assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
+    spikes = np.zeros((len(bw), n_t))
+    spikes[:, -1] = 1.0 / wt[-1]
+    terminal = _pair(g, np.diag(1.0 / bw), apply_ct(spikes), bw, wt)
+    smoothed = apply_c(g)
+    assert np.abs(terminal - smoothed[:, -1]).max() <= 1e-12 * np.abs(smoothed).max()
+
+
+def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
+    """The class operator acts on the factors and the output, never per iteration."""
+    calls = []
+    real = control_lab._class_operators
+
+    def counting(problem, n_t):
+        apply_c, apply_ct = real(problem, n_t)
+
+        def c(g):
+            calls.append("apply_c")
+            return apply_c(g)
+
+        def ct(z):
+            calls.append("apply_ct")
+            return apply_ct(z)
+
+        return c, ct
+
+    monkeypatch.setattr(control_lab, "_class_operators", counting)
+    y = presets.smooth_interior_target(desk_basis.domain)
+    ramp = presets.ramp_target(desk_basis.domain)
+    for budget in (5, 50):
+        calls.clear()
+        prob = SynthesisProblem(
+            target=y, T=T_DESK, control_class="smooth_vanishing_at_T", budget=budget, tol=0.0
+        )
+        assert synthesize_control(prob, desk_basis).iterations == budget
+        assert sorted(calls) == ["apply_c", "apply_ct"]
+        calls.clear()
+        assert h1_star_experiment(ramp, T_DESK, desk_basis, budget=budget).iterations == budget
+        assert sorted(calls) == ["apply_c", "apply_ct"]
 
 
 def test_identity_class_operators():

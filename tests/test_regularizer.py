@@ -151,6 +151,30 @@ def test_regularize_state_is_modal_multiplier(interval_basis, rng):
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "epsilon, T, n_t, antisymmetric",
+    [
+        (0.0375, 0.75, 1025, True),
+        (0.01, 2.5, 4097, True),
+        (0.3, 0.75, 129, True),
+        (0.0123, 0.3, 1025, True),
+        (0.05, 0.7, 257, False),
+    ],
+)
+def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric):
+    # every third row keeps the 4097-sample case small; a Toeplitz or Hankel
+    # indexing slip shows on any row
+    rows = np.r_[0:n_t:3, n_t - 1]
+    t = np.linspace(0.0, T, n_t)
+    kern = regularizer.MollifierKernel(epsilon)
+    expect = kern(t[rows, None] - t[None, :])
+    if antisymmetric:
+        expect = expect - kern((2 * T - t[rows])[:, None] - t[None, :])
+    expect = expect * waveop.time_weights(n_t, T / (n_t - 1))[None, :]
+    got = regularizer.mollifier_matrix(epsilon, T, n_t, antisymmetric)[rows]
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 def test_smooth_control_validation(interval_basis, rng):
     T = 0.75
     f = waveop.random_smooth_control(interval_basis, T, rng, support=(0.075, T))

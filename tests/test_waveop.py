@@ -74,6 +74,30 @@ def test_observe_single_mode_closed_form(interval_basis):
     np.testing.assert_allclose(g.samples, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("basis_name", ["desk", "square_33"])
+def test_factor_kernels_match_full_contractions(request, rng, basis_name):
+    """control_to_modal and observe against the contractions written out in full."""
+    if basis_name == "desk":
+        basis = request.getfixturevalue("desk_basis")
+    else:
+        basis = spectral.eigensolve(geometry.rectangle(shape=(33, 33)), 100, backend="fd")
+    T = 0.75
+    f = waveop.random_control(basis, T, rng, n_steps=256)
+    roots = np.sqrt(basis.lambdas)
+    S = np.sin(np.outer(roots, f.times - T)) / roots[:, None]
+    wt = waveop.time_weights(f.n_t, f.dt)
+    expect = np.einsum(
+        "gt,kg,kt,g,t->k", f.samples, basis.conormal_traces, S, basis.boundary_weights, wt
+    )
+    got = waveop.control_to_modal(f, basis)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    y = waveop.random_state(basis, rng)
+    alphas = spectral.project(y.values, basis).alphas
+    expect = np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
+    got = waveop.observe(y, T, basis, n_steps=256).samples
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 def test_dalembert_traveling_pulse(interval_domain, interval_basis):
     # left-end control, T short enough that the front never reflects
     T = 0.75
