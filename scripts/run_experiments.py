@@ -17,6 +17,7 @@ EXPERIMENTS = (
     ("eikonal_interval", "eikonal", {}),
     ("eikonal_square", "eikonal", {"preset": "square"}),
     ("eikonal_interval_bump", "eikonal", {"preset": "interval_bump"}),
+    ("eikonal_square_bump", "eikonal", {"preset": "square_bump"}),
     ("spectrum_interval", "eigen", {}),
     ("spectrum_square", "eigen", {"preset": "square"}),
     ("forward_reference", "forward", {}),

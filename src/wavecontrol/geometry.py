@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -144,20 +146,18 @@ class DomainSpec:
         2D uses the trapezoid rule along each edge; corner nodes carry the
         half-weights of both incident edges.
         """
-        nodes = self.boundary_nodes()
         if self.dimension == 1:
-            return np.ones(len(nodes))
-        hx, hy = self.spacings
-        nx, ny = self.shape
-        w = np.zeros(len(nodes))
-        for m, (i, j) in enumerate(nodes):
-            wi = 0.0
-            if i == 0 or i == nx - 1:  # runs along y
-                wi += hy / 2 if (j == 0 or j == ny - 1) else hy
-            if j == 0 or j == ny - 1:  # runs along x
-                wi += hx / 2 if (i == 0 or i == nx - 1) else hx
-            w[m] = wi
-        return w
+            return np.ones(2)
+        (nx, ny), (hx, hy) = self.shape, self.spacings
+        wx = grid_trapezoid_weights((nx,), (hx,))
+        wy = grid_trapezoid_weights((ny,), (hy,))
+        ends_x = np.zeros(nx)
+        ends_y = np.zeros(ny)
+        ends_x[[0, -1]] = ends_y[[0, -1]] = 1.0
+        # edges x = const run along y, edges y = const along x; boolean-mask
+        # order is the argwhere order of boundary_nodes
+        w = np.outer(ends_x, wy) + np.outer(wx, ends_y)
+        return w[self.boundary_mask]
 
 
 def grid_trapezoid_weights(shape: tuple, spacings: tuple) -> np.ndarray:
@@ -205,18 +205,6 @@ class FilledRegion:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def _coeff_from_scalars(shape, a11, a12=0.0, a22=None):
-    d = len(shape)
-    c = np.zeros(tuple(shape) + (d, d))
-    if d == 1:
-        c[..., 0, 0] = a11
-    else:
-        c[..., 0, 0] = a11
-        c[..., 0, 1] = c[..., 1, 0] = a12
-        c[..., 1, 1] = a11 if a22 is None else a22
-    return c
 
 
 def interval(
@@ -380,102 +368,127 @@ def _eikonal_1d(domain: DomainSpec) -> np.ndarray:
     return np.minimum(left, right)
 
 
+def _flat_table(values) -> array:
+    """Node values, row-major, as an array("d") that indexes to Python floats."""
+    return array("d", np.ascontiguousarray(values, dtype=float).tobytes())
+
+
+def _boundary_heap(domain: DomainSpec):
+    """Distance table at inf with the boundary at 0, and the heap of its nodes."""
+    tau = array("d", [math.inf]) * math.prod(domain.shape)
+    heap = []
+    for f in np.flatnonzero(domain.boundary_mask).tolist():
+        tau[f] = 0.0
+        heapq.heappush(heap, (0.0, f))
+    return tau, heap
+
+
 def _fast_march_2d(domain: DomainSpec) -> np.ndarray:
-    """Upwind fast marching for a11(x) tau_x^2 + a22(x) tau_y^2 = 1."""
+    """Upwind fast marching for a11(x) tau_x^2 + a22(x) tau_y^2 = 1.
+
+    Nodes are flat indices f = i*ny + j; the neighbours of f are f +- ny
+    and f +- 1, guarded by the i and j bounds.
+    """
     nx, ny = domain.shape
     hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0]
-    a22 = domain.coeff[..., 1, 1]
-    tau = np.full((nx, ny), np.inf)
-    accepted = np.zeros((nx, ny), dtype=bool)
-    heap = []
-    for i, j in domain.boundary_nodes():
-        tau[i, j] = 0.0
-        heapq.heappush(heap, (0.0, i * ny + j))
+    a11 = domain.coeff[..., 0, 0].ravel()
+    a22 = domain.coeff[..., 1, 1].ravel()
+    px, py = _flat_table(a11 / hx**2), _flat_table(a22 / hy**2)
+    cx, cy = _flat_table(hx / np.sqrt(a11)), _flat_table(hy / np.sqrt(a22))
+    tau, heap = _boundary_heap(domain)
+    accepted = bytearray(nx * ny)
+    inf, sqrt = math.inf, math.sqrt
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def update(i, j):
+    def update(f, i, j):
         # smallest accepted neighbor per axis, if any
-        ux = np.inf
-        if i > 0 and accepted[i - 1, j]:
-            ux = tau[i - 1, j]
-        if i < nx - 1 and accepted[i + 1, j]:
-            ux = min(ux, tau[i + 1, j])
-        uy = np.inf
-        if j > 0 and accepted[i, j - 1]:
-            uy = tau[i, j - 1]
-        if j < ny - 1 and accepted[i, j + 1]:
-            uy = min(uy, tau[i, j + 1])
-        p = a11[i, j] / hx**2
-        q = a22[i, j] / hy**2
-        best = np.inf
-        if np.isfinite(ux) and np.isfinite(uy):
+        ux = inf
+        if i > 0 and accepted[f - ny]:
+            ux = tau[f - ny]
+        if i < nx - 1 and accepted[f + ny]:
+            ux = min(ux, tau[f + ny])
+        uy = inf
+        if j > 0 and accepted[f - 1]:
+            uy = tau[f - 1]
+        if j < ny - 1 and accepted[f + 1]:
+            uy = min(uy, tau[f + 1])
+        if ux < inf and uy < inf:
             # two-term quadratic: p (u-ux)^2 + q (u-uy)^2 = 1
+            p, q = px[f], py[f]
             s, t = p + q, p * ux + q * uy
             disc = t**2 - s * (p * ux**2 + q * uy**2 - 1.0)
             if disc >= 0:
-                cand = (t + np.sqrt(disc)) / s
+                cand = (t + sqrt(disc)) / s
                 if cand >= max(ux, uy):
-                    best = cand
-        if not np.isfinite(best):
-            cand_x = ux + hx / np.sqrt(a11[i, j]) if np.isfinite(ux) else np.inf
-            cand_y = uy + hy / np.sqrt(a22[i, j]) if np.isfinite(uy) else np.inf
-            best = min(cand_x, cand_y)
-        return best
+                    return cand
+        # one-sided update; an axis without an accepted neighbor gives inf
+        return min(ux + cx[f], uy + cy[f])
 
     while heap:
-        val, flat = heapq.heappop(heap)
-        i, j = divmod(flat, ny)
-        if accepted[i, j]:
+        f = heappop(heap)[1]
+        if accepted[f]:
             continue
-        accepted[i, j] = True
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ii, jj = i + di, j + dj
-            if 0 <= ii < nx and 0 <= jj < ny and not accepted[ii, jj]:
-                cand = update(ii, jj)
-                if cand < tau[ii, jj]:
-                    tau[ii, jj] = cand
-                    heapq.heappush(heap, (cand, ii * ny + jj))
-    return tau
+        accepted[f] = 1
+        i, j = divmod(f, ny)
+        for g, gi, gj, inside in (
+            (f + ny, i + 1, j, i < nx - 1),
+            (f - ny, i - 1, j, i > 0),
+            (f + 1, i, j + 1, j < ny - 1),
+            (f - 1, i, j - 1, j > 0),
+        ):
+            if inside and not accepted[g]:
+                cand = update(g, gi, gj)
+                if cand < tau[g]:
+                    tau[g] = cand
+                    heappush(heap, (cand, g))
+    return np.frombuffer(tau).reshape(nx, ny).copy()
 
 
 def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:
     """Shortest paths to the boundary over the 8-neighbor graph.
 
     Edge length is sqrt(dx^T m dx) with m the inverse coefficient matrix
-    averaged over the edge endpoints.
+    averaged over the edge endpoints.  The lengths of the edges in each of
+    the 8 directions are computed once over the grid; an edge that leaves
+    the grid has length inf and so never relaxes its far end.
     """
     nx, ny = domain.shape
     hx, hy = domain.spacings
     inv = np.linalg.inv(domain.coeff)
-    tau = np.full((nx, ny), np.inf)
-    done = np.zeros((nx, ny), dtype=bool)
-    heap = []
-    for i, j in domain.boundary_nodes():
-        tau[i, j] = 0.0
-        heapq.heappush(heap, (0.0, i * ny + j))
-    steps = [
-        (di, dj)
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        if not (di == 0 and dj == 0)
-    ]
-    while heap:
-        val, flat = heapq.heappop(heap)
-        i, j = divmod(flat, ny)
-        if done[i, j]:
-            continue
-        done[i, j] = True
-        for di, dj in steps:
-            ii, jj = i + di, j + dj
-            if not (0 <= ii < nx and 0 <= jj < ny) or done[ii, jj]:
+    edges = []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
                 continue
-            dx = np.array([di * hx, dj * hy])
-            m = 0.5 * (inv[i, j] + inv[ii, jj])
-            cand = val + np.sqrt(dx @ m @ dx)
-            if cand < tau[ii, jj]:
-                tau[ii, jj] = cand
-                heapq.heappush(heap, (cand, ii * ny + jj))
-    return tau
+            src = (slice(max(-di, 0), nx - max(di, 0)), slice(max(-dj, 0), ny - max(dj, 0)))
+            dst = (slice(max(di, 0), nx - max(-di, 0)), slice(max(dj, 0), ny - max(-dj, 0)))
+            m = 0.5 * (inv[src] + inv[dst])
+            dx, dy = di * hx, dj * hy
+            # dx^T m dx, evaluated as (dx^T m) dx
+            v0 = dx * m[..., 0, 0] + dy * m[..., 1, 0]
+            v1 = dx * m[..., 0, 1] + dy * m[..., 1, 1]
+            length = np.full((nx, ny), np.inf)
+            length[src] = np.sqrt(v0 * dx + v1 * dy)
+            edges.append((di * ny + dj, _flat_table(length)))
+    n = nx * ny
+    tau, heap = _boundary_heap(domain)
+    done = bytearray(n)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        val, f = heappop(heap)
+        if done[f]:
+            continue
+        done[f] = 1
+        for off, length in edges:
+            g = f + off
+            # an offset that wraps into the next or previous grid line is
+            # an edge leaving the grid, so length[f] is inf there
+            if 0 <= g < n and not done[g]:
+                cand = val + length[f]
+                if cand < tau[g]:
+                    tau[g] = cand
+                    heappush(heap, (cand, g))
+    return np.frombuffer(tau).reshape(nx, ny).copy()
 
 
 def filled_subdomain(dist: DistanceField, T: float) -> FilledRegion:
@@ -501,29 +514,25 @@ def filling_time(dist: DistanceField) -> float:
 # CSV artifacts
 
 
-def _node_rows(shape, axes):
-    if len(shape) == 1:
-        for i in range(shape[0]):
-            yield (i, 0, axes[0][i], 0.0)
-    else:
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                yield (i, j, axes[0][i], axes[1][j])
+def _write_node_csv(path, domain: DomainSpec, name: str, values, fmt: str) -> None:
+    """Table ``i,j,x,y,<name>`` with one row per node (1D: j = 0, y = 0).
+
+    Rows end in CRLF, as csv.writer writes them; each grid line goes out in
+    one write, so the whole file is never held as one string.
+    """
+    xs = [f"{x:.17g}" for x in domain.axes[0]]
+    ys = [f"{y:.17g}" for y in domain.axes[1]] if domain.dimension == 2 else ["0"]
+    grid = np.asarray(values).reshape(len(xs), len(ys))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"i,j,x,y,{name}\r\n")
+        for i, (x, line) in enumerate(zip(xs, grid)):
+            rows = enumerate(zip(ys, line.tolist()))
+            fh.write("".join([f"{i},{j},{x},{y},{v:{fmt}}\r\n" for j, (y, v) in rows]))
 
 
 def write_distance_csv(path, domain: DomainSpec, dist: DistanceField) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "x", "y", "tau"])
-        flat = dist.tau.ravel()
-        for row, v in zip(_node_rows(domain.shape, domain.axes), flat):
-            writer.writerow([row[0], row[1], f"{row[2]:.17g}", f"{row[3]:.17g}", f"{v:.17g}"])
+    _write_node_csv(path, domain, "tau", dist.tau, ".17g")
 
 
 def write_region_csv(path, domain: DomainSpec, region: FilledRegion) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "x", "y", "inside"])
-        flat = region.indicator.ravel()
-        for row, v in zip(_node_rows(domain.shape, domain.axes), flat):
-            writer.writerow([row[0], row[1], f"{row[2]:.17g}", f"{row[3]:.17g}", int(v)])
+    _write_node_csv(path, domain, "inside", region.indicator.astype(int), "d")

@@ -1,3 +1,6 @@
+import csv
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +201,196 @@ def test_region_csv_format(tmp_path, interval_domain, interval_distance):
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,inside"
     assert set(line.split(",")[4] for line in lines[1:]) <= {"0", "1"}
+
+
+# ---------------------------------------------------------------------------
+# flat-array kernels against the per-node reference formulas
+
+
+def _variable_rectangle(shape, a12=0.0):
+    # non-unit extents and a11 != a22, both varying over the grid
+    return geometry.rectangle(
+        shape=shape,
+        extents=((-0.3, 1.1), (0.2, 0.9)),
+        a11=lambda x, y: 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y),
+        a12=a12,
+        a22=lambda x, y: 0.7 + 0.4 * x * y,
+    )
+
+
+def _reference_fast_march(domain):
+    """Fast marching with numpy-scalar indexing, one node at a time."""
+    nx, ny = domain.shape
+    hx, hy = domain.spacings
+    a11 = domain.coeff[..., 0, 0]
+    a22 = domain.coeff[..., 1, 1]
+    tau = np.full((nx, ny), np.inf)
+    accepted = np.zeros((nx, ny), dtype=bool)
+    heap = []
+    for i, j in domain.boundary_nodes():
+        tau[i, j] = 0.0
+        heapq.heappush(heap, (0.0, i * ny + j))
+
+    def update(i, j):
+        ux = np.inf
+        if i > 0 and accepted[i - 1, j]:
+            ux = tau[i - 1, j]
+        if i < nx - 1 and accepted[i + 1, j]:
+            ux = min(ux, tau[i + 1, j])
+        uy = np.inf
+        if j > 0 and accepted[i, j - 1]:
+            uy = tau[i, j - 1]
+        if j < ny - 1 and accepted[i, j + 1]:
+            uy = min(uy, tau[i, j + 1])
+        p = a11[i, j] / hx**2
+        q = a22[i, j] / hy**2
+        best = np.inf
+        if np.isfinite(ux) and np.isfinite(uy):
+            s, t = p + q, p * ux + q * uy
+            disc = t**2 - s * (p * ux**2 + q * uy**2 - 1.0)
+            if disc >= 0:
+                cand = (t + np.sqrt(disc)) / s
+                if cand >= max(ux, uy):
+                    best = cand
+        if not np.isfinite(best):
+            cand_x = ux + hx / np.sqrt(a11[i, j]) if np.isfinite(ux) else np.inf
+            cand_y = uy + hy / np.sqrt(a22[i, j]) if np.isfinite(uy) else np.inf
+            best = min(cand_x, cand_y)
+        return best
+
+    while heap:
+        _, flat = heapq.heappop(heap)
+        i, j = divmod(flat, ny)
+        if accepted[i, j]:
+            continue
+        accepted[i, j] = True
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ii, jj = i + di, j + dj
+            if 0 <= ii < nx and 0 <= jj < ny and not accepted[ii, jj]:
+                cand = update(ii, jj)
+                if cand < tau[ii, jj]:
+                    tau[ii, jj] = cand
+                    heapq.heappush(heap, (cand, ii * ny + jj))
+    return tau
+
+
+def _reference_dijkstra(domain):
+    """8-neighbor shortest paths with the edge length evaluated per edge."""
+    nx, ny = domain.shape
+    hx, hy = domain.spacings
+    inv = np.linalg.inv(domain.coeff)
+    tau = np.full((nx, ny), np.inf)
+    done = np.zeros((nx, ny), dtype=bool)
+    heap = []
+    for i, j in domain.boundary_nodes():
+        tau[i, j] = 0.0
+        heapq.heappush(heap, (0.0, i * ny + j))
+    steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+    while heap:
+        val, flat = heapq.heappop(heap)
+        i, j = divmod(flat, ny)
+        if done[i, j]:
+            continue
+        done[i, j] = True
+        for di, dj in steps:
+            ii, jj = i + di, j + dj
+            if not (0 <= ii < nx and 0 <= jj < ny) or done[ii, jj]:
+                continue
+            dx = np.array([di * hx, dj * hy])
+            m = 0.5 * (inv[i, j] + inv[ii, jj])
+            cand = val + np.sqrt(dx @ m @ dx)
+            if cand < tau[ii, jj]:
+                tau[ii, jj] = cand
+                heapq.heappush(heap, (cand, ii * ny + jj))
+    return tau
+
+
+def test_fast_march_matches_reference_loop():
+    # nx != ny, so a +-nx / +-ny mix-up in the flat offsets shows
+    dom = _variable_rectangle((37, 23))
+    tau = geometry.eikonal_distance(dom).tau
+    ref = _reference_fast_march(dom)
+    assert np.all(np.isfinite(ref))
+    assert np.array_equal(tau, ref)
+
+
+def test_dijkstra_matches_reference_loop():
+    dom = _variable_rectangle((31, 19), a12=lambda x, y: 0.25 * np.cos(2 * x + y))
+    assert not np.all(dom.coeff[..., 0, 1] == 0)  # takes the graph fallback
+    tau = geometry.eikonal_distance(dom).tau
+    ref = _reference_dijkstra(dom)
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.abs(tau - ref) <= 1e-14 * np.abs(ref))
+
+
+def _reference_boundary_weights(domain):
+    nodes = domain.boundary_nodes()
+    if domain.dimension == 1:
+        return np.ones(len(nodes))
+    hx, hy = domain.spacings
+    nx, ny = domain.shape
+    w = np.zeros(len(nodes))
+    for m, (i, j) in enumerate(nodes):
+        wi = 0.0
+        if i == 0 or i == nx - 1:
+            wi += hy / 2 if (j == 0 or j == ny - 1) else hy
+        if j == 0 or j == ny - 1:
+            wi += hx / 2 if (i == 0 or i == nx - 1) else hx
+        w[m] = wi
+    return w
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.rectangle(),
+        _variable_rectangle((37, 23)),
+        geometry.interval(n=17, x0=-0.5, x1=2.0),
+    ],
+    ids=["129x129", "37x23", "1d"],
+)
+def test_boundary_weights_match_reference_loop(domain):
+    w = domain.boundary_weights()
+    assert len(w) == len(domain.boundary_nodes())
+    assert np.array_equal(w, _reference_boundary_weights(domain))
+
+
+def _csv_writer_rendering(path, domain, name, cells):
+    xs = domain.axes[0]
+    ys = domain.axes[1] if domain.dimension == 2 else [0.0]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "x", "y", name])
+        for (i, j), cell in zip(np.ndindex(len(xs), len(ys)), cells):
+            writer.writerow([i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}", cell])
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [geometry.interval(n=17, x0=-0.5, x1=2.0), _variable_rectangle((37, 23))],
+    ids=["1d", "2d_37x23"],
+)
+def test_node_csv_matches_csv_writer(tmp_path, domain):
+    tau = geometry.eikonal_distance(domain).tau.copy()
+    flat = tau.reshape(-1)
+    flat[1], flat[2], flat[3] = -0.0, 5e-324, 1e300
+    dist = geometry.DistanceField(tau=tau, spacings=domain.spacings)
+    region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
+    assert 0 < region.indicator.sum() < region.indicator.size
+
+    geometry.write_distance_csv(tmp_path / "tau.csv", domain, dist)
+    geometry.write_region_csv(tmp_path / "region.csv", domain, region)
+    _csv_writer_rendering(
+        tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in flat]
+    )
+    _csv_writer_rendering(
+        tmp_path / "region_ref.csv", domain, "inside",
+        [int(v) for v in region.indicator.reshape(-1)],
+    )
+    tau_bytes = (tmp_path / "tau.csv").read_bytes()
+    assert b",-0\r\n" in tau_bytes and b",4.9406564584124654e-324\r\n" in tau_bytes
+    assert b",1.0000000000000001e+300\r\n" in tau_bytes
+    assert tau_bytes == (tmp_path / "tau_ref.csv").read_bytes()
+    assert (tmp_path / "region.csv").read_bytes() == (
+        tmp_path / "region_ref.csv"
+    ).read_bytes()
