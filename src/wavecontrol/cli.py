@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__
 from . import geometry, presets
 from .control_lab import (
+    CONTROL_CLASSES,
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
     h1_star_experiment,
     observability_test,
-    residual_curve,
     synthesize_control,
     unreachability_bound,
 )
@@ -40,10 +40,9 @@ from .regularizer import (
     smooth_control,
     write_beta_csv,
 )
-from .spectral import eigensolve, project, reconstruct, write_spectrum_csv
+from .spectral import eigensolve, project, write_spectrum_csv
 from .waveop import (
     DEFAULT_TIME_STEPS,
-    BoundaryControl,
     StateField,
     control_to_modal,
     control_to_state,
@@ -54,7 +53,6 @@ from .waveop import (
     random_state,
     solve_dual,
     support_violation,
-    time_weights,
     verify_duality,
     write_state_csv,
     write_trace_csv,
@@ -118,13 +116,15 @@ class ExperimentConfig:
                 f"need 0 < epsilon < delta < T, got epsilon={self.epsilon}, "
                 f"delta={self.delta}, T={self.T}"
             )
-        if self.s < 0:
+        if not self.s >= 0:  # NaN included
             raise ConfigError(f"s must be nonnegative, got {self.s}")
         if self.budget < 1:
             raise ConfigError(f"budget must be at least 1, got {self.budget}")
         if self.n_steps < 2:
             raise ConfigError(f"n_steps must be at least 2, got {self.n_steps}")
-        if any(a <= 0 for a in self.alphas):
+        if not self.alphas:
+            raise ConfigError("alphas must not be empty")
+        if not all(a > 0 for a in self.alphas):  # NaN included
             raise ConfigError(f"alphas must be positive, got {self.alphas}")
         if list(self.alphas) != sorted(self.alphas, reverse=True) or len(
             set(self.alphas)
@@ -137,7 +137,7 @@ class ExperimentConfig:
             )
         if self.target == "ramp" and self.dimension != 1:
             raise ConfigError(f"target 'ramp' is 1D only, preset {self.preset!r} is 2D")
-        if self.control_class not in ("all_of_F", "smooth", "smooth_vanishing_at_T"):
+        if self.control_class not in CONTROL_CLASSES:
             raise ConfigError(f"unknown control_class {self.control_class!r}")
         if self.nx < 0 or self.ny < 0 or self.n_modes < 0:
             raise ConfigError("grid sizes and n_modes must be nonnegative")
@@ -156,10 +156,19 @@ class ExperimentConfig:
         return d
 
 
-_BOOL_KEYS = {"debug_break_quadrature"}
-_INT_KEYS = {"nx", "ny", "n_modes", "budget", "n_steps", "seed"}
-_FLOAT_KEYS = {"T", "delta", "epsilon", "s"}
-_STR_KEYS = {"preset", "coefficient_csv", "target", "control_class", "out_dir"}
+def _parse_bool(value: str) -> bool:
+    if value not in ("0", "1", "true", "false"):
+        raise ValueError(value)
+    return value in ("1", "true")
+
+
+def _parse_floats(value: str) -> tuple:
+    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+
+
+_TYPE_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "tuple": _parse_floats, "str": str}
+# value parser per config key, by the field's declared type
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -175,23 +184,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key in kwargs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                if value not in ("0", "1", "true", "false"):
-                    raise ValueError(value)
-                kwargs[key] = value in ("1", "true")
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key == "alphas":
-                kwargs[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-            elif key in _STR_KEYS:
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            kwargs[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {value!r}")
     return ExperimentConfig(**kwargs)
@@ -387,9 +383,8 @@ def _run_control(cfg, out, domain, timings):
         n_steps=cfg.n_steps,
     )
     t0 = time.perf_counter()
-    rows = residual_curve(problem, cfg.alphas, basis=basis)
-    problem.alpha = cfg.alphas[-1]
-    res = synthesize_control(problem, basis)
+    results = [synthesize_control(replace(problem, alpha=a), basis) for a in cfg.alphas]
+    res = results[-1]
     timings["synthesis"] = time.perf_counter() - t0
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, cfg.T)
@@ -397,11 +392,10 @@ def _run_control(cfg, out, domain, timings):
     _write_residuals_csv(out / "residuals.csv", res.residual_history)
     with open(out / "curve.csv", "w") as fh:
         fh.write("alpha,final_residual,relative_residual,iterations,converged\n")
-        for r in rows:
+        for a, r in zip(cfg.alphas, results):
             fh.write(
-                f"{r['alpha']:.17g},{r['final_residual']:.17g},"
-                f"{r['relative_residual']:.17g},{r['iterations']},"
-                f"{int(r['converged'])}\n"
+                f"{a:.17g},{r.final_residual:.17g},{r.relative_residual:.17g},"
+                f"{r.iterations},{int(r.converged)}\n"
             )
     write_trace_csv(out / "control.csv", res.control)
     _write_json(
@@ -460,58 +454,50 @@ def _run_h1star(cfg, out, domain, timings):
 # verification suite
 
 
+def _item(name, measured, bound, passed=None) -> dict:
+    """One verify record; it passes when measured <= bound unless told otherwise."""
+    return {
+        "item": name,
+        "measured": measured,
+        "bound": bound,
+        "passed": bool(measured <= bound if passed is None else passed),
+    }
+
+
 def _suite_adjointness(cfg, basis, rng):
-    items = []
     worst = 0.0
     for trial in range(20):
         f = random_control(basis, cfg.T, rng, n_steps=cfg.n_steps)
         y = random_state(basis, rng)
         d = verify_duality(f, y, basis, _break_weights=cfg.debug_break_quadrature)
         worst = max(worst, d)
-    items.append(
-        {
-            "item": "duality_relative_discrepancy_max_20_trials",
-            "measured": worst,
-            "bound": 1e-12,
-            "passed": bool(worst <= 1e-12),
-        }
-    )
-    return items
+    return [_item("duality_relative_discrepancy_max_20_trials", worst, 1e-12)]
+
+
+# (lambda_1, bound) of the plain presets with a closed-form first eigenvalue
+_ANALYTIC_LAMBDA1 = {"interval": (np.pi**2, 1e-3), "square": (2 * np.pi**2, 1e-2)}
 
 
 def _suite_spectral(cfg, domain, basis):
-    items = []
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
-    items.append(
-        {"item": "gram_identity_deviation", "measured": off, "bound": 1e-10, "passed": bool(off <= 1e-10)}
-    )
     lam = basis.lambdas
-    items.append(
-        {
-            "item": "eigenvalues_sorted_positive",
-            "measured": float(lam[0]),
-            "bound": 0.0,
-            "passed": bool(lam[0] > 0 and np.all(np.diff(lam) >= -1e-12 * lam[-1])),
-        }
-    )
-    if cfg.preset == "interval" and not cfg.coefficient_csv:
-        exact = np.pi**2
-        rel = abs(lam[0] - exact) / exact
-        items.append(
-            {"item": "lambda1_vs_analytic", "measured": rel, "bound": 1e-3, "passed": bool(rel <= 1e-3)}
-        )
-    if cfg.preset == "square" and not cfg.coefficient_csv:
-        exact = 2 * np.pi**2
-        rel = abs(lam[0] - exact) / exact
-        items.append(
-            {"item": "lambda1_vs_analytic", "measured": rel, "bound": 1e-2, "passed": bool(rel <= 1e-2)}
-        )
+    items = [
+        _item("gram_identity_deviation", off, 1e-10),
+        _item(
+            "eigenvalues_sorted_positive",
+            float(lam[0]),
+            0.0,
+            lam[0] > 0 and np.all(np.diff(lam) >= -1e-12 * lam[-1]),
+        ),
+    ]
+    if cfg.preset in _ANALYTIC_LAMBDA1 and not cfg.coefficient_csv:
+        exact, bound = _ANALYTIC_LAMBDA1[cfg.preset]
+        items.append(_item("lambda1_vs_analytic", abs(lam[0] - exact) / exact, bound))
     return items
 
 
 def _suite_regularizer(cfg, basis, rng):
-    items = []
     m2 = second_moment()
     lam = basis.lambdas
     eps_sweep = np.logspace(0, -4, 20)
@@ -525,17 +511,6 @@ def _suite_regularizer(cfg, basis, rng):
         if np.any(mask):
             ratio = np.abs(1 - b[mask]) / (1.1 * om2[mask] / 2 * m2)
             taylor_worst = max(taylor_worst, float(ratio.max()))
-    items.append(
-        {"item": "beta_bounded_by_one", "measured": max_abs, "bound": 1.0, "passed": bool(max_abs <= 1.0)}
-    )
-    items.append(
-        {
-            "item": "beta_taylor_bound_small_phase",
-            "measured": taylor_worst,
-            "bound": 1.0,
-            "passed": bool(taylor_worst <= 1.0),
-        }
-    )
     k = int(rng.integers(0, basis.n_modes))
 
     ek = StateField(basis.modes[k].copy())
@@ -544,15 +519,11 @@ def _suite_regularizer(cfg, basis, rng):
     expect = np.zeros(basis.n_modes)
     expect[k] = beta(cfg.epsilon, lam[k])
     dev = float(np.abs(coeffs - expect).max())
-    items.append(
-        {
-            "item": "regularizer_diagonal_in_modes",
-            "measured": dev,
-            "bound": 1e-10,
-            "passed": bool(dev <= 1e-10),
-        }
-    )
-    return items
+    return [
+        _item("beta_bounded_by_one", max_abs, 1.0),
+        _item("beta_taylor_bound_small_phase", taylor_worst, 1.0),
+        _item("regularizer_diagonal_in_modes", dev, 1e-10),
+    ]
 
 
 def _suite_finite_speed(cfg, domain, basis):
@@ -564,14 +535,7 @@ def _suite_finite_speed(cfg, domain, basis):
     region = geometry.filled_subdomain(dist, T)
     band = 2 * dist.h + 2 * T / cfg.n_steps
     viol = support_violation(u, region, band, basis.mass_weights)
-    return [
-        {
-            "item": "pulse_mass_outside_filled_region",
-            "measured": viol,
-            "bound": 1e-3,
-            "passed": bool(viol <= 1e-3),
-        }
-    ]
+    return [_item("pulse_mass_outside_filled_region", viol, 1e-3)]
 
 
 def _suite_smoothing_identity(cfg, basis, rng):
@@ -594,83 +558,55 @@ def _suite_smoothing_identity(cfg, basis, rng):
             g.samples, basis.boundary_weights, dt
         )
         worst = max(worst, abs(lhs - rhs) / scale if scale > 0 else 0.0)
-    return [
-        {
-            "item": "mollified_control_vs_regularized_state_pairing",
-            "measured": worst,
-            "bound": 1e-8,
-            "passed": bool(worst <= 1e-8),
-        }
-    ]
+    return [_item("mollified_control_vs_regularized_state_pairing", worst, 1e-8)]
 
 
 def _suite_observability(cfg, domain, basis):
-    items = []
     dist = geometry.eikonal_distance(domain)
     T = 0.3
     y = presets.center_bump_target(domain)
     verdict = observability_test(
         y, T, 0.05, 1e-3, basis, dist.tau, band=2 * dist.h, n_steps=cfg.n_steps
     )
-    items.append(
-        {
-            "item": "center_bump_trace_and_support",
-            "measured": verdict.trace_ratio,
-            "bound": 1e-3,
-            "passed": bool(verdict.passed and not verdict.observable),
-        }
-    )
     y1 = presets.mode_target(basis, 0)
     v2 = observability_test(y1, cfg.T, 0.05, 1e-3, basis, dist.tau, n_steps=cfg.n_steps)
-    items.append(
-        {
-            "item": "first_mode_trace_visible",
-            "measured": v2.trace_ratio,
-            "bound": 0.1,
-            "passed": bool(v2.observable and v2.trace_ratio >= 0.1),
-        }
-    )
-    return items
+    return [
+        _item(
+            "center_bump_trace_and_support",
+            verdict.trace_ratio,
+            1e-3,
+            verdict.passed and not verdict.observable,
+        ),
+        _item(
+            "first_mode_trace_visible",
+            v2.trace_ratio,
+            0.1,
+            v2.observable and v2.trace_ratio >= 0.1,
+        ),
+    ]
 
 
 def _suite_synthesis(cfg, domain, basis):
-    items = []
     y_in = presets.in_range_target(basis, cfg.T)
     prob = SynthesisProblem(target=y_in, T=cfg.T, budget=cfg.budget, n_steps=cfg.n_steps)
     res = synthesize_control(prob, basis)
-    items.append(
-        {
-            "item": "in_range_target_relative_residual",
-            "measured": res.relative_residual,
-            "bound": 1e-6,
-            "passed": bool(res.relative_residual <= 1e-6),
-        }
-    )
     hist = res.residual_history
-    mono = bool(np.all(np.diff(hist) <= 1e-12 * hist[0]))
-    items.append(
-        {
-            "item": "cg_residual_history_nonincreasing",
-            "measured": float(np.max(np.diff(hist))) if len(hist) > 1 else 0.0,
-            "bound": 0.0,
-            "passed": mono,
-        }
-    )
     y_bump = presets.center_bump_target(domain)
     prob2 = SynthesisProblem(
         target=y_bump, T=0.3, alpha=cfg.alphas[-1], budget=cfg.budget, n_steps=cfg.n_steps
     )
     res2 = synthesize_control(prob2, basis)
     ratio = res2.final_residual / basis.h_norm(y_bump.values)
-    items.append(
-        {
-            "item": "unreachable_bump_residual_ratio",
-            "measured": ratio,
-            "bound": 0.99,
-            "passed": bool(ratio >= 0.99),
-        }
-    )
-    return items
+    return [
+        _item("in_range_target_relative_residual", res.relative_residual, 1e-6),
+        _item(
+            "cg_residual_history_nonincreasing",
+            float(np.max(np.diff(hist))) if len(hist) > 1 else 0.0,
+            0.0,
+            np.all(np.diff(hist) <= 1e-12 * hist[0]),
+        ),
+        _item("unreachable_bump_residual_ratio", ratio, 0.99, ratio >= 0.99),
+    ]
 
 
 def verify_suite(cfg: ExperimentConfig) -> dict:

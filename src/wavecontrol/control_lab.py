@@ -22,14 +22,14 @@ values, which is what the continuous solution does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
 from .regularizer import mollifier_matrix
-from .spectral import SpectralBasis, fd_operator, project, reconstruct
+from .spectral import SpectralBasis, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
@@ -39,6 +39,7 @@ from .waveop import (
     _sin_factors,
     control_to_modal,
     f_inner,
+    f_norm,
     observe,
     time_grid,
     time_weights,
@@ -118,11 +119,14 @@ class SynthesisResult:
     wall_time: float
 
 
+def _identity(x):
+    return x
+
+
 def _class_operators(problem: SynthesisProblem, n_t: int):
     """Pair (C, C*) realizing the control class inside the ambient space."""
     if problem.control_class == "all_of_F":
-        ident = lambda g: g
-        return ident, ident
+        return _identity, _identity
     T = problem.T
     mask = np.linspace(0.0, T, n_t) >= problem.delta - 1e-12 * T
     KW = mollifier_matrix(
@@ -176,55 +180,45 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
     return g, np.array(history), its, bool(converged)
 
 
-def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
-    """Minimize the weighted modal misfit of the final snapshot.
+def _solve(problem, basis, U, V, rhs, to_data, from_data, inner_data) -> SynthesisResult:
+    """CGLS over the control samples for a map held as rank-K factors.
 
-    Objective: |W f - y|_{s-weighted, truncated}^2 + alpha |f|_F^2 over the
-    chosen control class.  Never raises on non-convergence; the budget result
-    is returned with converged = False.
+    The forward map is to_data(<g, U_j x (C* V)_j>_F) and its adjoint
+    expands from_data(z) over the same factors, so the class operator C acts
+    on the time factors once and on the output once, never per iteration.
+    inner_data is the data-space inner product; the misfit and the target
+    norm are measured in it.
     """
     start = time.perf_counter()
     n_t = problem.n_steps + 1
     dt = problem.T / problem.n_steps
-    n_bnd = len(basis.boundary_weights)
-    apply_c, apply_ct = _class_operators(problem, n_t)
-    weights_s = basis.lambdas ** (problem.s / 2.0)
-    y_hat = weights_s * project(problem.target.values, basis).alphas
-    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
     bw = basis.boundary_weights
     wt = time_weights(n_t, dt)
-    # rank-K factors of the weighted forward map W C; the class operator acts
-    # in time only, so its adjoint folds into the K sine rows once per solve
-    U = weights_s[:, None] * basis.conormal_traces
-    V = apply_ct(S)
-    fwd = lambda g: _pair(g, U, V, bw, wt)
-    adj = lambda z: _expand(z, U, V)  # adjoint w.r.t. the boundary-cylinder product
-
-    inner_data = lambda u, v: float(u @ v)
+    apply_c, apply_ct = _class_operators(problem, n_t)
+    V = apply_ct(V)  # C acts in time only, so its adjoint folds into the time factors
+    fwd = lambda g: to_data(_pair(g, U, V, bw, wt))
+    adj = lambda z: _expand(from_data(z), U, V)  # adjoint w.r.t. the boundary-cylinder product
     inner_ctrl = lambda u, v: f_inner(u, v, bw, dt)
     g, history, its, converged = _cgls(
         fwd,
         adj,
-        y_hat,
-        (n_bnd, n_t),
+        rhs,
+        (len(bw), n_t),
         inner_data,
         inner_ctrl,
         problem.alpha,
         problem.budget,
         problem.tol,
     )
-    misfit_vec = fwd(g) - y_hat
-    final = float(np.linalg.norm(misfit_vec))
-    target_norm = float(np.linalg.norm(y_hat))
+    norm = lambda u: float(np.sqrt(max(inner_data(u, u), 0.0)))
+    final = norm(fwd(g) - rhs)
+    target_norm = norm(rhs)
+    restricted = problem.control_class != "all_of_F"
     control = BoundaryControl(
         samples=apply_c(g),
         T=problem.T,
-        vanishes_near_zero=problem.control_class != "all_of_F",
-        zero_band=(
-            max(problem.delta - problem.epsilon, 0.0)
-            if problem.control_class != "all_of_F"
-            else 0.0
-        ),
+        vanishes_near_zero=restricted,
+        zero_band=max(problem.delta - problem.epsilon, 0.0) if restricted else 0.0,
         vanishes_at_T_even_derivatives=problem.control_class == "smooth_vanishing_at_T",
     )
     return SynthesisResult(
@@ -237,6 +231,21 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
+
+
+def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
+    """Minimize the weighted modal misfit of the final snapshot.
+
+    Objective: |W f - y|_{s-weighted, truncated}^2 + alpha |f|_F^2 over the
+    chosen control class.  Never raises on non-convergence; the budget result
+    is returned with converged = False.
+    """
+    weights_s = basis.lambdas ** (problem.s / 2.0)
+    y_hat = weights_s * project(problem.target.values, basis).alphas
+    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
+    # rank-K factors of the weighted forward map W: s-weighted traces x sines
+    U = weights_s[:, None] * basis.conormal_traces
+    return _solve(problem, basis, U, S, y_hat, _identity, _identity, lambda u, v: float(u @ v))
 
 
 def residual_curve(
@@ -252,19 +261,7 @@ def residual_curve(
         raise ValueError("alpha schedule must be strictly decreasing")
     rows = []
     for a in alphas:
-        sub = SynthesisProblem(
-            target=problem.target,
-            T=problem.T,
-            s=problem.s,
-            control_class=problem.control_class,
-            alpha=a,
-            budget=problem.budget,
-            tol=problem.tol,
-            delta=problem.delta,
-            epsilon=problem.epsilon,
-            n_steps=problem.n_steps,
-        )
-        res = synthesize_control(sub, basis)
+        res = synthesize_control(replace(problem, alpha=a), basis)
         rows.append(
             {
                 "alpha": a,
@@ -333,11 +330,9 @@ def observability_test(
     times = g.times
     dt = times[1] - times[0]
     sel = times >= delta - 1e-12 * T
-    win = g.samples[:, sel]
-    wt = time_weights(win.shape[1], dt)
-    tr2 = float(np.einsum("gt,gt,g,t->", win, win, basis.boundary_weights, wt))
+    tr = f_norm(g.samples[:, sel], basis.boundary_weights, dt)
     y_norm = basis.h_norm(y.values)
-    trace_ratio = np.sqrt(max(tr2, 0.0)) / y_norm if y_norm > 0 else 0.0
+    trace_ratio = tr / y_norm if y_norm > 0 else 0.0
     inside = region_tau < (T - delta) - band
     w = basis.mass_weights
     inside_ratio = float(
@@ -359,19 +354,13 @@ def observability_test(
 
 
 def _axis_diff_weights(domain: DomainSpec, axis: int) -> np.ndarray:
-    """Quadrature weights for squared difference quotients along one axis."""
-    if domain.dimension == 1:
-        (h,) = domain.spacings
-        return np.full(domain.shape[0] - 1, h)
-    hx, hy = domain.spacings
-    nx, ny = domain.shape
-    if axis == 0:
-        w_trans = np.full(ny, hy)
-        w_trans[0] = w_trans[-1] = hy / 2
-        return hx * np.tile(w_trans, (nx - 1, 1))
-    w_trans = np.full(nx, hx)
-    w_trans[0] = w_trans[-1] = hx / 2
-    return hy * np.tile(w_trans[:, None], (1, ny - 1))
+    """Quadrature weights for squared difference quotients along one axis.
+
+    Midpoint weights h along the differenced axis, trapezoid across it.
+    """
+    ws = [grid_trapezoid_weights((n,), (h,)) for n, h in zip(domain.shape, domain.spacings)]
+    ws[axis] = np.full(domain.shape[axis] - 1, domain.spacings[axis])
+    return ws[0] if len(ws) == 1 else np.outer(ws[0], ws[1])
 
 
 def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.ndarray:
@@ -412,20 +401,33 @@ def _boundary_lift(domain: DomainSpec) -> np.ndarray:
     return cols
 
 
+def _lifted_state(basis: SpectralBasis):
+    """Boundary lift columns, their modal shadow, and the lifted state map.
+
+    The map takes modal coefficients and terminal boundary values b to the
+    grid state lift(b) + sum_k (coeffs - lift_modal b)_k e_k.
+    """
+    lift_cols = _boundary_lift(basis.domain)  # (n_nodes, n_bnd)
+    flat_modes = basis.modes.reshape(basis.n_modes, -1)
+    # modal mass coefficients of each lift column, for the correction term
+    lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
+    shape = tuple(basis.domain.shape)
+
+    def state(coeffs, b):
+        return (lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes).reshape(shape)
+
+    return lift_cols, lift_modal, state
+
+
 def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> StateField:
     """Final snapshot carrying the control's terminal boundary values.
 
     Boundary lifting of f(., T) plus the modal correction; agrees with the
     plain modal snapshot whenever f(., T) = 0.
     """
-    dom = basis.domain
-    lift_cols = _boundary_lift(dom)
-    flat_modes = basis.modes.reshape(basis.n_modes, -1)
-    lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
-    coeffs = control_to_modal(control, basis)
-    b = control.samples[:, -1]
-    state = lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes
-    return StateField(values=state.reshape(tuple(dom.shape)), role="wave_snapshot")
+    state = _lifted_state(basis)[2]
+    values = state(control_to_modal(control, basis), control.samples[:, -1])
+    return StateField(values=values, role="wave_snapshot")
 
 
 def h1_star_experiment(
@@ -446,12 +448,9 @@ def h1_star_experiment(
     minimized in the grid H1 norm, so targets with nonzero boundary values
     are admissible.  Controls range over the "smooth" class.
     """
-    start = time.perf_counter()
-    dom = basis.domain
     problem = SynthesisProblem(
         target=target,
         T=T,
-        s=0.0,
         control_class="smooth",
         alpha=alpha,
         budget=budget,
@@ -460,67 +459,23 @@ def h1_star_experiment(
         epsilon=epsilon,
         n_steps=n_steps,
     )
-    n_t = problem.n_steps + 1
-    dt = T / problem.n_steps
+    K = basis.n_modes
     n_bnd = len(basis.boundary_weights)
-    apply_c, apply_ct = _class_operators(problem, n_t)
-    lift_cols = _boundary_lift(dom)  # (n_nodes, n_bnd)
-    flat_modes = basis.modes.reshape(basis.n_modes, -1)
-    # modal mass coefficients of each lift column, for the correction term
-    lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
-    shape = tuple(dom.shape)
-    bw = basis.boundary_weights
-    wt = time_weights(n_t, dt)
+    lift_cols, lift_modal, state = _lifted_state(basis)
     # K mode rows (traces x sines) and n_bnd terminal-spike rows, whose
-    # pairing reads (C g)[m, -1], all with the class adjoint folded in
-    S = _sin_factors(basis.lambdas, time_grid(T, problem.n_steps), T)
-    spikes = np.zeros((n_bnd, n_t))
-    spikes[:, -1] = 1.0 / wt[-1]
-    U = np.vstack([basis.conormal_traces, np.diag(1.0 / bw)])
-    V = apply_ct(np.vstack([S, spikes]))
-    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + shape)])
+    # pairing reads (C g)[m, -1]
+    spikes = np.zeros((n_bnd, n_steps + 1))
+    spikes[:, -1] = 1.0 / time_weights(n_steps + 1, T / n_steps)[-1]
+    U = np.vstack([basis.conormal_traces, np.diag(1.0 / basis.boundary_weights)])
+    V = np.vstack([_sin_factors(basis.lambdas, time_grid(T, n_steps), T), spikes])
+    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + basis.modes.shape[1:])])
 
-    def fwd(g):
-        pairs = _pair(g, U, V, bw, wt)
-        coeffs, b = pairs[: basis.n_modes], pairs[basis.n_modes :]  # b: final-time values
-        state = lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes
-        return state.reshape(shape)
-
-    def adj(z):
+    def from_data(z):
         d = h1_inner(h1_rows, z, basis)
         # boundary part: lift columns paired with z, minus their modal shadow
-        d[basis.n_modes :] -= lift_modal.T @ d[: basis.n_modes]
-        return _expand(d, U, V)
+        d[K:] -= lift_modal.T @ d[:K]
+        return d
 
+    to_data = lambda pairs: state(pairs[:K], pairs[K:])  # pairs[K:]: final-time values
     inner_data = lambda u, v: h1_inner(u, v, basis)
-    inner_ctrl = lambda u, v: f_inner(u, v, bw, dt)
-    g, history, its, converged = _cgls(
-        fwd,
-        adj,
-        target.values.copy(),
-        (n_bnd, n_t),
-        inner_data,
-        inner_ctrl,
-        problem.alpha,
-        budget,
-        tol,
-    )
-    final_state = fwd(g)
-    final = h1_norm(final_state - target.values, basis)
-    target_norm = h1_norm(target.values, basis)
-    control = BoundaryControl(
-        samples=apply_c(g),
-        T=T,
-        vanishes_near_zero=True,
-        zero_band=max(problem.delta - problem.epsilon, 0.0),
-    )
-    return SynthesisResult(
-        control=control,
-        residual_history=history,
-        final_residual=final,
-        target_norm=target_norm,
-        relative_residual=final / target_norm if target_norm > 0 else final,
-        iterations=its,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-    )
+    return _solve(problem, basis, U, V, target.values, to_data, from_data, inner_data)

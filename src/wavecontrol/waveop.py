@@ -124,9 +124,7 @@ def time_grid(T: float, n_steps: int = DEFAULT_TIME_STEPS) -> np.ndarray:
 
 
 def time_weights(n_t: int, dt: float) -> np.ndarray:
-    w = np.full(n_t, dt)
-    w[0] = w[-1] = dt / 2
-    return w
+    return grid_trapezoid_weights((n_t,), (dt,))
 
 
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:

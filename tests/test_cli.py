@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavecontrol
-from wavecontrol import cli
+from wavecontrol import cli, control_lab
 from wavecontrol.cli import ConfigError, ExperimentConfig, parse_config
 
 FAST = """
@@ -99,6 +102,56 @@ def test_parse_config_rejects(text, message):
 def test_config_range_validation(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphas = ,", "empty"),
+        ("alphas = 1e-2, nan", "positive"),
+        ("s = nan", "nonnegative"),
+    ],
+)
+def test_parse_config_rejects_empty_and_nan_values(text, message):
+    # each of these used to parse and then end the run in a traceback
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(
+        ("0", "1", "true", "false", "yes", "", ",", "-1", "1e-2, 1e-4", "1e-4,1e-2")
+        + cli._PRESETS
+        + control_lab.CONTROL_CLASSES
+        + ("ramp", "in_range", "center_bump")
+    ),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), max_size=4).map(lambda xs: ", ".join(map(repr, xs))),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.one_of(st.sampled_from([f.name for f in fields(ExperimentConfig)]), st.text(max_size=8)),
+        _CONFIG_VALUES,
+    ),
+    st.text(max_size=24),  # blanks, comments and junk
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONFIG_LINES, max_size=6))
+def test_config_grammar_parses_or_raises_config_error(lines):
+    """Any key=value text yields a validated config or a ConfigError, nothing else."""
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert 0 < cfg.epsilon < cfg.delta < cfg.T
+    assert cfg.s >= 0 and cfg.budget >= 1 and cfg.n_steps >= 2
+    assert cfg.alphas and all(a > 0 for a in cfg.alphas)
+    assert cfg.control_class in control_lab.CONTROL_CLASSES
 
 
 def test_load_config_missing_file(tmp_path):
@@ -198,6 +251,28 @@ def test_control_artifacts(tmp_path):
     assert summary["unreachability_bound"] == 0.0
 
 
+def test_control_solves_each_alpha_once(tmp_path, monkeypatch):
+    """The curve, the residual history and the control share one solve per alpha."""
+    solved = []
+    real = control_lab.synthesize_control
+
+    def counting(problem, basis):
+        solved.append(problem.alpha)
+        return real(problem, basis)
+
+    monkeypatch.setattr(control_lab, "synthesize_control", counting)
+    monkeypatch.setattr(cli, "synthesize_control", counting)
+    cfg = fast_config(alphas=control_lab.DEFAULT_ALPHA_SCHEDULE)
+    assert cli.run(cfg, "control", out_dir=str(tmp_path)) == 0
+    assert solved == list(cfg.alphas)
+    last = (tmp_path / "curve.csv").read_text().splitlines()[-1].split(",")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert float(last[1]) == summary["final_residual"]
+    assert int(last[3]) == summary["iterations"]
+    residuals = (tmp_path / "residuals.csv").read_text().splitlines()
+    assert len(residuals) == summary["iterations"] + 2  # header, then g = 0 onwards
+
+
 def test_h1star_artifacts(tmp_path):
     cfg = fast_config(target="smooth_interior", budget=60)
     status = cli.run(cfg, "h1star", out_dir=str(tmp_path))
@@ -231,6 +306,34 @@ def test_verify_suite_passes_at_desk_scale(tmp_path):
         for item in items:
             assert {"item", "measured", "passed"} <= set(item)
             assert item["passed"] is True
+
+
+def test_verify_report_items_and_bounds():
+    report = cli.verify_suite(fast_config())
+    listed = [
+        (suite, item["item"], item["bound"])
+        for suite, items in report["suites"].items()
+        for item in items
+    ]
+    assert listed == [
+        ("adjointness", "duality_relative_discrepancy_max_20_trials", 1e-12),
+        ("spectral", "gram_identity_deviation", 1e-10),
+        ("spectral", "eigenvalues_sorted_positive", 0.0),
+        ("spectral", "lambda1_vs_analytic", 1e-3),
+        ("regularizer", "beta_bounded_by_one", 1.0),
+        ("regularizer", "beta_taylor_bound_small_phase", 1.0),
+        ("regularizer", "regularizer_diagonal_in_modes", 1e-10),
+        ("finite_speed", "pulse_mass_outside_filled_region", 1e-3),
+        ("smoothing_identity", "mollified_control_vs_regularized_state_pairing", 1e-8),
+        ("observability", "center_bump_trace_and_support", 1e-3),
+        ("observability", "first_mode_trace_visible", 0.1),
+        ("synthesis", "in_range_target_relative_residual", 1e-6),
+        ("synthesis", "cg_residual_history_nonincreasing", 0.0),
+        ("synthesis", "unreachable_bump_residual_ratio", 0.99),
+    ]
+    for items in report["suites"].values():
+        for item in items:
+            assert isinstance(item["passed"], bool)
 
 
 def test_verify_catches_broken_quadrature(tmp_path):

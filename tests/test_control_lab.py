@@ -5,6 +5,7 @@ from wavecontrol import control_lab, geometry, presets
 from wavecontrol.control_lab import (
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
+    _axis_diff_weights,
     _boundary_lift,
     _class_operators,
     h1_inner,
@@ -382,6 +383,31 @@ def test_h1_inner_symmetric(desk_basis, rng):
 def test_h1_dominates_mass_norm(desk_basis, rng):
     u = rng.standard_normal(desk_basis.domain.shape[0])
     assert h1_norm(u, desk_basis) >= desk_basis.h_norm(u)
+
+
+@pytest.mark.parametrize("shape, axis", [((17,), 0), ((7, 5), 0), ((7, 5), 1)])
+def test_axis_diff_weights_match_reference(shape, axis):
+    """Midpoint weight along the differenced axis, trapezoid across it, bit for bit."""
+    if len(shape) == 1:
+        dom = geometry.interval(n=shape[0], x1=1.3)
+        expect = np.full(shape[0] - 1, dom.spacings[0])
+    else:
+        dom = geometry.rectangle(shape=shape, extents=((0.0, 1.0), (0.0, 0.7)))
+        h, k = dom.spacings[axis], dom.spacings[1 - axis]
+        w = np.full(shape[1 - axis], k)
+        w[0] = w[-1] = k / 2
+        expect = np.array([[h * wj for wj in w]] * (shape[axis] - 1))
+        expect = expect if axis == 0 else expect.T
+    assert np.array_equal(_axis_diff_weights(dom, axis), expect)
+
+
+def test_lifted_final_state_rescores_h1_star_result(desk_basis):
+    """The experiment's reachable state is the lifted snapshot of its control."""
+    y = presets.ramp_target(desk_basis.domain)
+    res = h1_star_experiment(y, T_DESK, desk_basis, budget=15)
+    state = lifted_final_state(res.control, desk_basis)
+    rescored = h1_norm(state.values - y.values, desk_basis)
+    assert rescored == pytest.approx(res.final_residual, rel=1e-9)
 
 
 def test_lifted_state_matches_plain_snapshot_for_interior_pulse(desk_basis):
