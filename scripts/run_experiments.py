@@ -21,6 +21,8 @@ EXPERIMENTS = (
     ("spectrum_interval", "eigen", {}),
     ("spectrum_square", "eigen", {"preset": "square"}),
     ("forward_reference", "forward", {}),
+    ("forward_square", "forward", {"preset": "square"}),
+    ("dual_center_bump", "dual", {}),
     ("observe_center_bump", "observe", {"T": 0.3}),
     ("beta_default", "beta", {}),
     ("control_unreachable", "control", {"T": 0.3, "target": "center_bump"}),

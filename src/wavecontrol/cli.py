@@ -60,19 +60,6 @@ from .waveop import (
 
 __all__ = ["ExperimentConfig", "ConfigError", "main", "run", "verify_suite"]
 
-SUBCOMMANDS = (
-    "eikonal",
-    "eigen",
-    "forward",
-    "dual",
-    "observe",
-    "beta",
-    "control",
-    "h1star",
-    "verify",
-)
-
-
 class ConfigError(Exception):
     """Bad key, bad value, or out-of-range parameter."""
 
@@ -130,6 +117,14 @@ class ExperimentConfig:
             set(self.alphas)
         ) != len(self.alphas):
             raise ConfigError(f"alphas must be strictly decreasing, got {self.alphas}")
+        if not np.all(np.isfinite([self.s, *self.alphas])):
+            raise ConfigError(f"s and alphas must be finite, got s={self.s}, alphas={self.alphas}")
+        # the time quadratures stay far from the floating-point range inside this band
+        if not (1e-6 <= self.epsilon and self.T <= 1e6):
+            raise ConfigError(
+                f"T, delta and epsilon must lie in [1e-6, 1e6], got T={self.T}, "
+                f"delta={self.delta}, epsilon={self.epsilon}"
+            )
         if self.target not in presets.TARGET_PRESETS:
             raise ConfigError(
                 f"unknown target {self.target!r}, expected one of "
@@ -141,12 +136,29 @@ class ExperimentConfig:
             raise ConfigError(f"unknown control_class {self.control_class!r}")
         if self.nx < 0 or self.ny < 0 or self.n_modes < 0:
             raise ConfigError("grid sizes and n_modes must be nonnegative")
+        if min(self.shape) < 3:
+            raise ConfigError(f"need at least 3 nodes per axis, got shape {self.shape}")
+        interior = int(np.prod([n - 2 for n in self.shape]))
+        if self.basis_size > interior:
+            raise ConfigError(f"n_modes={self.basis_size} exceeds interior dimension {interior}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def dimension(self) -> int:
         return 2 if self.preset.startswith("square") else 1
+
+    @property
+    def shape(self) -> tuple:
+        """Grid nodes per axis, with the preset defaults for zeros."""
+        if self.dimension == 1:
+            return (self.nx or 513,)
+        return (self.nx or 129, self.ny or 129)
+
+    @property
+    def basis_size(self) -> int:
+        """Basis size, with the preset default for zero."""
+        return self.n_modes or (64 if self.dimension == 1 else 100)
 
     def as_dict(self) -> dict:
         d = {}
@@ -204,27 +216,24 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 def build_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
     if cfg.coefficient_csv:
-        nx = cfg.nx or (513 if cfg.dimension == 1 else 129)
-        shape = (nx,) if cfg.dimension == 1 else (nx, cfg.ny or 129)
-        return geometry.domain_from_coefficient_csv(cfg.coefficient_csv, shape)
+        try:
+            return geometry.domain_from_coefficient_csv(cfg.coefficient_csv, cfg.shape)
+        except (OSError, IndexError, ValueError) as exc:  # unreadable, off-grid or malformed
+            raise ConfigError(f"coefficient_csv: {exc}") from exc
     if cfg.preset == "interval":
-        return geometry.interval(n=cfg.nx or 513)
+        return geometry.interval(n=cfg.shape[0])
     if cfg.preset == "interval_bump":
-        n = cfg.nx or 513
         coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5,), 0.25)
-        return geometry.interval(n=n, a=coeff)
-    nx = cfg.nx or 129
-    ny = cfg.ny or 129
+        return geometry.interval(n=cfg.shape[0], a=coeff)
     if cfg.preset == "square":
-        return geometry.rectangle(shape=(nx, ny))
+        return geometry.rectangle(shape=cfg.shape)
     coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
-    return geometry.rectangle(shape=(nx, ny), a11=coeff, a22=coeff)
+    return geometry.rectangle(shape=cfg.shape, a11=coeff, a22=coeff)
 
 
 def build_basis(cfg: ExperimentConfig, domain=None):
     domain = domain if domain is not None else build_domain(cfg)
-    n_modes = cfg.n_modes or (64 if domain.dimension == 1 else 100)
-    return eigensolve(domain, n_modes)
+    return eigensolve(domain, cfg.basis_size)
 
 
 def _write_json(path: Path, payload: dict):
@@ -247,16 +256,12 @@ def _run_eikonal(cfg, out, domain, timings):
     timings["eikonal"] = time.perf_counter() - t0
     geometry.write_distance_csv(out / "tau.csv", domain, dist)
     geometry.write_region_csv(out / "region.csv", domain, region)
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "T_fill": geometry.filling_time(dist),
-            "h": dist.h,
-            "covered_fraction": float(np.mean(region.indicator)),
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "T_fill": geometry.filling_time(dist),
+        "h": dist.h,
+        "covered_fraction": float(np.mean(region.indicator)),
+    }
 
 
 def _run_eigen(cfg, out, domain, timings):
@@ -266,17 +271,13 @@ def _run_eigen(cfg, out, domain, timings):
     write_spectrum_csv(out / "spectrum.csv", basis)
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
-    _write_json(
-        out / "summary.json",
-        {
-            "n_modes": basis.n_modes,
-            "backend": basis.backend,
-            "lambda_1": float(basis.lambdas[0]),
-            "lambda_max": float(basis.lambdas[-1]),
-            "gram_max_deviation": off,
-        },
-    )
-    return 0
+    return {
+        "n_modes": basis.n_modes,
+        "backend": basis.backend,
+        "lambda_1": float(basis.lambdas[0]),
+        "lambda_max": float(basis.lambdas[-1]),
+        "gram_max_deviation": off,
+    }
 
 
 def _run_forward(cfg, out, domain, timings):
@@ -290,16 +291,12 @@ def _run_forward(cfg, out, domain, timings):
     region = geometry.filled_subdomain(dist, cfg.T)
     band = 2 * dist.h + 2 * cfg.T / cfg.n_steps
     write_state_csv(out / "state.csv", domain, u)
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "state_norm_H": basis.h_norm(u.values),
-            "support_violation": support_violation(u, region, band, basis.mass_weights),
-            "dilation_band": band,
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "state_norm_H": basis.h_norm(u.values),
+        "support_violation": support_violation(u, region, band, basis.mass_weights),
+        "dilation_band": band,
+    }
 
 
 def _run_dual(cfg, out, domain, timings):
@@ -310,16 +307,12 @@ def _run_dual(cfg, out, domain, timings):
     timings["dual"] = time.perf_counter() - t0
 
     write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0], role="dual_snapshot"))
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "target": cfg.target,
-            "dual_t0_norm_H": basis.h_norm(snaps[0]),
-            "dual_T_norm_H": basis.h_norm(snaps[-1]),
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "target": cfg.target,
+        "dual_t0_norm_H": basis.h_norm(snaps[0]),
+        "dual_T_norm_H": basis.h_norm(snaps[-1]),
+    }
 
 
 def _run_observe(cfg, out, domain, timings):
@@ -331,17 +324,13 @@ def _run_observe(cfg, out, domain, timings):
     write_trace_csv(out / "trace.csv", g)
     tr = f_norm(g.samples, basis.boundary_weights, g.dt)
     yn = basis.h_norm(y.values)
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "target": cfg.target,
-            "trace_norm_F": tr,
-            "target_norm_H": yn,
-            "trace_ratio": tr / yn if yn > 0 else 0.0,
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "target": cfg.target,
+        "trace_norm_F": tr,
+        "target_norm_H": yn,
+        "trace_ratio": tr / yn if yn > 0 else 0.0,
+    }
 
 
 def _run_beta(cfg, out, domain, timings):
@@ -350,16 +339,12 @@ def _run_beta(cfg, out, domain, timings):
     values = beta_table(cfg.epsilon, basis.lambdas)
     timings["beta"] = time.perf_counter() - t0
     write_beta_csv(out / "beta.csv", basis, cfg.epsilon)
-    _write_json(
-        out / "summary.json",
-        {
-            "epsilon": cfg.epsilon,
-            "max_abs_beta": float(np.abs(values).max()),
-            "min_beta": float(values.min()),
-            "first_beta": float(values[0]),
-        },
-    )
-    return 0
+    return {
+        "epsilon": cfg.epsilon,
+        "max_abs_beta": float(np.abs(values).max()),
+        "min_beta": float(values.min()),
+        "first_beta": float(values[0]),
+    }
 
 
 def _write_residuals_csv(path: Path, history):
@@ -371,6 +356,13 @@ def _write_residuals_csv(path: Path, history):
 
 def _run_control(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
+    # CGLS squares the weighted residual twice, so lambda^(s/2) past about 1e77
+    # overflows it; refusing from 1e64 on leaves room for the data
+    if cfg.s / 2 * np.log10(basis.lambdas[-1]) > 64:
+        raise ConfigError(
+            f"s={cfg.s} puts the norm weight lambda^(s/2) past 1e64 "
+            f"at lambda={basis.lambdas[-1]:.6g}; the synthesis would overflow"
+        )
     y = _target_state(cfg, domain, basis)
     problem = SynthesisProblem(
         target=y,
@@ -398,25 +390,21 @@ def _run_control(cfg, out, domain, timings):
                 f"{r.iterations},{int(r.converged)}\n"
             )
     write_trace_csv(out / "control.csv", res.control)
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "s": cfg.s,
-            "target": cfg.target,
-            "control_class": cfg.control_class,
-            "alpha": cfg.alphas[-1],
-            "final_residual": res.final_residual,
-            "target_norm": res.target_norm,
-            "target_norm_H": basis.h_norm(y.values),
-            "relative_residual": res.relative_residual,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "unreachability_bound": bound.value,
-            "unreachability_bound_dilated": bound.dilated_value,
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "s": cfg.s,
+        "target": cfg.target,
+        "control_class": cfg.control_class,
+        "alpha": cfg.alphas[-1],
+        "final_residual": res.final_residual,
+        "target_norm": res.target_norm,
+        "target_norm_H": basis.h_norm(y.values),
+        "relative_residual": res.relative_residual,
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "unreachability_bound": bound.value,
+        "unreachability_bound_dilated": bound.dilated_value,
+    }
 
 
 def _run_h1star(cfg, out, domain, timings):
@@ -435,19 +423,15 @@ def _run_h1star(cfg, out, domain, timings):
     timings["h1star"] = time.perf_counter() - t0
     _write_residuals_csv(out / "residuals.csv", res.residual_history)
     write_trace_csv(out / "control.csv", res.control)
-    _write_json(
-        out / "summary.json",
-        {
-            "T": cfg.T,
-            "target": cfg.target,
-            "final_residual": res.final_residual,
-            "target_norm": res.target_norm,
-            "relative_residual": res.relative_residual,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        },
-    )
-    return 0
+    return {
+        "T": cfg.T,
+        "target": cfg.target,
+        "final_residual": res.final_residual,
+        "target_norm": res.target_norm,
+        "relative_residual": res.relative_residual,
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +448,7 @@ def _item(name, measured, bound, passed=None) -> dict:
     }
 
 
-def _suite_adjointness(cfg, basis, rng):
+def _suite_adjointness(cfg, domain, basis, rng):
     worst = 0.0
     for trial in range(20):
         f = random_control(basis, cfg.T, rng, n_steps=cfg.n_steps)
@@ -478,7 +462,7 @@ def _suite_adjointness(cfg, basis, rng):
 _ANALYTIC_LAMBDA1 = {"interval": (np.pi**2, 1e-3), "square": (2 * np.pi**2, 1e-2)}
 
 
-def _suite_spectral(cfg, domain, basis):
+def _suite_spectral(cfg, domain, basis, rng):
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
     lam = basis.lambdas
@@ -497,36 +481,38 @@ def _suite_spectral(cfg, domain, basis):
     return items
 
 
-def _suite_regularizer(cfg, basis, rng):
+def _beta_sweep(lambdas) -> list:
+    """|beta| <= 1 and the small-phase expansion over a fixed width sweep."""
     m2 = second_moment()
-    lam = basis.lambdas
-    eps_sweep = np.logspace(0, -4, 20)
     max_abs = 0.0
     taylor_worst = 0.0
-    for eps in eps_sweep:
-        b = beta_table(eps, lam)
+    for eps in np.logspace(0, -4, 20):
+        b = beta_table(eps, lambdas)
         max_abs = max(max_abs, float(np.abs(b).max()))
-        om2 = eps**2 * lam
+        om2 = eps**2 * lambdas
         mask = np.sqrt(om2) <= 0.3
         if np.any(mask):
             ratio = np.abs(1 - b[mask]) / (1.1 * om2[mask] / 2 * m2)
             taylor_worst = max(taylor_worst, float(ratio.max()))
-    k = int(rng.integers(0, basis.n_modes))
+    return [
+        _item("beta_bounded_by_one", max_abs, 1.0),
+        _item("beta_taylor_bound_small_phase", taylor_worst, 1.0),
+    ]
 
+
+def _suite_regularizer(cfg, domain, basis, rng):
+    lam = basis.lambdas
+    k = int(rng.integers(0, basis.n_modes))
     ek = StateField(basis.modes[k].copy())
     smoothed = regularize_state(ek, cfg.epsilon, basis)
     coeffs = project(smoothed.values, basis).alphas
     expect = np.zeros(basis.n_modes)
     expect[k] = beta(cfg.epsilon, lam[k])
     dev = float(np.abs(coeffs - expect).max())
-    return [
-        _item("beta_bounded_by_one", max_abs, 1.0),
-        _item("beta_taylor_bound_small_phase", taylor_worst, 1.0),
-        _item("regularizer_diagonal_in_modes", dev, 1e-10),
-    ]
+    return _beta_sweep(lam) + [_item("regularizer_diagonal_in_modes", dev, 1e-10)]
 
 
-def _suite_finite_speed(cfg, domain, basis):
+def _suite_finite_speed(cfg, domain, basis, rng):
     n_bnd = len(basis.boundary_weights)
     T = min(cfg.T, 0.3)
     f = presets.pulse_control(T, n_bnd, support=(0.1 * T, 0.6 * T), n_steps=cfg.n_steps)
@@ -538,7 +524,7 @@ def _suite_finite_speed(cfg, domain, basis):
     return [_item("pulse_mass_outside_filled_region", viol, 1e-3)]
 
 
-def _suite_smoothing_identity(cfg, basis, rng):
+def _suite_smoothing_identity(cfg, domain, basis, rng):
     # pairing with the raw control equals pairing of the regularized state
     # with the smoothed control, per the kernel antisymmetrization
     worst = 0.0
@@ -561,15 +547,19 @@ def _suite_smoothing_identity(cfg, basis, rng):
     return [_item("mollified_control_vs_regularized_state_pairing", worst, 1e-8)]
 
 
-def _suite_observability(cfg, domain, basis):
+_OBSERVABILITY_WINDOW = 0.05  # the observation window's onset; verify needs T beyond it
+
+
+def _suite_observability(cfg, domain, basis, rng):
     dist = geometry.eikonal_distance(domain)
     T = 0.3
+    w = _OBSERVABILITY_WINDOW
     y = presets.center_bump_target(domain)
     verdict = observability_test(
-        y, T, 0.05, 1e-3, basis, dist.tau, band=2 * dist.h, n_steps=cfg.n_steps
+        y, T, w, 1e-3, basis, dist.tau, band=2 * dist.h, n_steps=cfg.n_steps
     )
     y1 = presets.mode_target(basis, 0)
-    v2 = observability_test(y1, cfg.T, 0.05, 1e-3, basis, dist.tau, n_steps=cfg.n_steps)
+    v2 = observability_test(y1, cfg.T, w, 1e-3, basis, dist.tau, n_steps=cfg.n_steps)
     return [
         _item(
             "center_bump_trace_and_support",
@@ -586,7 +576,7 @@ def _suite_observability(cfg, domain, basis):
     ]
 
 
-def _suite_synthesis(cfg, domain, basis):
+def _suite_synthesis(cfg, domain, basis, rng):
     y_in = presets.in_range_target(basis, cfg.T)
     prob = SynthesisProblem(target=y_in, T=cfg.T, budget=cfg.budget, n_steps=cfg.n_steps)
     res = synthesize_control(prob, basis)
@@ -596,7 +586,8 @@ def _suite_synthesis(cfg, domain, basis):
         target=y_bump, T=0.3, alpha=cfg.alphas[-1], budget=cfg.budget, n_steps=cfg.n_steps
     )
     res2 = synthesize_control(prob2, basis)
-    ratio = res2.final_residual / basis.h_norm(y_bump.values)
+    bump_norm = basis.h_norm(y_bump.values)  # zero when the grid misses the bump
+    ratio = res2.final_residual / bump_norm if bump_norm > 0 else 0.0
     return [
         _item("in_range_target_relative_residual", res.relative_residual, 1e-6),
         _item(
@@ -609,24 +600,33 @@ def _suite_synthesis(cfg, domain, basis):
     ]
 
 
+# the invariant registry, in report order; every suite takes
+# (cfg, domain, basis, rng) and returns a list of _item records
+_SUITES = (
+    ("adjointness", _suite_adjointness),
+    ("spectral", _suite_spectral),
+    ("regularizer", _suite_regularizer),
+    ("finite_speed", _suite_finite_speed),
+    ("smoothing_identity", _suite_smoothing_identity),
+    ("observability", _suite_observability),
+    ("synthesis", _suite_synthesis),
+)
+
+
 def verify_suite(cfg: ExperimentConfig) -> dict:
     """Run every invariant suite; returns the machine-readable report."""
+    if not cfg.T > _OBSERVABILITY_WINDOW:
+        raise ConfigError(
+            f"verify needs T > {_OBSERVABILITY_WINDOW}, the observability window, got {cfg.T}"
+        )
     rng = np.random.default_rng(cfg.seed)
     domain = build_domain(cfg)
     basis = build_basis(cfg, domain)
     suites = {}
     timings = {}
-    for name, fn in (
-        ("adjointness", lambda: _suite_adjointness(cfg, basis, rng)),
-        ("spectral", lambda: _suite_spectral(cfg, domain, basis)),
-        ("regularizer", lambda: _suite_regularizer(cfg, basis, rng)),
-        ("finite_speed", lambda: _suite_finite_speed(cfg, domain, basis)),
-        ("smoothing_identity", lambda: _suite_smoothing_identity(cfg, basis, rng)),
-        ("observability", lambda: _suite_observability(cfg, domain, basis)),
-        ("synthesis", lambda: _suite_synthesis(cfg, domain, basis)),
-    ):
+    for name, suite in _SUITES:
         t0 = time.perf_counter()
-        suites[name] = fn()
+        suites[name] = suite(cfg, domain, basis, rng)
         timings[name] = time.perf_counter() - t0
     all_passed = all(item["passed"] for items in suites.values() for item in items)
     return {
@@ -642,12 +642,11 @@ def verify_suite(cfg: ExperimentConfig) -> dict:
 def _run_verify(cfg, out, domain, timings):
     report = verify_suite(cfg)
     timings.update(report.pop("timings"))
-    _write_json(out / "report.json", report)
     for name, items in report["suites"].items():
         for item in items:
             status = "pass" if item["passed"] else "FAIL"
             print(f"[{status}] {name}: {item['item']} = {item['measured']:.6g}")
-    return 0 if report["all_passed"] else 1
+    return report
 
 
 _RUNNERS = {
@@ -661,6 +660,7 @@ _RUNNERS = {
     "h1star": _run_h1star,
     "verify": _run_verify,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None) -> int:
@@ -672,7 +672,9 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None) -> i
     timings = {}
     t0 = time.perf_counter()
     domain = build_domain(cfg)
-    status = _RUNNERS[subcommand](cfg, out, domain, timings)
+    # each runner writes its artifacts and returns its summary; verify's is the report
+    payload = _RUNNERS[subcommand](cfg, out, domain, timings)
+    _write_json(out / ("report.json" if subcommand == "verify" else "summary.json"), payload)
     timings["total"] = time.perf_counter() - t0
     _write_json(
         out / "manifest.json",
@@ -684,7 +686,7 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None) -> i
             "timings": timings,
         },
     )
-    return status
+    return 0 if payload.get("all_passed", True) else 1
 
 
 def main(argv=None) -> int:

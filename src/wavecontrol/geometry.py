@@ -305,6 +305,8 @@ def domain_from_coefficient_csv(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "a11" not in reader.fieldnames:
             raise ValueError(f"{path}: missing a11 column")
+        if not {"i", "j"} <= set(reader.fieldnames):
+            raise ValueError(f"{path}: missing i or j column")
         has_q = "q" in reader.fieldnames
         for row in reader:
             i, j = int(row["i"]), int(row["j"])

@@ -92,22 +92,22 @@ class MollifierKernel:
         if not self.epsilon > 0:
             raise ValueError(f"mollifier width must be positive, got {self.epsilon}")
 
-    def profile(self, t):
-        """The unscaled normalized bump."""
-        return bump_profile(t)
-
     def __call__(self, t):
         return bump_profile(np.asarray(t) / self.epsilon) / self.epsilon
 
-    @property
-    def normalization(self) -> float:
-        return bump_normalization()
+
+# Past this phase the saddle-point envelope A w^(-3/4) exp(-sqrt(w)) of |beta|
+# is below 1e-45, far under the rule's roundoff there (about 2e-15), so beta
+# is returned as zero and the rule is never asked for more than 400 panels.
+_ZERO_PHASE = 1e4
 
 
 def _cosine_transform(phases: np.ndarray) -> np.ndarray:
     """integral phi(t) cos(w t) dt at each phase w, exactly 1 at w = 0."""
-    x, w = _composite_rule(float(phases.max(initial=0.0)))
-    out = np.cos(np.outer(phases, x)) @ (w * bump_profile(x))
+    live = phases < _ZERO_PHASE
+    x, w = _composite_rule(float(phases[live].max(initial=0.0)))
+    out = np.zeros(len(phases))
+    out[live] = np.cos(np.outer(phases[live], x)) @ (w * bump_profile(x))
     out[phases == 0.0] = 1.0
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
+from .geometry import DomainSpec, FilledRegion, _write_node_csv, grid_trapezoid_weights
 from .spectral import SpectralBasis, fd_operator, project, reconstruct
 
 __all__ = [
@@ -394,20 +394,14 @@ def random_smooth_control(
 
 
 def write_state_csv(path, domain: DomainSpec, state: StateField) -> None:
+    if domain.dimension == 2:
+        _write_node_csv(path, domain, "u", state.values, ".17g")
+        return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if domain.dimension == 1:
-            writer.writerow(["x", "u"])
-            for x, v in zip(domain.axes[0], state.values):
-                writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-        else:
-            writer.writerow(["i", "j", "x", "y", "u"])
-            xs, ys = domain.axes
-            for i in range(domain.shape[0]):
-                for j in range(domain.shape[1]):
-                    writer.writerow(
-                        [i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}", f"{state.values[i, j]:.17g}"]
-                    )
+        writer.writerow(["x", "u"])
+        for x, v in zip(domain.axes[0], state.values):
+            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
 
 
 def write_trace_csv(path, trace: BoundaryTrace) -> None:

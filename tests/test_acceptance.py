@@ -25,19 +25,21 @@ from wavecontrol.regularizer import (
     beta_table,
     bump_normalization,
     regularize_state,
-    second_moment,
 )
 
 T_DESK = 0.75
 
 
 def test_criterion_01_adjoint_identity(desk_basis, rng, acceptance_log):
-    worst = 0.0
-    for _ in range(100):
-        f = waveop.random_control(desk_basis, T_DESK, rng)
-        y = waveop.random_state(desk_basis, rng)
-        worst = max(worst, waveop.verify_duality(f, y, desk_basis))
-    passed = worst <= 1e-12
+    # five runs of verify's adjointness suite: 100 random pairs in all
+    cfg = cli.ExperimentConfig(T=T_DESK)
+    items = [
+        item
+        for _ in range(5)
+        for item in cli._suite_adjointness(cfg, desk_basis.domain, desk_basis, rng)
+    ]
+    worst = max(item["measured"] for item in items)
+    passed = all(item["passed"] for item in items)
     acceptance_log(
         1, "adjoint identity, 100 random pairs", passed,
         f"max rel discrepancy {worst:.2e} <= 1e-12",
@@ -46,15 +48,24 @@ def test_criterion_01_adjoint_identity(desk_basis, rng, acceptance_log):
 
 
 def test_criterion_02_spectral_correctness(interval_basis, square_basis, acceptance_log):
-    err_1d = abs(interval_basis.lambdas[0] - np.pi**2) / np.pi**2
-    err_2d = abs(square_basis.lambdas[0] - 2 * np.pi**2) / (2 * np.pi**2)
-    gram_1d = float(np.abs(interval_basis.gram() - np.eye(interval_basis.n_modes)).max())
-    gram_2d = float(np.abs(square_basis.gram() - np.eye(square_basis.n_modes)).max())
-    passed = err_1d <= 1e-3 and err_2d <= 1e-2 and max(gram_1d, gram_2d) <= 1e-10
+    # verify's spectral suite on the fd interval and square bases
+    items = {
+        preset: {
+            item["item"]: item
+            for item in cli._suite_spectral(
+                cli.ExperimentConfig(preset=preset), basis.domain, basis, None
+            )
+        }
+        for preset, basis in (("interval", interval_basis), ("square", square_basis))
+    }
+    err_1d = items["interval"]["lambda1_vs_analytic"]["measured"]
+    err_2d = items["square"]["lambda1_vs_analytic"]["measured"]
+    gram = max(suite["gram_identity_deviation"]["measured"] for suite in items.values())
+    passed = all(item["passed"] for suite in items.values() for item in suite.values())
     acceptance_log(
         2, "spectral correctness", passed,
         f"lambda_1 rel err {err_1d:.2e} (1D) / {err_2d:.2e} (2D), "
-        f"gram dev {max(gram_1d, gram_2d):.2e}",
+        f"gram dev {gram:.2e}",
     )
     assert passed
 
@@ -72,22 +83,14 @@ def test_criterion_03_regularizer_identities(desk_basis, acceptance_log):
         expect[k] = betas[k]
         diag_dev = max(diag_dev, float(np.abs(coeffs - expect).max()))
 
-    m2 = second_moment()
-    max_abs = 0.0
-    taylor_ok = True
-    for e in np.logspace(0, -4, 20):
-        b = beta_table(e, desk_basis.lambdas)
-        max_abs = max(max_abs, float(np.abs(b).max()))
-        phase = e * np.sqrt(desk_basis.lambdas)
-        small = phase <= 0.3
-        if small.any():
-            bound = 1.1 * (e**2 * desk_basis.lambdas[small] / 2.0) * m2
-            taylor_ok = taylor_ok and bool(np.all(np.abs(1.0 - b[small]) <= bound))
+    # verify's deterministic eps sweep: |beta| <= 1 and the small-phase expansion
+    bounded, taylor = cli._beta_sweep(desk_basis.lambdas)
+    taylor_ok = taylor["passed"]
 
-    passed = diag_dev <= 1e-12 and max_abs <= 1.0 + 1e-12 and taylor_ok
+    passed = diag_dev <= 1e-12 and bounded["passed"] and taylor_ok
     acceptance_log(
         3, "regularizer identities", passed,
-        f"diagonal dev {diag_dev:.2e}, max |beta| {max_abs:.15g}, "
+        f"diagonal dev {diag_dev:.2e}, max |beta| {bounded['measured']:.15g}, "
         f"small-phase expansion {'ok' if taylor_ok else 'violated'}",
     )
     assert passed
@@ -172,26 +175,16 @@ def test_criterion_03_regularizer_tail_decay(desk_basis, acceptance_log):
 
 
 def test_criterion_04_smoothing_identity(desk_basis, rng, acceptance_log):
-    from wavecontrol.regularizer import smooth_control
-
-    T = T_DESK
-    delta, eps = T / 10, T / 20
-    bvals = beta_table(eps, desk_basis.lambdas)
-    w = desk_basis.boundary_weights
-    worst = 0.0
-    for _ in range(20):
-        f = waveop.random_smooth_control(desk_basis, T, rng, support=(delta, T))
-        y = waveop.random_state(desk_basis, rng)
-        alphas = spectral.project(y.values, desk_basis).alphas
-        f_eps = smooth_control(f, eps, delta)
-        lhs = waveop.control_to_modal(f_eps, desk_basis) @ alphas
-        rhs = waveop.control_to_modal(f, desk_basis) @ (bvals * alphas)
-        gobs = waveop.observe(y, T, desk_basis)
-        scale = waveop.f_norm(f.samples, w, f.dt) * waveop.f_norm(
-            gobs.samples, w, gobs.dt
-        )
-        worst = max(worst, abs(lhs - rhs) / scale)
-    passed = worst <= 1e-8
+    # two runs of verify's smoothing-identity suite: 20 admissible pairs, with
+    # delta = T/10 and eps = T/20 from the config defaults
+    cfg = cli.ExperimentConfig(T=T_DESK)
+    items = [
+        item
+        for _ in range(2)
+        for item in cli._suite_smoothing_identity(cfg, desk_basis.domain, desk_basis, rng)
+    ]
+    worst = max(item["measured"] for item in items)
+    passed = all(item["passed"] for item in items)
     acceptance_log(
         4, "smoothing identity, 20 admissible pairs", passed,
         f"max rel discrepancy {worst:.2e} <= 1e-8",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import geometry
+from wavecontrol import geometry, waveop
 
 
 def test_interval_defaults(interval_domain):
@@ -391,6 +391,11 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     assert b",-0\r\n" in tau_bytes and b",4.9406564584124654e-324\r\n" in tau_bytes
     assert b",1.0000000000000001e+300\r\n" in tau_bytes
     assert tau_bytes == (tmp_path / "tau_ref.csv").read_bytes()
+    if domain.dimension == 2:  # the 1D state table is x,u
+        waveop.write_state_csv(tmp_path / "state.csv", domain, waveop.StateField(tau))
+        assert (tmp_path / "state.csv").read_bytes() == tau_bytes.replace(
+            b",tau\r\n", b",u\r\n", 1
+        )
     assert (tmp_path / "region.csv").read_bytes() == (
         tmp_path / "region_ref.csv"
     ).read_bytes()

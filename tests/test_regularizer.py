@@ -118,6 +118,15 @@ def test_beta_matches_qawo():
     assert np.abs(scalars - oracle).max() <= 1e-13
 
 
+def test_beta_is_zero_past_the_underflow_phase():
+    # a width of 1e300 used to ask the composite rule for about 4e298 panels
+    table = regularizer.beta_table(1e300, np.array([0.0, 1.0, 4e4]))
+    assert table.tolist() == [1.0, 0.0, 0.0]
+    assert regularizer.beta(1.0, 1e8) == 0.0
+    # just below the cutoff the rule already reads roundoff
+    assert abs(regularizer.beta_table(1.0, np.array([9999.0**2]))[0]) <= 1e-14
+
+
 def test_bump_constants_match_adaptive_quadrature():
     mass, _ = quad(lambda t: float(np.exp(-1.0 / (1.0 - t * t))), -1.0, 1.0, **QAWO_OPTS)
     assert regularizer.bump_normalization() == pytest.approx(1.0 / mass, rel=1e-13)
