@@ -24,6 +24,7 @@ EXPERIMENTS = (
     ("forward_square", "forward", {"preset": "square"}),
     ("dual_center_bump", "dual", {}),
     ("observe_center_bump", "observe", {"T": 0.3}),
+    ("observe_square", "observe", {"preset": "square", "T": 0.3}),
     ("beta_default", "beta", {}),
     ("control_unreachable", "control", {"T": 0.3, "target": "center_bump"}),
     ("control_in_range", "control", {"target": "in_range"}),
@@ -33,6 +34,16 @@ EXPERIMENTS = (
         {"target": "smooth_interior", "s": 1.0, "control_class": "smooth_vanishing_at_T"},
     ),
     ("control_square", "control", {"preset": "square"}),
+    (
+        "control_square_smooth",
+        "control",
+        {
+            "preset": "square",
+            "target": "smooth_interior",
+            "s": 1.0,
+            "control_class": "smooth_vanishing_at_T",
+        },
+    ),
     ("h1star_ramp", "h1star", {"target": "ramp"}),
     ("verify_default", "verify", {}),
 )

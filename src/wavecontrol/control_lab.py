@@ -35,13 +35,12 @@ from .waveop import (
     BoundaryControl,
     StateField,
     _expand,
-    _pair,
-    _sin_factors,
+    _f_pairing,
+    _grid_sin_factors,
+    _pair_weighted,
     control_to_modal,
-    f_inner,
     f_norm,
     observe,
-    time_grid,
     time_weights,
 )
 
@@ -196,9 +195,10 @@ def _solve(problem, basis, U, V, rhs, to_data, from_data, inner_data) -> Synthes
     wt = time_weights(n_t, dt)
     apply_c, apply_ct = _class_operators(problem, n_t)
     V = apply_ct(V)  # C acts in time only, so its adjoint folds into the time factors
-    fwd = lambda g: to_data(_pair(g, U, V, bw, wt))
+    Ub, Vw = U * bw, V * wt  # the weights of the pairing, folded in once per solve
+    fwd = lambda g: to_data(_pair_weighted(g, Ub, Vw))
     adj = lambda z: _expand(from_data(z), U, V)  # adjoint w.r.t. the boundary-cylinder product
-    inner_ctrl = lambda u, v: f_inner(u, v, bw, dt)
+    inner_ctrl = lambda u, v: _f_pairing(u, v, bw, wt)
     g, history, its, converged = _cgls(
         fwd,
         adj,
@@ -242,7 +242,7 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis).alphas
-    S = _sin_factors(basis.lambdas, time_grid(problem.T, problem.n_steps), problem.T)
+    S = _grid_sin_factors(basis, problem.T, problem.n_steps)
     # rank-K factors of the weighted forward map W: s-weighted traces x sines
     U = weights_s[:, None] * basis.conormal_traces
     return _solve(problem, basis, U, S, y_hat, _identity, _identity, lambda u, v: float(u @ v))
@@ -467,7 +467,7 @@ def h1_star_experiment(
     spikes = np.zeros((n_bnd, n_steps + 1))
     spikes[:, -1] = 1.0 / time_weights(n_steps + 1, T / n_steps)[-1]
     U = np.vstack([basis.conormal_traces, np.diag(1.0 / basis.boundary_weights)])
-    V = np.vstack([_sin_factors(basis.lambdas, time_grid(T, n_steps), T), spikes])
+    V = np.vstack([_grid_sin_factors(basis, T, n_steps), spikes])
     h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + basis.modes.shape[1:])])
 
     def from_data(z):

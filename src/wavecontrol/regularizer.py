@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import SpectralBasis, project, reconstruct
 from .waveop import BoundaryControl, StateField, time_weights
@@ -152,14 +152,18 @@ def mollifier_matrix(epsilon: float, T: float, n_t: int, antisymmetric: bool) ->
     Entry (i, j) is phi_eps(t_i - s_j) w_j, minus phi_eps(2T - t_i - s_j) w_j
     when antisymmetric (the reflection about the horizon); a control's
     samples map to samples @ matrix.T.  The first term depends on i - j and
-    the reflection on i + j only, so 2 n_t - 1 kernel samples fill both.
+    the reflection on i + j only, so 2 n_t - 1 kernel samples fill both as
+    windows over the samples, and the matrix is the one allocation.
     """
     dt = T / (n_t - 1)
     kern = MollifierKernel(epsilon)(np.arange(2 * n_t - 1) * dt)
-    K = toeplitz(kern[:n_t])
+    lags = np.concatenate([kern[n_t - 1 : 0 : -1], kern[:n_t]])  # phi_eps(|m - n_t + 1| dt)
+    near = sliding_window_view(lags, n_t)[::-1]  # phi_eps(t_i - s_j)
     if antisymmetric:
-        rev = kern[::-1]  # phi_eps(2T - t_i - s_j) at index i + j
-        K -= hankel(rev[:n_t], rev[n_t - 1 :])
+        far = sliding_window_view(kern[::-1], n_t)  # phi_eps(2T - t_i - s_j) at index i + j
+        K = np.subtract(near, far)
+    else:
+        K = near.copy()
     K *= time_weights(n_t, dt)[None, :]
     return K
 

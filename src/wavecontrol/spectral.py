@@ -16,7 +16,7 @@ accuracy of the observation operator built on top of them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -48,6 +48,8 @@ class SpectralBasis:
                        boundary nodes, ordered like domain.boundary_nodes()
     mass_weights     : trapezoid quadrature weights of the H = L2 inner product
     boundary_weights : quadrature weights of the boundary measure
+    sines            : read-only sine time factors by (T, n_steps), filled by
+                       waveop on first use
     """
 
     domain: DomainSpec
@@ -57,6 +59,7 @@ class SpectralBasis:
     mass_weights: np.ndarray
     boundary_weights: np.ndarray
     backend: str
+    sines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -167,8 +170,8 @@ def _analytic_modes(domain: DomainSpec, n_modes: int):
     lams_1d, funcs_1d = [], []
     for (lo, hi), x in zip(domain.extents, axes):
         L = hi - lo
-        kmax = len(x) - 2
-        ks = np.arange(1, kmax + 1)
+        # a key past n_modes on an axis lies above n_modes smaller keys
+        ks = np.arange(1, min(len(x) - 2, n_modes) + 1)
         lams_1d.append(a * (ks * np.pi / L) ** 2)
         funcs_1d.append(np.sqrt(2.0 / L) * np.sin(np.outer(ks, (x - lo)) * np.pi / L))
     order = _mode_order(lams_1d)[:n_modes]

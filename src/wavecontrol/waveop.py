@@ -129,8 +129,12 @@ def time_weights(n_t: int, dt: float) -> np.ndarray:
 
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:
     """Inner product on the boundary cylinder: boundary measure x trapezoid."""
-    wt = time_weights(f.shape[1], dt)
-    return float(np.einsum("gt,gt,g,t->", f, g, bweights, wt))
+    return _f_pairing(f, g, bweights, time_weights(f.shape[1], dt))
+
+
+def _f_pairing(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray) -> float:
+    """f_inner with the time weights given."""
+    return float(np.einsum("gt,gt,g,t->", f, g, bw, wt))
 
 
 def f_norm(f: np.ndarray, bweights: np.ndarray, dt: float) -> float:
@@ -141,6 +145,16 @@ def _sin_factors(lambdas: np.ndarray, times: np.ndarray, T: float) -> np.ndarray
     """Matrix S[k, i] = sin(sqrt(lambda_k)(t_i - T)) / sqrt(lambda_k)."""
     roots = np.sqrt(lambdas)
     return np.sin(np.outer(roots, times - T)) / roots[:, None]
+
+
+def _grid_sin_factors(basis: SpectralBasis, T: float, n_steps: int) -> np.ndarray:
+    """_sin_factors on time_grid(T, n_steps), built once per basis and read-only."""
+    S = basis.sines.get((T, n_steps))
+    if S is None:
+        S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
+        S.setflags(write=False)
+        basis.sines[(T, n_steps)] = S
+    return S
 
 
 def solve_dual(
@@ -159,9 +173,11 @@ def solve_dual(
         raise ValueError(f"horizon must be positive, got {T}")
     if times is None:
         times = time_grid(T, n_steps)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+        S = _grid_sin_factors(basis, T, n_steps)
+    else:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        S = _sin_factors(basis.lambdas, times, T)
     alphas = project(y.values, basis).alphas
-    S = _sin_factors(basis.lambdas, times, T)
     flat = basis.modes.reshape(basis.n_modes, -1)
     hist = (alphas[:, None] * S).T @ flat
     return hist.reshape((len(times),) + tuple(basis.domain.shape))
@@ -177,7 +193,7 @@ def observe(
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alphas = project(y.values, basis).alphas
-    S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
+    S = _grid_sin_factors(basis, T, n_steps)
     return BoundaryTrace(samples=_expand(alphas, basis.conormal_traces, S), T=T)
 
 
@@ -193,7 +209,7 @@ def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
             f"control has {f.samples.shape[0]} boundary rows, "
             f"domain has {len(basis.boundary_weights)} boundary nodes"
         )
-    S = _sin_factors(basis.lambdas, f.times, f.T)
+    S = _grid_sin_factors(basis, f.T, f.n_t - 1)
     return _pair(
         f.samples, basis.conormal_traces, S, basis.boundary_weights, time_weights(f.n_t, f.dt)
     )
@@ -208,7 +224,12 @@ def _pair(
     g: np.ndarray, U: np.ndarray, V: np.ndarray, bw: np.ndarray, wt: np.ndarray
 ) -> np.ndarray:
     """<g, U_j x V_j>_F for every j, boundary weights bw and time weights wt."""
-    return np.sum(((U * bw) @ g) * (V * wt), axis=1)
+    return _pair_weighted(g, U * bw, V * wt)
+
+
+def _pair_weighted(g: np.ndarray, Ub: np.ndarray, Vw: np.ndarray) -> np.ndarray:
+    """_pair with the weights already folded into the factors."""
+    return np.sum((Ub @ g) * Vw, axis=1)
 
 
 def _expand(c: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -241,9 +262,7 @@ def verify_duality(
     if _break_weights:
         wt = wt.copy()
         wt[0] = wt[-1] = f.dt  # flat weights at the ends: wrong trapezoid rule
-    rhs = float(
-        np.einsum("gt,gt,g,t->", f.samples, g.samples, basis.boundary_weights, wt)
-    )
+    rhs = _f_pairing(f.samples, g.samples, basis.boundary_weights, wt)
     denom = f_norm(f.samples, basis.boundary_weights, f.dt) * basis.h_norm(y.values)
     if denom == 0:
         return 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavecontrol
-from wavecontrol import cli, control_lab, presets
+from wavecontrol import cli, control_lab, presets, waveop
 from wavecontrol.cli import ConfigError, ExperimentConfig, parse_config
 
 FAST = """
@@ -344,6 +344,24 @@ def test_control_artifacts(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["relative_residual"] < 0.5
     assert summary["unreachability_bound"] == 0.0
+
+
+def test_sine_factors_built_once_per_time_grid(tmp_path, monkeypatch):
+    """verify and a five-alpha control build each (T, n_steps) sine table once."""
+    built = []
+    real = waveop._sin_factors
+
+    def counting(lambdas, times, T):
+        built.append((T, len(times)))
+        return real(lambdas, times, T)
+
+    monkeypatch.setattr(waveop, "_sin_factors", counting)
+    assert cli.run(ExperimentConfig(), "verify", out_dir=str(tmp_path / "verify")) == 0
+    assert sorted(built) == sorted(set(built)) == [(0.3, 1025), (0.75, 1025)]
+    built.clear()
+    cfg = ExperimentConfig(alphas=control_lab.DEFAULT_ALPHA_SCHEDULE)
+    assert cli.run(cfg, "control", out_dir=str(tmp_path / "control")) == 0
+    assert built == [(cfg.T, cfg.n_steps + 1)]
 
 
 def test_control_solves_each_alpha_once(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import hankel, toeplitz
 
 from wavecontrol import presets, regularizer, spectral, waveop
 
@@ -182,6 +185,40 @@ def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric)
     expect = expect * waveop.time_weights(n_t, T / (n_t - 1))[None, :]
     got = regularizer.mollifier_matrix(epsilon, T, n_t, antisymmetric)[rows]
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize(
+    "epsilon, T, n_t, antisymmetric",
+    [
+        (0.0375, 0.75, 1025, True),
+        (0.01, 2.5, 4097, True),
+        (0.3, 0.75, 129, True),
+        (0.0123, 0.3, 1025, True),
+        (0.05, 0.7, 257, False),
+        (0.0375, 0.75, 1025, False),
+    ],
+)
+def test_mollifier_matrix_equals_toeplitz_minus_hankel(epsilon, T, n_t, antisymmetric):
+    dt = T / (n_t - 1)
+    kern = regularizer.MollifierKernel(epsilon)(np.arange(2 * n_t - 1) * dt)
+    expect = toeplitz(kern[:n_t])
+    if antisymmetric:
+        rev = kern[::-1]
+        expect = expect - hankel(rev[:n_t], rev[n_t - 1 :])
+    expect = expect * waveop.time_weights(n_t, dt)[None, :]
+    assert np.array_equal(regularizer.mollifier_matrix(epsilon, T, n_t, antisymmetric), expect)
+
+
+def test_mollifier_matrix_peak_memory_is_one_matrix():
+    n_t = 1025
+    regularizer.mollifier_matrix(0.0375, 0.75, n_t, True)  # warm the bump constants
+    tracemalloc.start()
+    try:
+        regularizer.mollifier_matrix(0.0375, 0.75, n_t, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n_t * n_t * 8
 
 
 def test_smooth_control_validation(interval_basis, rng):

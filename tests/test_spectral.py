@@ -68,6 +68,44 @@ def test_separable_2d_matches_dense():
     np.testing.assert_allclose(cross @ cross.T, np.eye(4), atol=1e-8)
 
 
+def _full_table_modes(domain, n_modes):
+    """Every sine row of every axis, sorted by eigenvalue, then cut to n_modes."""
+    lams, funcs = [], []
+    for (lo, hi), x in zip(domain.extents, domain.axes):
+        L = hi - lo
+        ks = np.arange(1, len(x) - 1)
+        lams.append((ks * np.pi / L) ** 2)
+        funcs.append(np.sqrt(2.0 / L) * np.sin(np.outer(ks, (x - lo)) * np.pi / L))
+    if domain.dimension == 1:
+        keys = sorted((lam, k) for k, lam in enumerate(lams[0]))[:n_modes]
+        modes = [funcs[0][k] for _, k in keys]
+    else:
+        keys = sorted(
+            (lx + ly, (kx, ky)) for kx, lx in enumerate(lams[0]) for ky, ly in enumerate(lams[1])
+        )[:n_modes]
+        modes = [np.outer(funcs[0][kx], funcs[1][ky]) for _, (kx, ky) in keys]
+    return np.array([lam for lam, _ in keys]), np.stack(modes)
+
+
+@pytest.mark.parametrize(
+    "domain, n_modes",
+    [
+        (geometry.interval(), 64),
+        (geometry.rectangle(shape=(129, 129)), 100),
+        (geometry.rectangle(shape=(33, 17), extents=((0.0, 2.0), (0.0, 1.0))), 40),
+    ],
+    ids=["desk_interval", "square", "rectangle_33x17"],
+)
+def test_analytic_modes_match_full_table(domain, n_modes):
+    """Building only the leading rows per axis keeps the sorted cut, ties included."""
+    lam, modes = spectral._analytic_modes(domain, n_modes)
+    lam_full, modes_full = _full_table_modes(domain, n_modes)
+    assert np.array_equal(lam, lam_full)
+    assert np.array_equal(modes, modes_full)
+    if domain.dimension == 2:
+        assert np.any(np.diff(lam) == 0)  # degenerate pairs are in the cut
+
+
 def test_variable_coefficient_2d_dense_path():
     a = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
     dom = geometry.rectangle(shape=(21, 21), a11=a, a22=a)

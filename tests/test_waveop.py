@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,19 @@ def test_zero_band_consistency_check():
         waveop.BoundaryControl(
             samples=samples, T=1.0, vanishes_near_zero=True, zero_band=0.3
         )
+
+
+def test_grid_sin_factors_memoized_read_only():
+    basis = spectral.eigensolve(geometry.interval(n=65), 12)
+    S = waveop._grid_sin_factors(basis, 0.75, 256)
+    direct = waveop._sin_factors(basis.lambdas, waveop.time_grid(0.75, 256), 0.75)
+    assert np.array_equal(S, direct)
+    assert waveop._grid_sin_factors(basis, 0.75, 256) is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 1.0
+    # a basis derived by replace starts with no factors of its own
+    assert replace(basis, lambdas=2 * basis.lambdas).sines == {}
 
 
 def test_time_weights_sum():
