@@ -22,9 +22,15 @@ EXPERIMENTS = (
     ("spectrum_square", "eigen", {"preset": "square"}),
     ("forward_reference", "forward", {}),
     ("forward_square", "forward", {"preset": "square"}),
+    (
+        "forward_square_bump_33",
+        "forward",
+        {"preset": "square_bump", "nx": 33, "ny": 33, "n_modes": 40},
+    ),
     ("dual_center_bump", "dual", {}),
     ("observe_center_bump", "observe", {"T": 0.3}),
     ("observe_square", "observe", {"preset": "square", "T": 0.3}),
+    ("observe_rectangle_33x17", "observe", {"preset": "square", "nx": 33, "ny": 17, "T": 0.3}),
     ("beta_default", "beta", {}),
     ("control_unreachable", "control", {"T": 0.3, "target": "center_bump"}),
     ("control_in_range", "control", {"target": "in_range"}),

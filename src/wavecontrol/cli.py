@@ -233,7 +233,10 @@ def build_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
 
 def build_basis(cfg: ExperimentConfig, domain=None):
     domain = domain if domain is not None else build_domain(cfg)
-    return eigensolve(domain, cfg.basis_size)
+    try:
+        return eigensolve(domain, cfg.basis_size)
+    except NotImplementedError as exc:  # a mixed a12 term the fd operator lacks
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_json(path: Path, payload: dict):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -311,6 +312,10 @@ class ObservabilityVerdict:
     passed: bool
 
 
+# largest mass fraction of a silent perturbation inside the shrunken region
+_COUPLED_TOL = 0.05
+
+
 def observability_test(
     y: StateField,
     T: float,
@@ -318,7 +323,6 @@ def observability_test(
     tol: float,
     basis: SpectralBasis,
     region_tau: np.ndarray,
-    coupled_tol: float = 0.05,
     band: float = 0.0,
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> ObservabilityVerdict:
@@ -339,7 +343,7 @@ def observability_test(
         np.sqrt(np.sum(w[inside] * y.values[inside] ** 2)) / y_norm if y_norm > 0 else 0.0
     )
     observable = trace_ratio > tol
-    support_ok = None if observable else inside_ratio <= coupled_tol
+    support_ok = None if observable else inside_ratio <= _COUPLED_TOL
     return ObservabilityVerdict(
         trace_ratio=trace_ratio,
         inside_ratio=inside_ratio,
@@ -360,7 +364,7 @@ def _axis_diff_weights(domain: DomainSpec, axis: int) -> np.ndarray:
     """
     ws = [grid_trapezoid_weights((n,), (h,)) for n, h in zip(domain.shape, domain.spacings)]
     ws[axis] = np.full(domain.shape[axis] - 1, domain.spacings[axis])
-    return ws[0] if len(ws) == 1 else np.outer(ws[0], ws[1])
+    return reduce(np.multiply.outer, ws)
 
 
 def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.ndarray:

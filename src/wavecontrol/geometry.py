@@ -14,6 +14,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -84,23 +85,23 @@ class DomainSpec:
             )
 
     def _worst_node(self):
-        eigs = self._node_eigenvalues()
-        flat = int(np.argmin(eigs))
+        flat = int(np.argmin(self._node_eigenvalues()[0]))
         return np.unravel_index(flat, self.shape)
 
-    def _node_eigenvalues(self) -> np.ndarray:
-        if self.dimension == 1:
-            return self.coeff[..., 0, 0]
-        a11 = self.coeff[..., 0, 0]
-        a12 = self.coeff[..., 0, 1]
-        a22 = self.coeff[..., 1, 1]
-        tr = a11 + a22
-        disc = np.sqrt(np.maximum((a11 - a22) ** 2 + 4 * a12**2, 0.0))
-        return 0.5 * (tr - disc)
+    def _node_eigenvalues(self) -> tuple:
+        """(smallest, largest) coefficient eigenvalue at each node.
+
+        Closed form (a + b -+ gap) / 2 with a, b the first and last diagonal
+        entries; a 1x1 matrix has a = b and no off-diagonal, so no gap.
+        """
+        a, b = self.coeff[..., 0, 0], self.coeff[..., -1, -1]
+        off = np.sum(self.coeff[..., 0, 1:] ** 2, axis=-1)
+        gap = np.sqrt(np.maximum((a - b) ** 2 + 4 * off, 0.0))
+        return (a + b - gap) / 2, (a + b + gap) / 2
 
     def ellipticity(self) -> float:
         """Smallest coefficient eigenvalue over all nodes."""
-        return float(np.min(self._node_eigenvalues()))
+        return float(np.min(self._node_eigenvalues()[0]))
 
     @property
     def dimension(self) -> int:
@@ -120,18 +121,12 @@ class DomainSpec:
 
     def grids(self) -> tuple:
         """Coordinate arrays broadcast over the full node grid."""
-        if self.dimension == 1:
-            return (self.axes[0],)
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.dimension == 1:
-            mask[0] = mask[-1] = True
-        else:
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dimension] = False
         return mask
 
     def boundary_nodes(self) -> np.ndarray:
@@ -146,17 +141,14 @@ class DomainSpec:
         2D uses the trapezoid rule along each edge; corner nodes carry the
         half-weights of both incident edges.
         """
-        if self.dimension == 1:
-            return np.ones(2)
-        (nx, ny), (hx, hy) = self.shape, self.spacings
-        wx = grid_trapezoid_weights((nx,), (hx,))
-        wy = grid_trapezoid_weights((ny,), (hy,))
-        ends_x = np.zeros(nx)
-        ends_y = np.zeros(ny)
-        ends_x[[0, -1]] = ends_y[[0, -1]] = 1.0
-        # edges x = const run along y, edges y = const along x; boolean-mask
-        # order is the argwhere order of boundary_nodes
-        w = np.outer(ends_x, wy) + np.outer(wx, ends_y)
+        ws = [grid_trapezoid_weights((n,), (h,)) for n, h in zip(self.shape, self.spacings)]
+        w = np.zeros(self.shape)
+        # the two faces across each axis carry the trapezoid rule of the
+        # other axes; boolean-mask order is the argwhere order of boundary_nodes
+        for axis in range(self.dimension):
+            np.moveaxis(w, axis, 0)[[0, -1]] += reduce(
+                np.multiply.outer, ws[:axis] + ws[axis + 1 :], 1.0
+            )
         return w[self.boundary_mask]
 
 
@@ -167,7 +159,7 @@ def grid_trapezoid_weights(shape: tuple, spacings: tuple) -> np.ndarray:
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
         ws.append(w)
-    return ws[0] if len(ws) == 1 else np.outer(ws[0], ws[1])
+    return reduce(np.multiply.outer, ws)
 
 
 def trapezoid_weights(domain: DomainSpec) -> np.ndarray:
@@ -277,10 +269,7 @@ def radial_bump_coefficient(
     """Smooth isotropic coefficient preset: base + bump around ``center``."""
 
     def profile(*coords):
-        if len(coords) == 1:
-            r2 = (coords[0] - center[0]) ** 2
-        else:
-            r2 = (coords[0] - center[0]) ** 2 + (coords[1] - center[1]) ** 2
+        r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
         return base + amplitude * np.exp(-r2 / width**2)
 
     return profile

@@ -40,14 +40,8 @@ def center_bump_target(
     domain: DomainSpec, center: float = 0.5, halfwidth: float = 0.05, sharpness: float = 6.0
 ) -> StateField:
     """Velocity bump centered in the domain, supported in [0.45, 0.55] by default."""
-    if domain.dimension == 1:
-        x = domain.axes[0]
-        values = bump((x - center) / halfwidth, sharpness)
-    else:
-        X, Y = domain.grids()
-        r = np.sqrt((X - center) ** 2 + (Y - center) ** 2)
-        values = bump(r / halfwidth, sharpness)
-    return StateField(values=values, role="target")
+    r = np.sqrt(sum((X - center) ** 2 for X in domain.grids()))
+    return StateField(values=bump(r / halfwidth, sharpness), role="target")
 
 
 def mode_target(basis: SpectralBasis, k: int = 0) -> StateField:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -82,7 +84,6 @@ class ModalCoefficients:
     """Coefficients against the stored eigenbasis."""
 
     alphas: np.ndarray
-    s: float = 0.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.alphas)):
@@ -134,33 +135,16 @@ def eigensolve(domain: DomainSpec, n_modes: int, backend: str = "auto") -> Spect
 
 
 def _is_constant_isotropic(domain: DomainSpec) -> bool:
-    c = domain.coeff
-    if domain.dimension == 1:
-        const = np.ptp(c[..., 0, 0]) == 0
-    else:
-        const = (
-            np.ptp(c[..., 0, 0]) == 0
-            and np.ptp(c[..., 1, 1]) == 0
-            and np.all(c[..., 0, 1] == 0)
-            and c[..., 0, 0].flat[0] == c[..., 1, 1].flat[0]
-        )
-    if domain.potential is not None and np.ptp(domain.potential) != 0:
-        return False
-    return bool(const)
+    c, q = domain.coeff, domain.potential
+    isotropic = np.all(c == c.flat[0] * np.eye(domain.dimension))
+    return bool(isotropic) and (q is None or np.ptp(q) == 0)
 
 
 def _mode_order(lams_1d: list) -> list:
-    """Sorted mode index tuples; ties broken lexicographically."""
-    if len(lams_1d) == 1:
-        keys = [(lam, (k,)) for k, lam in enumerate(lams_1d[0])]
-    else:
-        keys = [
-            (lx + ly, (kx, ky))
-            for kx, lx in enumerate(lams_1d[0])
-            for ky, ly in enumerate(lams_1d[1])
-        ]
-    keys.sort(key=lambda item: (item[0], item[1]))
-    return keys
+    """Sorted (eigenvalue, mode index tuple) pairs; ties broken lexicographically."""
+    sums = map(sum, product(*(lams.tolist() for lams in lams_1d)))
+    indices = product(*(range(len(lams)) for lams in lams_1d))
+    return sorted(zip(sums, indices))
 
 
 def _analytic_modes(domain: DomainSpec, n_modes: int):
@@ -176,12 +160,9 @@ def _analytic_modes(domain: DomainSpec, n_modes: int):
         funcs_1d.append(np.sqrt(2.0 / L) * np.sin(np.outer(ks, (x - lo)) * np.pi / L))
     order = _mode_order(lams_1d)[:n_modes]
     lambdas = np.array([lam + q for lam, _ in order])
-    if domain.dimension == 1:
-        modes = np.stack([funcs_1d[0][k] for _, (k,) in order])
-    else:
-        modes = np.stack(
-            [np.outer(funcs_1d[0][kx], funcs_1d[1][ky]) for _, (kx, ky) in order]
-        )
+    modes = np.stack(
+        [reduce(np.multiply.outer, [f[k] for f, k in zip(funcs_1d, ks)]) for _, ks in order]
+    )
     return lambdas, modes
 
 
@@ -288,51 +269,24 @@ def _fd_modes_2d_general(domain: DomainSpec, n_modes: int):
 def _conormal_traces(domain: DomainSpec, modes: np.ndarray) -> np.ndarray:
     """Outward conormal derivative of each mode at each boundary node.
 
-    Second-order one-sided differencing along the inward axis; the tangential
-    derivative vanishes on the boundary.  Corner values in 2D are set to zero
-    (they carry no limit direction; rectangle eigenmodes vanish there anyway).
+    Second-order one-sided differencing along the inward axis of each face;
+    the tangential derivative vanishes on the boundary.  The high face of an
+    axis is the low face of the reversed axis, so one stencil serves both.
+    Corner values in 2D are left zero (they carry no limit direction;
+    rectangle eigenmodes vanish there anyway).
     """
-    nodes = domain.boundary_nodes()
-    N = modes.shape[0]
-    traces = np.zeros((N, len(nodes)))
-    if domain.dimension == 1:
-        (h,) = domain.spacings
-        a = domain.coeff[:, 0, 0]
-        for m, (idx,) in enumerate(nodes):
-            if idx == 0:
-                d = (-3 * modes[:, 0] + 4 * modes[:, 1] - modes[:, 2]) / (2 * h)
-                traces[:, m] = -a[0] * d
-            else:
-                d = (3 * modes[:, -1] - 4 * modes[:, -2] + modes[:, -3]) / (2 * h)
-                traces[:, m] = a[-1] * d
-        return traces
-    nx, ny = domain.shape
-    hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0]
-    a22 = domain.coeff[..., 1, 1]
-    for m, (i, j) in enumerate(nodes):
-        on_x = i == 0 or i == nx - 1
-        on_y = j == 0 or j == ny - 1
-        if on_x and on_y:
-            continue  # corner
-        if on_x:
-            if i == 0:
-                d = (-3 * modes[:, 0, j] + 4 * modes[:, 1, j] - modes[:, 2, j]) / (2 * hx)
-                traces[:, m] = -a11[0, j] * d
-            else:
-                d = (3 * modes[:, -1, j] - 4 * modes[:, -2, j] + modes[:, -3, j]) / (2 * hx)
-                traces[:, m] = a11[-1, j] * d
-        else:
-            if j == 0:
-                d = (-3 * modes[:, i, 0] + 4 * modes[:, i, 1] - modes[:, i, 2]) / (2 * hy)
-                traces[:, m] = -a22[i, 0] * d
-            else:
-                d = (3 * modes[:, i, -1] - 4 * modes[:, i, -2] + modes[:, i, -3]) / (2 * hy)
-                traces[:, m] = a22[i, -1] * d
-    return traces
+    full = np.zeros_like(modes)
+    across = (slice(1, -1),) * (domain.dimension - 1)  # a face without its corners
+    for axis, h in enumerate(domain.spacings):
+        for side in (slice(None), slice(None, None, -1)):
+            a = np.moveaxis(domain.coeff[..., axis, axis], axis, 0)[(side,) + across]
+            m = np.moveaxis(modes, axis + 1, 1)[(slice(None), side) + across]
+            out = np.moveaxis(full, axis + 1, 1)[(slice(None), side) + across]
+            out[:, 0] = -a[0] * ((-3 * m[:, 0] + 4 * m[:, 1] - m[:, 2]) / (2 * h))
+    return full[:, domain.boundary_mask]
 
 
-def project(values: np.ndarray, basis: SpectralBasis, s: float = 0.0) -> ModalCoefficients:
+def project(values: np.ndarray, basis: SpectralBasis) -> ModalCoefficients:
     """Mass-weighted modal coefficients of a grid function."""
     if values.shape != tuple(basis.domain.shape):
         raise ValueError(
@@ -340,7 +294,7 @@ def project(values: np.ndarray, basis: SpectralBasis, s: float = 0.0) -> ModalCo
         )
     flat = basis.modes.reshape(basis.n_modes, -1)
     alphas = flat @ (basis.mass_weights.ravel() * values.ravel())
-    return ModalCoefficients(alphas=alphas, s=s)
+    return ModalCoefficients(alphas=alphas)
 
 
 def reconstruct(coeffs: ModalCoefficients | np.ndarray, basis: SpectralBasis) -> np.ndarray:

@@ -161,8 +161,7 @@ def solve_dual(
     y: StateField,
     T: float,
     basis: SpectralBasis,
-    times: np.ndarray | None = None,
-    n_steps: int = DEFAULT_TIME_STEPS,
+    times: np.ndarray,
 ) -> np.ndarray:
     """History of the dual wave driven by terminal velocity y.
 
@@ -171,12 +170,8 @@ def solve_dual(
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    if times is None:
-        times = time_grid(T, n_steps)
-        S = _grid_sin_factors(basis, T, n_steps)
-    else:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        S = _sin_factors(basis.lambdas, times, T)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    S = _sin_factors(basis.lambdas, times, T)
     alphas = project(y.values, basis).alphas
     flat = basis.modes.reshape(basis.n_modes, -1)
     hist = (alphas[:, None] * S).T @ flat
@@ -284,19 +279,9 @@ def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
     if f.samples.shape[0] != len(domain.boundary_nodes()):
         raise ValueError("control rows do not match domain boundary nodes")
     dt = f.dt
-    d = domain.dimension
-    # max eigenvalue of the coefficient matrix over nodes
-    if d == 2:
-        a11 = domain.coeff[..., 0, 0]
-        a12 = domain.coeff[..., 0, 1]
-        a22 = domain.coeff[..., 1, 1]
-        tr = a11 + a22
-        disc = np.sqrt(np.maximum((a11 - a22) ** 2 + 4 * a12**2, 0.0))
-        eig_max = float(np.max(0.5 * (tr + disc)))
-    else:
-        eig_max = float(np.max(domain.coeff[:, 0, 0]))
+    eig_max = float(np.max(domain._node_eigenvalues()[1]))
     h_min = min(domain.spacings)
-    limit = h_min / np.sqrt(d * eig_max)
+    limit = h_min / np.sqrt(domain.dimension * eig_max)
     if dt > limit:
         raise ValueError(
             f"time step {dt:g} violates the stability bound {limit:g} "
@@ -355,15 +340,10 @@ def random_control(
     T: float,
     rng: np.random.Generator,
     n_steps: int = DEFAULT_TIME_STEPS,
-    support: tuple | None = None,
 ) -> BoundaryControl:
-    """Seeded random control; optional time-support window (t0, t1)."""
+    """Seeded random control, white in space and time."""
     n_bnd = len(basis.boundary_weights)
     samples = rng.standard_normal((n_bnd, n_steps + 1))
-    if support is not None:
-        t = np.linspace(0.0, T, n_steps + 1)
-        mask = (t >= support[0]) & (t <= support[1])
-        samples = samples * mask
     return BoundaryControl(samples=samples, T=T)
 
 

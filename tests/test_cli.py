@@ -178,6 +178,17 @@ def test_config_grammar_parses_or_raises_config_error(lines):
         ),
         ("verify", {"T": "0.05"}, "observability window"),
         ("control", {"s": "400"}, "norm weight"),
+        (
+            "eigen",
+            {
+                "preset": "square",
+                "nx": "9",
+                "ny": "9",
+                "coefficient_csv": "table:i,j,a11,a12,a22\n"
+                + "".join(f"{i},{j},1,0.2,1\n" for i in range(9) for j in range(9)),
+            },
+            "axis-aligned coefficients only",
+        ),
     ],
 )
 def test_main_refuses_configs_that_used_to_end_in_a_traceback(
@@ -194,6 +205,19 @@ def test_main_refuses_configs_that_used_to_end_in_a_traceback(
     status = cli.main([subcommand, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
     assert status == 2
     assert message in capsys.readouterr().err
+
+
+def test_main_runs_eikonal_on_mixed_coefficients(tmp_path):
+    # the metric distance handles an a12 term; only the eigensolve refuses it
+    table = tmp_path / "coefficients.csv"
+    rows = "".join(f"{i},{j},1,0.2,1\n" for i in range(9) for j in range(9))
+    table.write_text("i,j,a11,a12,a22\n" + rows)
+    cfg_file = tmp_path / "run.cfg"
+    config = f"preset = square\nnx = 9\nny = 9\nn_modes = 8\ncoefficient_csv = {table}\n"
+    cfg_file.write_text(config)
+    status = cli.main(["eikonal", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    assert status == 0
+    assert (tmp_path / "out" / "tau.csv").is_file()
 
 
 # Ranges of the generated run configs, each with its reason:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import geometry, spectral
+from wavecontrol import cli, geometry, spectral
 
 
 def test_analytic_backend_eigenvalues(interval_domain):
@@ -213,6 +213,68 @@ def test_conormal_traces_2d_corners_zero(square_basis):
     ]
     assert len(corner_rows) == 4
     assert np.abs(square_basis.conormal_traces[:, corner_rows]).max() == 0.0
+
+
+def _reference_traces(basis):
+    """Per-node one-sided stencil along the inward axis; corners zero."""
+    dom, modes = basis.domain, basis.modes
+    traces = np.zeros((basis.n_modes, len(dom.boundary_nodes())))
+    for m, node in enumerate(dom.boundary_nodes()):
+        faces = [ax for ax, i in enumerate(node) if i in (0, dom.shape[ax] - 1)]
+        if len(faces) > 1:
+            continue  # corner
+        (axis,) = faces
+        low = node[axis] == 0
+        h, a = dom.spacings[axis], dom.coeff[tuple(node) + (axis, axis)]
+
+        def inward(k):
+            idx = list(node)
+            idx[axis] += k if low else -k
+            return modes[(slice(None),) + tuple(idx)]
+
+        if low:
+            traces[:, m] = -a * ((-3 * inward(0) + 4 * inward(1) - inward(2)) / (2 * h))
+        else:
+            traces[:, m] = a * ((3 * inward(0) - 4 * inward(1) + inward(2)) / (2 * h))
+    return traces
+
+
+_TRACE_CASES = {
+    "interval_bump": lambda: cli.build_basis(cli.ExperimentConfig(preset="interval_bump")),
+    "square_bump_33": lambda: cli.build_basis(
+        cli.ExperimentConfig(preset="square_bump", nx=33, ny=33, n_modes=40)
+    ),
+    "rectangle_33x17": lambda: spectral.eigensolve(
+        geometry.rectangle(shape=(33, 17), extents=((0.0, 2.0), (0.0, 1.0))), 40
+    ),
+    "anisotropic_21x17": lambda: spectral.eigensolve(
+        geometry.rectangle(shape=(21, 17), a11=2.0, a22=lambda X, Y: 1.0 + X * Y), 12
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["desk_basis", "square_basis", *_TRACE_CASES])
+def test_conormal_traces_match_per_node_stencil(request, case):
+    if case in _TRACE_CASES:
+        basis = _TRACE_CASES[case]()
+    else:
+        basis = request.getfixturevalue(case)
+    assert np.array_equal(basis.conormal_traces, _reference_traces(basis))
+
+
+@pytest.mark.parametrize(
+    "coefficients, backend",
+    [
+        ({"a11": 3.0}, "analytic"),
+        ({"a11": 2.0, "a22": 1.0}, "fd"),
+        ({"q": 0.5}, "analytic"),
+        ({"q": lambda X, Y: 1.0 + X}, "fd"),
+    ],
+    ids=["isotropic", "a11_ne_a22", "constant_potential", "varying_potential"],
+)
+def test_auto_backend_2d(coefficients, backend):
+    dom = geometry.rectangle(shape=(9, 11), **coefficients)
+    assert spectral.eigensolve(dom, 4).backend == backend
 
 
 def test_project_reconstruct_roundtrip(interval_basis, rng):

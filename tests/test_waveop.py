@@ -151,6 +151,44 @@ def test_fd_oracle_cfl_guard(interval_domain):
         waveop.fd_oracle_forward(f, interval_domain)
 
 
+@pytest.mark.parametrize(
+    "domain, eig_max",
+    [
+        (geometry.interval(n=33, a=lambda x: 1.0 + x), 2.0),
+        (
+            geometry.rectangle(
+                shape=(17, 9),
+                extents=((0.0, 1.0), (0.0, 2.0)),
+                a11=2.0,
+                a22=lambda X, Y: 1.0 + X * Y,
+            ),
+            3.0,
+        ),
+    ],
+    ids=["1d", "2d"],
+)
+def test_fd_oracle_cfl_guard_at_the_bound(domain, eig_max):
+    # dt <= h_min / sqrt(d * max eigenvalue) is stable, and just past it is refused
+    limit = min(domain.spacings) / np.sqrt(domain.dimension * eig_max)
+    samples = np.zeros((len(domain.boundary_nodes()), 9))
+    with pytest.raises(ValueError, match="stability bound"):
+        waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 1.001 * limit), domain)
+    u = waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 0.999 * limit), domain)
+    assert np.all(u.values == 0.0)
+
+
+def test_fd_oracle_cfl_guard_mixed_coefficients():
+    # eigenvalues of [[1, 0.5], [0.5, 1]] are 0.5 and 1.5; a step below the
+    # bound passes the guard and reaches the operator, which has no a12 term
+    domain = geometry.rectangle(shape=(9, 9), a11=1.0, a12=0.5, a22=1.0)
+    limit = min(domain.spacings) / np.sqrt(2 * 1.5)
+    samples = np.zeros((len(domain.boundary_nodes()), 9))
+    with pytest.raises(ValueError, match="stability bound"):
+        waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 1.001 * limit), domain)
+    with pytest.raises(NotImplementedError):
+        waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 0.999 * limit), domain)
+
+
 def test_fd_oracle_matches_transposition(interval_domain, interval_basis):
     T = 0.75
     f = presets.stored_reference_control(T, 2, n_steps=1024)
