@@ -4,6 +4,8 @@
 Writes one artifact directory per experiment under --out-root (default
 ./out) and prints a one-line summary for each.  Every run is seeded and
 reproducible; see the manifest.json in each directory for the exact config.
+The coefficient table that ``eikonal_mixed_65`` reads is written into the
+out root first.
 """
 
 import argparse
@@ -11,13 +13,23 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from wavecontrol.cli import ExperimentConfig, run
+
+# a coefficient_csv named here is the file of that name under --out-root
+MIXED_TABLE = "mixed_65.csv"
 
 EXPERIMENTS = (
     ("eikonal_interval", "eikonal", {}),
     ("eikonal_square", "eikonal", {"preset": "square"}),
     ("eikonal_interval_bump", "eikonal", {"preset": "interval_bump"}),
     ("eikonal_square_bump", "eikonal", {"preset": "square_bump"}),
+    (
+        "eikonal_mixed_65",
+        "eikonal",
+        {"preset": "square", "nx": 65, "ny": 65, "coefficient_csv": MIXED_TABLE},
+    ),
     ("spectrum_interval", "eigen", {}),
     ("spectrum_square", "eigen", {"preset": "square"}),
     ("forward_reference", "forward", {}),
@@ -55,6 +67,21 @@ EXPERIMENTS = (
 )
 
 
+def write_mixed_table(path, n=65):
+    """Node table ``i,j,a11,a12,a22`` of a smooth medium with a mixed term.
+
+    The mixed term a12 != 0 sends the eikonal to its graph fallback.
+    """
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+    a11 = 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y)
+    a12 = 0.25 * np.cos(2 * x + y)
+    a22 = 0.7 + 0.4 * x * y
+    with open(path, "w") as fh:
+        fh.write("i,j,a11,a12,a22\n")
+        for (i, j), *values in zip(np.ndindex(n, n), a11.flat, a12.flat, a22.flat):
+            fh.write(f"{i},{j}," + ",".join(f"{v:.17g}" for v in values) + "\n")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-root", default="out", help="root artifact directory")
@@ -62,8 +89,12 @@ def main():
     args = parser.parse_args()
 
     root = Path(args.out_root)
+    root.mkdir(parents=True, exist_ok=True)
+    write_mixed_table(root / MIXED_TABLE)
     worst = 0
     for name, sub, overrides in EXPERIMENTS:
+        if "coefficient_csv" in overrides:
+            overrides = {**overrides, "coefficient_csv": str(root / overrides["coefficient_csv"])}
         cfg = ExperimentConfig(seed=args.seed, **overrides)
         out_dir = root / name
         status = run(cfg, sub, out_dir=str(out_dir))

@@ -74,19 +74,16 @@ class DomainSpec:
         if self.potential is not None:
             if self.potential.shape != tuple(self.shape):
                 raise ValueError("potential shape does not match grid")
-            if np.min(self.potential) < 0:
-                raise ValueError("potential must be nonnegative")
-        mu = self.ellipticity()
+            if not np.all(np.isfinite(self.potential)) or np.min(self.potential) < 0:
+                raise ValueError("potential must be finite and nonnegative")
+        smallest = self._node_eigenvalues()[0]
+        mu = float(np.min(smallest))
         if not (mu > 0) or not np.isfinite(mu):
-            loc = self._worst_node()
+            loc = np.unravel_index(int(np.argmin(smallest)), self.shape)
             raise ValueError(
                 f"coefficient matrix not positive definite at node {loc} "
                 f"(smallest eigenvalue {mu:g})"
             )
-
-    def _worst_node(self):
-        flat = int(np.argmin(self._node_eigenvalues()[0]))
-        return np.unravel_index(flat, self.shape)
 
     def _node_eigenvalues(self) -> tuple:
         """(smallest, largest) coefficient eigenvalue at each node.
@@ -98,10 +95,6 @@ class DomainSpec:
         off = np.sum(self.coeff[..., 0, 1:] ** 2, axis=-1)
         gap = np.sqrt(np.maximum((a - b) ** 2 + 4 * off, 0.0))
         return (a + b - gap) / 2, (a + b + gap) / 2
-
-    def ellipticity(self) -> float:
-        """Smallest coefficient eigenvalue over all nodes."""
-        return float(np.min(self._node_eigenvalues()[0]))
 
     @property
     def dimension(self) -> int:
@@ -131,8 +124,7 @@ class DomainSpec:
 
     def boundary_nodes(self) -> np.ndarray:
         """Boundary node multi-indices, lexicographic, each node once."""
-        idx = np.argwhere(self.boundary_mask)
-        return idx
+        return np.argwhere(self.boundary_mask)
 
     def boundary_weights(self) -> np.ndarray:
         """Quadrature weights of the boundary measure, aligned with boundary_nodes.
@@ -199,6 +191,31 @@ class FilledRegion:
 # constructors
 
 
+def _box(extents, shape, diagonal, a12, q) -> DomainSpec:
+    """Box domain with each coefficient sampled once on its node grid.
+
+    A coefficient is a constant, a node array, or a callable of the node
+    coordinates.  ``diagonal`` holds a^{kk} per axis, None repeating a^{11};
+    ``a12`` is used in 2D only; a potential that is None or zero everywhere
+    is dropped.
+    """
+    grids = np.meshgrid(
+        *(np.linspace(lo, hi, n) for (lo, hi), n in zip(extents, shape)), indexing="ij"
+    )
+
+    def sample(c):
+        return np.broadcast_to(np.asarray(c(*grids) if callable(c) else c, dtype=float), shape)
+
+    d = len(shape)
+    coeff = np.zeros(shape + (d, d))
+    for k, c in enumerate(diagonal):
+        coeff[..., k, k] = coeff[..., 0, 0] if c is None else sample(c)
+    if d == 2:
+        coeff[..., 0, 1] = coeff[..., 1, 0] = sample(a12)
+    pot = sample(0.0 if q is None else q).copy()
+    return DomainSpec(extents, shape, coeff, pot if pot.any() else None)
+
+
 def interval(
     n: int = 513,
     x0: float = 0.0,
@@ -211,20 +228,7 @@ def interval(
     ``a`` may be a constant, a length-n array, or a callable of x.  The
     default grid has 2**9 cells so the midpoint is a node.
     """
-    x = np.linspace(x0, x1, n)
-    if callable(a):
-        a = a(x)
-    a = np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
-    coeff = np.zeros((n, 1, 1))
-    coeff[:, 0, 0] = a
-    pot = None
-    if q is not None:
-        if callable(q):
-            q = q(x)
-        pot = np.broadcast_to(np.asarray(q, dtype=float), (n,)).copy()
-        if not pot.any():
-            pot = None
-    return DomainSpec(extents=((x0, x1),), shape=(n,), coeff=coeff, potential=pot)
+    return _box(((x0, x1),), (n,), (a,), None, q)
 
 
 def rectangle(
@@ -236,31 +240,7 @@ def rectangle(
     q: float | np.ndarray | None = 0.0,
 ) -> DomainSpec:
     """2D box domain.  Scalar coefficients broadcast over the grid."""
-    nx, ny = shape
-    X, Y = np.meshgrid(
-        np.linspace(*extents[0], nx), np.linspace(*extents[1], ny), indexing="ij"
-    )
-    if callable(a11):
-        a11 = a11(X, Y)
-    if callable(a22):
-        a22 = a22(X, Y)
-    if callable(a12):
-        a12 = a12(X, Y)
-    a11 = np.broadcast_to(np.asarray(a11, dtype=float), (nx, ny))
-    a12 = np.broadcast_to(np.asarray(a12, dtype=float), (nx, ny))
-    a22v = a11 if a22 is None else np.broadcast_to(np.asarray(a22, dtype=float), (nx, ny))
-    coeff = np.zeros((nx, ny, 2, 2))
-    coeff[..., 0, 0] = a11
-    coeff[..., 0, 1] = coeff[..., 1, 0] = a12
-    coeff[..., 1, 1] = a22v
-    pot = None
-    if q is not None:
-        if callable(q):
-            q = q(X, Y)
-        pot = np.broadcast_to(np.asarray(q, dtype=float), (nx, ny)).copy()
-        if not pot.any():
-            pot = None
-    return DomainSpec(extents=extents, shape=(nx, ny), coeff=coeff, potential=pot)
+    return _box(extents, tuple(shape), (a11, a22), a12, q)
 
 
 def radial_bump_coefficient(
@@ -289,7 +269,6 @@ def domain_from_coefficient_csv(
     coeff = np.zeros(tuple(shape) + (d, d))
     pot = np.zeros(tuple(shape))
     seen = np.zeros(tuple(shape), dtype=bool)
-    has_q = False
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "a11" not in reader.fieldnames:
@@ -299,6 +278,8 @@ def domain_from_coefficient_csv(
         has_q = "q" in reader.fieldnames
         for row in reader:
             i, j = int(row["i"]), int(row["j"])
+            if i < 0 or j < 0:  # numpy would wrap a negative index to the far end
+                raise ValueError(f"{path}: negative node index ({i}, {j})")
             node = (i,) if d == 1 else (i, j)
             if d == 1 and j != 0:
                 raise ValueError(f"{path}: 1D table must have j=0, got j={j}")
@@ -334,10 +315,6 @@ def eikonal_distance(domain: DomainSpec) -> DistanceField:
     fall back to a shortest-path sweep over the 8-neighbor graph with metric
     edge lengths.  All variants are first-order accurate and monotone.
     """
-    mu = domain.ellipticity()
-    if not (mu > 0):
-        loc = domain._worst_node()
-        raise ValueError(f"coefficients not positive definite at node {loc}")
     if domain.dimension == 1:
         tau = _eikonal_1d(domain)
     else:
@@ -440,13 +417,17 @@ def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:
 
     Edge length is sqrt(dx^T m dx) with m the inverse coefficient matrix
     averaged over the edge endpoints.  The lengths of the edges in each of
-    the 8 directions are computed once over the grid; an edge that leaves
-    the grid has length inf and so never relaxes its far end.
+    the 8 directions are computed once over the grid, and scipy runs one
+    Dijkstra search seeded at every boundary node.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     nx, ny = domain.shape
     hx, hy = domain.spacings
     inv = np.linalg.inv(domain.coeff)
-    edges = []
+    node = np.arange(nx * ny).reshape(nx, ny)
+    rows, cols, lengths = [], [], []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
@@ -458,28 +439,15 @@ def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:
             # dx^T m dx, evaluated as (dx^T m) dx
             v0 = dx * m[..., 0, 0] + dy * m[..., 1, 0]
             v1 = dx * m[..., 0, 1] + dy * m[..., 1, 1]
-            length = np.full((nx, ny), np.inf)
-            length[src] = np.sqrt(v0 * dx + v1 * dy)
-            edges.append((di * ny + dj, _flat_table(length)))
-    n = nx * ny
-    tau, heap = _boundary_heap(domain)
-    done = bytearray(n)
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while heap:
-        val, f = heappop(heap)
-        if done[f]:
-            continue
-        done[f] = 1
-        for off, length in edges:
-            g = f + off
-            # an offset that wraps into the next or previous grid line is
-            # an edge leaving the grid, so length[f] is inf there
-            if 0 <= g < n and not done[g]:
-                cand = val + length[f]
-                if cand < tau[g]:
-                    tau[g] = cand
-                    heappush(heap, (cand, g))
-    return np.frombuffer(tau).reshape(nx, ny).copy()
+            rows.append(node[src].ravel())
+            cols.append(node[dst].ravel())
+            lengths.append(np.sqrt(v0 * dx + v1 * dy).ravel())
+    graph = csr_matrix(
+        (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny),
+    )
+    seeds = np.flatnonzero(domain.boundary_mask)
+    return dijkstra(graph, indices=seeds, min_only=True).reshape(nx, ny)
 
 
 def filled_subdomain(dist: DistanceField, T: float) -> FilledRegion:

@@ -189,6 +189,18 @@ def test_config_grammar_parses_or_raises_config_error(lines):
             },
             "axis-aligned coefficients only",
         ),
+        (
+            "eigen",
+            {"coefficient_csv": "table:i,j,a11,q\n" + "".join(
+                f"{i},0,1,{'nan' if i == 32 else 0}\n" for i in range(65)
+            )},
+            "potential",
+        ),
+        (
+            "eikonal",
+            {"coefficient_csv": "table:i,j,a11\n" + "".join(f"{i},0,1\n" for i in range(-1, 64))},
+            "negative node index",
+        ),
     ],
 )
 def test_main_refuses_configs_that_used_to_end_in_a_traceback(
@@ -215,6 +227,15 @@ def test_main_runs_eikonal_on_mixed_coefficients(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     config = f"preset = square\nnx = 9\nny = 9\nn_modes = 8\ncoefficient_csv = {table}\n"
     cfg_file.write_text(config)
+    status = cli.main(["eikonal", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    assert status == 0
+    assert (tmp_path / "out" / "tau.csv").is_file()
+
+
+def test_main_runs_eikonal_with_more_modes_than_interior_nodes(tmp_path):
+    # the default 100 modes exceed the 49 interior nodes, but eikonal builds no basis
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("preset = square\nnx = 9\nny = 9\n")
     status = cli.main(["eikonal", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
     assert status == 0
     assert (tmp_path / "out" / "tau.csv").is_file()

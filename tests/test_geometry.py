@@ -315,12 +315,120 @@ def test_fast_march_matches_reference_loop():
 
 
 def test_dijkstra_matches_reference_loop():
-    dom = _variable_rectangle((31, 19), a12=lambda x, y: 0.25 * np.cos(2 * x + y))
-    assert not np.all(dom.coeff[..., 0, 1] == 0)  # takes the graph fallback
-    tau = geometry.eikonal_distance(dom).tau
-    ref = _reference_dijkstra(dom)
-    assert np.all(np.isfinite(ref))
-    assert np.all(np.abs(tau - ref) <= 1e-14 * np.abs(ref))
+    # the second grid has nx < ny and a constant mixed term
+    for dom in (
+        _variable_rectangle((31, 19), a12=lambda x, y: 0.25 * np.cos(2 * x + y)),
+        _variable_rectangle((17, 41), a12=0.25),
+    ):
+        assert not np.all(dom.coeff[..., 0, 1] == 0)  # takes the graph fallback
+        tau = geometry.eikonal_distance(dom).tau
+        ref = _reference_dijkstra(dom)
+        assert np.all(np.isfinite(ref))
+        assert np.all(np.abs(tau - ref) <= 1e-14 * np.abs(ref))
+
+
+# Coefficients built from + and * only, so a node-by-node evaluation on
+# scalars rounds exactly as the evaluation on the whole grid does.
+def _stiff_1d(x):
+    return 1.0 + x * x
+
+
+def _q_1d(x):
+    return 0.5 + 0.25 * x
+
+
+def _stiff_2d(x, y):
+    return 1.0 + 0.5 * x * y
+
+
+def _soft_2d(x, y):
+    return 0.7 + 0.25 * x * x
+
+
+def _mixed_2d(x, y):
+    return 0.1 * (x - y)
+
+
+_UNIT = ((0.0, 1.0), (0.0, 1.0))
+_OFFSET = ((-0.3, 1.1), (0.2, 0.9))
+_FIELD = 1.0 + np.arange(35.0).reshape(7, 5) / 35.0
+
+# (id, construction, extents, shape, (a11, a22) or (a,), a12, q) with every
+# default written out: a22 = a11 where the construction leaves it None
+_BOX_CASES = [
+    ("interval_defaults", lambda: geometry.interval(n=9), ((0.0, 1.0),), (9,), (1.0,), 0.0, 0.0),
+    (
+        "interval_callables",
+        lambda: geometry.interval(n=17, x0=-0.5, x1=2.0, a=_stiff_1d, q=_q_1d),
+        ((-0.5, 2.0),), (17,), (_stiff_1d,), 0.0, _q_1d,
+    ),
+    (
+        "interval_array_no_q",
+        lambda: geometry.interval(n=9, a=np.linspace(1.0, 2.0, 9), q=None),
+        ((0.0, 1.0),), (9,), (np.linspace(1.0, 2.0, 9),), 0.0, None,
+    ),
+    ("rectangle_defaults", lambda: geometry.rectangle(shape=(7, 5)), _UNIT, (7, 5), (1.0, 1.0), 0.0, 0.0),
+    (
+        "rectangle_callables",
+        lambda: geometry.rectangle(
+            shape=(7, 5), extents=_OFFSET, a11=_stiff_2d, a12=_mixed_2d, a22=_soft_2d, q=_soft_2d
+        ),
+        _OFFSET, (7, 5), (_stiff_2d, _soft_2d), _mixed_2d, _soft_2d,
+    ),
+    (
+        "rectangle_callable_a22_default",
+        lambda: geometry.rectangle(shape=(5, 9), extents=_OFFSET, a11=_stiff_2d, q=None),
+        _OFFSET, (5, 9), (_stiff_2d, _stiff_2d), 0.0, None,
+    ),
+    (
+        "rectangle_arrays",
+        lambda: geometry.rectangle(shape=(7, 5), a11=_FIELD, a12=0.1, a22=2.0 * _FIELD, q=_FIELD),
+        _UNIT, (7, 5), (_FIELD, 2.0 * _FIELD), 0.1, _FIELD,
+    ),
+    (
+        "rectangle_array_a22_default_zero_q",
+        lambda: geometry.rectangle(shape=(7, 5), a11=_FIELD, q=np.zeros((7, 5))),
+        _UNIT, (7, 5), (_FIELD, _FIELD), 0.0, np.zeros((7, 5)),
+    ),
+]
+
+
+def _reference_box(extents, shape, diagonal, a12, q):
+    """Coefficient tensor and potential sampled one node at a time."""
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(extents, shape)]
+    d = len(shape)
+
+    def at(c, node):
+        if callable(c):
+            return c(*(ax[k] for ax, k in zip(axes, node)))
+        return np.asarray(c, dtype=float)[node] if np.ndim(c) else c
+
+    coeff = np.zeros(shape + (d, d))
+    pot = np.zeros(shape)
+    for node in np.ndindex(*shape):
+        for k in range(d):
+            coeff[node + (k, k)] = at(diagonal[k], node)
+        if d == 2:
+            coeff[node + (0, 1)] = coeff[node + (1, 0)] = at(a12, node)
+        if q is not None:
+            pot[node] = at(q, node)
+    return coeff, (pot if pot.any() else None)
+
+
+@pytest.mark.parametrize(
+    "build, extents, shape, diagonal, a12, q",
+    [case[1:] for case in _BOX_CASES],
+    ids=[case[0] for case in _BOX_CASES],
+)
+def test_box_constructors_match_reference_loop(build, extents, shape, diagonal, a12, q):
+    dom = build()
+    coeff, pot = _reference_box(extents, shape, diagonal, a12, q)
+    assert dom.extents == extents and dom.shape == shape
+    assert np.array_equal(dom.coeff, coeff)
+    if pot is None:
+        assert dom.potential is None
+    else:
+        assert np.array_equal(dom.potential, pot)
 
 
 def _reference_boundary_weights(domain):
