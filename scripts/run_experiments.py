@@ -63,6 +63,7 @@ EXPERIMENTS = (
         },
     ),
     ("h1star_ramp", "h1star", {"target": "ramp"}),
+    ("h1star_interval_bump", "h1star", {"preset": "interval_bump", "target": "ramp"}),
     ("verify_default", "verify", {}),
 )
 

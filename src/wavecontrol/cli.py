@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  verify seeds a generator; load it with the module
 
 from . import __version__
 from . import geometry, presets

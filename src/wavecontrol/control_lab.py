@@ -26,11 +26,10 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
 from .regularizer import mollifier_matrix
-from .spectral import SpectralBasis, fd_operator, project
+from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
@@ -395,12 +394,28 @@ def _boundary_lift(domain: DomainSpec) -> np.ndarray:
     one on its boundary node, zero on the others, and annihilated by the
     interior rows of fd_operator.  Shape (n_nodes, n_bnd).
     """
-    L = fd_operator(domain)
     bnd = domain.boundary_mask.ravel()
     inner, outer = np.flatnonzero(~bnd), np.flatnonzero(bnd)
-    L_inner = L[inner]
     cols = np.zeros((bnd.size, len(outer)))
-    cols[inner] = splu(L_inner[:, inner].tocsc()).solve(-L_inner[:, outer].toarray())
+    if domain.dimension == 1:
+        # O(n) elimination from the node opposite the data, in the couplings
+        # g = a/h^2 and q so that no step subtracts: pivot p_k = r_k + g_{k+1},
+        # excess r_k = q_k + g_k r_{k-1}/p_{k-1}; then a running product
+        _, (w,) = _fd_stencil(domain)
+        q = np.zeros(bnd.size) if domain.potential is None else domain.potential
+        for col, step in ((0, -1), (1, 1)):
+            g, q_in = (-w[::step]).tolist(), q[1:-1][::step].tolist()
+            ratio, decay = 1.0, []  # a boundary node is all excess
+            for g_in, g_out, q_k in zip(g[:-1], g[1:], q_in):
+                r = q_k + g_in * ratio
+                ratio = r / (r + g_out)
+                decay.append(g_out / (r + g_out))
+            cols[inner, col] = np.cumprod(decay[::-1])[::-1][::step]
+    else:
+        from scipy.sparse.linalg import splu
+
+        L_inner = fd_operator(domain)[inner]
+        cols[inner] = splu(L_inner[:, inner].tocsc()).solve(-L_inner[:, outer].toarray())
     cols[outer, np.arange(len(outer))] = 1.0
     return cols
 

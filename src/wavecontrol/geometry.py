@@ -283,6 +283,8 @@ def domain_from_coefficient_csv(
             node = (i,) if d == 1 else (i, j)
             if d == 1 and j != 0:
                 raise ValueError(f"{path}: 1D table must have j=0, got j={j}")
+            if seen[node]:
+                raise ValueError(f"{path}: node {node} listed twice")
             coeff[node + (0, 0)] = float(row["a11"])
             if d == 2:
                 a12 = float(row.get("a12", 0.0) or 0.0)

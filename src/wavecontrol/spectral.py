@@ -19,10 +19,9 @@ import csv
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.sparse import csr_matrix
 
 from .geometry import DomainSpec, interval, trapezoid_weights
 
@@ -38,6 +37,9 @@ __all__ = [
     "rescaled_mode",
     "write_spectrum_csv",
 ]
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,27 @@ def _analytic_modes(domain: DomainSpec, n_modes: int):
     return lambdas, modes
 
 
+def _fd_stencil(domain: DomainSpec):
+    """fd_operator's node diagonal (grid-shaped) and, per axis, its couplings
+    -a/h^2 at the half-nodes with that axis first: entry i joins nodes i, i + 1."""
+    if domain.dimension == 2 and np.any(domain.coeff[..., 0, 1] != 0):
+        raise NotImplementedError(
+            "finite-difference eigensolve supports axis-aligned coefficients only"
+        )
+    diag = np.zeros(domain.shape)
+    couplings = []
+    for axis, h in enumerate(domain.spacings):
+        a = np.moveaxis(domain.coeff[..., axis, axis], axis, 0)
+        half = 2 * a[:-1] * a[1:] / (a[:-1] + a[1:])  # value at the half-node
+        axis_diag = np.zeros_like(a)
+        axis_diag[1:-1] = half[:-1] + half[1:]
+        np.moveaxis(diag, axis, 0)[...] += axis_diag / h**2
+        couplings.append(-half / h**2)
+    if domain.potential is not None:
+        diag += domain.potential
+    return diag, couplings
+
+
 def fd_operator(domain: DomainSpec) -> csr_matrix:
     """The discrete elliptic operator as a sparse matrix over all grid nodes.
 
@@ -175,33 +198,19 @@ def fd_operator(domain: DomainSpec) -> csr_matrix:
     coupling, so L @ u is the interior action with boundary values read as
     data.  Nodes are numbered in C order, like domain.boundary_mask.ravel().
     """
-    if domain.dimension == 2 and np.any(domain.coeff[..., 0, 1] != 0):
-        raise NotImplementedError(
-            "finite-difference eigensolve supports axis-aligned coefficients only"
-        )
-    size = int(np.prod(domain.shape))
-    index = np.arange(size).reshape(domain.shape)
-    diag = np.zeros(size)
-    rows, cols, vals = [], [], []
-    for axis, h in enumerate(domain.spacings):
-        a = np.moveaxis(domain.coeff[..., axis, axis], axis, 0)
+    from scipy.sparse import csr_matrix
+
+    diag, couplings = _fd_stencil(domain)
+    index = np.arange(diag.size).reshape(domain.shape)
+    rows, cols, vals = [index], [index], [diag]
+    for axis, w in enumerate(couplings):
         node = np.moveaxis(index, axis, 0)
-        half = 2 * a[:-1] * a[1:] / (a[:-1] + a[1:])  # value at the half-node
-        axis_diag = np.zeros_like(a)
-        axis_diag[1:-1] = half[:-1] + half[1:]
-        diag[node.ravel()] += axis_diag.ravel() / h**2
-        lo, hi, w = node[:-1].ravel(), node[1:].ravel(), -half.ravel() / h**2
-        rows += [lo, hi]
-        cols += [hi, lo]
+        rows += [node[:-1], node[1:]]
+        cols += [node[1:], node[:-1]]
         vals += [w, w]
-    if domain.potential is not None:
-        diag += domain.potential.ravel()
-    interior = ~domain.boundary_mask.ravel()
-    rows = np.concatenate(rows + [index.ravel()])
-    cols = np.concatenate(cols + [index.ravel()])
-    vals = np.concatenate(vals + [diag])
-    keep = interior[rows]
-    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
+    rows, cols, vals = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols, vals))
+    keep = ~domain.boundary_mask.ravel()[rows]
+    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(diag.size, diag.size))
 
 
 def _fd_modes(domain: DomainSpec, n_modes: int):
@@ -212,16 +221,16 @@ def _fd_modes(domain: DomainSpec, n_modes: int):
     return _fd_modes_2d_general(domain, n_modes)
 
 
-def _fd_modes_1d(domain: DomainSpec, n_modes: int):
-    (n,) = domain.shape
-    (h,) = domain.spacings
-    A = fd_operator(domain)[1:-1, 1:-1]
-    lambdas, vecs = eigh_tridiagonal(
-        A.diagonal(), A.diagonal(1), select="i", select_range=(0, n_modes - 1)
-    )
-    modes = np.zeros((n_modes, n))
+def _fd_modes_1d(domain: DomainSpec, n_modes: int | None = None):
+    """The leading n_modes eigenpairs of a 1D operator, or all of them."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, (w,) = _fd_stencil(domain)
+    select = {} if n_modes is None else {"select": "i", "select_range": (0, n_modes - 1)}
+    lambdas, vecs = eigh_tridiagonal(diag[1:-1], w[1:-1], **select)
+    modes = np.zeros((len(lambdas),) + tuple(domain.shape))
     # eigh returns Euclid-orthonormal columns; mass weight h on the interior
-    modes[:, 1:-1] = vecs.T / np.sqrt(h)
+    modes[:, 1:-1] = vecs.T / np.sqrt(domain.spacings[0])
     return lambdas, modes
 
 
@@ -230,19 +239,14 @@ def _fd_modes_2d_separable(domain: DomainSpec, n_modes: int):
     Kronecker-sum factorization into the 1D interior matrices."""
     a = float(domain.coeff[..., 0, 0].flat[0])
     q = 0.0 if domain.potential is None else float(domain.potential.flat[0])
-    lams_1d, vecs_1d = [], []
-    for (lo, hi), n in zip(domain.extents, domain.shape):
-        factor = interval(n=n, x0=lo, x1=hi, a=a, q=None)
-        A = fd_operator(factor)[1:-1, 1:-1]
-        lam, vec = eigh_tridiagonal(A.diagonal(), A.diagonal(1))
-        lams_1d.append(lam)
-        vecs_1d.append(vec / np.sqrt(factor.spacings[0]))
+    axes = zip(domain.extents, domain.shape)
+    lams_1d, modes_1d = zip(*(_fd_modes_1d(interval(n, lo, hi, a, None)) for (lo, hi), n in axes))
     order = _mode_order(lams_1d)[:n_modes]
     nx, ny = domain.shape
     lambdas = np.array([lam + q for lam, _ in order])
     modes = np.zeros((n_modes, nx, ny))
     for m, (_, (kx, ky)) in enumerate(order):
-        modes[m, 1:-1, 1:-1] = np.outer(vecs_1d[0][:, kx], vecs_1d[1][:, ky])
+        modes[m, 1:-1, 1:-1] = np.outer(modes_1d[0][kx, 1:-1], modes_1d[1][ky, 1:-1])
     return lambdas, modes
 
 
@@ -254,6 +258,8 @@ def _fd_modes_2d_general(domain: DomainSpec, n_modes: int):
             f"dense 2D eigensolve limited to 5000 interior unknowns, got {interior}; "
             "use a coarser grid for variable 2D coefficients"
         )
+    from scipy.linalg import eigh  # after the cap, so that a refusal loads no scipy
+
     inner = np.flatnonzero(~domain.boundary_mask.ravel())
     A = fd_operator(domain)[inner][:, inner].toarray()
     asym = np.max(np.abs(A - A.T))

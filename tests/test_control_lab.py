@@ -17,6 +17,7 @@ from wavecontrol.control_lab import (
     synthesize_control,
     unreachability_bound,
 )
+from wavecontrol.spectral import fd_operator
 from wavecontrol.waveop import (
     StateField,
     _pair,
@@ -416,6 +417,41 @@ def test_lifted_state_matches_plain_snapshot_for_interior_pulse(desk_basis):
     lifted = lifted_final_state(g, desk_basis)
     plain = control_to_state(g, desk_basis)
     assert np.max(np.abs(lifted.values - plain.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "make_domain",
+    [
+        lambda: geometry.interval(n=3),
+        lambda: geometry.interval(n=4),
+        lambda: geometry.interval(n=5),
+        lambda: geometry.interval(n=513),
+        lambda: geometry.interval(
+            n=513, a=geometry.radial_bump_coefficient(1.0, 0.5, (0.5,), 0.25)
+        ),
+        lambda: geometry.interval(
+            n=257, a=lambda x: 1 + 0.3 * np.sin(3 * x), q=2 + np.linspace(0.0, 1.0, 257)
+        ),
+    ],
+    ids=["n3", "n4", "n5", "n513", "interval_bump", "variable_a_and_q"],
+)
+def test_boundary_lift_1d_matches_dense_solve(make_domain):
+    # the 1D lift is an elimination of its own; a dense solve of the interior
+    # block of the assembled operator is its oracle, down to three nodes
+    dom = make_domain()
+    n = dom.shape[0]
+    L = fd_operator(dom).toarray()
+    inner, outer = np.arange(1, n - 1), np.array([0, n - 1])
+    expect = np.linalg.solve(L[np.ix_(inner, inner)], -L[np.ix_(inner, outer)])
+    lift = _boundary_lift(dom)
+    assert lift.shape == (n, 2)
+    assert np.array_equal(lift[outer], np.eye(2))
+    assert np.abs(lift[inner] - expect).max() <= 1e-12
+    if dom.potential is None and np.ptp(dom.coeff) == 0:
+        # constant coefficients without a potential: affine data is harmonic
+        x = dom.axes[0]
+        u = 0.3 - 1.7 * x
+        assert np.abs(lift @ u[outer] - u).max() <= 1e-14
 
 
 def test_boundary_lift_reproduces_affine_data_2d():
