@@ -64,6 +64,11 @@ EXPERIMENTS = (
     ),
     ("h1star_ramp", "h1star", {"target": "ramp"}),
     ("h1star_interval_bump", "h1star", {"preset": "interval_bump", "target": "ramp"}),
+    (
+        "h1star_square_33",
+        "h1star",
+        {"preset": "square", "nx": 33, "ny": 33, "n_modes": 40, "target": "smooth_interior"},
+    ),
     ("verify_default", "verify", {}),
 )
 

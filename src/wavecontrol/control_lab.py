@@ -34,14 +34,10 @@ from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
-    _expand,
-    _f_pairing,
-    _grid_sin_factors,
-    _pair_weighted,
     control_to_modal,
     f_norm,
+    modal_factors,
     observe,
-    time_weights,
 )
 
 __all__ = [
@@ -179,33 +175,28 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
     return g, np.array(history), its, bool(converged)
 
 
-def _solve(problem, basis, U, V, rhs, to_data, from_data, inner_data) -> SynthesisResult:
+def _solve(problem, fac, rhs, to_data, from_data, inner_data) -> SynthesisResult:
     """CGLS over the control samples for a map held as rank-K factors.
 
-    The forward map is to_data(<g, U_j x (C* V)_j>_F) and its adjoint
-    expands from_data(z) over the same factors, so the class operator C acts
-    on the time factors once and on the output once, never per iteration.
+    The forward map is to_data(fac.pair(C g)) and its adjoint expands
+    from_data(z) over the same factors, so the class operator C acts on the
+    time factors once and on the output once, never per iteration.
     inner_data is the data-space inner product; the misfit and the target
     norm are measured in it.
     """
     start = time.perf_counter()
-    n_t = problem.n_steps + 1
-    dt = problem.T / problem.n_steps
-    bw = basis.boundary_weights
-    wt = time_weights(n_t, dt)
-    apply_c, apply_ct = _class_operators(problem, n_t)
-    V = apply_ct(V)  # C acts in time only, so its adjoint folds into the time factors
-    Ub, Vw = U * bw, V * wt  # the weights of the pairing, folded in once per solve
-    fwd = lambda g: to_data(_pair_weighted(g, Ub, Vw))
-    adj = lambda z: _expand(from_data(z), U, V)  # adjoint w.r.t. the boundary-cylinder product
-    inner_ctrl = lambda u, v: _f_pairing(u, v, bw, wt)
+    apply_c, apply_ct = _class_operators(problem, len(fac.wt))
+    # C acts in time only, so its adjoint folds into the time factors
+    fac = replace(fac, V=apply_ct(fac.V))
+    fwd = lambda g: to_data(fac.pair(g))
+    adj = lambda z: fac.expand(from_data(z))
     g, history, its, converged = _cgls(
         fwd,
         adj,
         rhs,
-        (len(bw), n_t),
+        (len(fac.bw), len(fac.wt)),
         inner_data,
-        inner_ctrl,
+        fac.inner,
         problem.alpha,
         problem.budget,
         problem.tol,
@@ -242,10 +233,10 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis).alphas
-    S = _grid_sin_factors(basis, problem.T, problem.n_steps)
-    # rank-K factors of the weighted forward map W: s-weighted traces x sines
-    U = weights_s[:, None] * basis.conormal_traces
-    return _solve(problem, basis, U, S, y_hat, _identity, _identity, lambda u, v: float(u @ v))
+    fac = modal_factors(basis, problem.T, problem.n_steps)
+    # the weighted forward map W: s-weighted traces x sines
+    fac = replace(fac, U=weights_s[:, None] * fac.U)
+    return _solve(problem, fac, y_hat, _identity, _identity, lambda u, v: float(u @ v))
 
 
 def residual_curve(
@@ -483,10 +474,11 @@ def h1_star_experiment(
     lift_cols, lift_modal, state = _lifted_state(basis)
     # K mode rows (traces x sines) and n_bnd terminal-spike rows, whose
     # pairing reads (C g)[m, -1]
+    fac = modal_factors(basis, T, n_steps)
     spikes = np.zeros((n_bnd, n_steps + 1))
-    spikes[:, -1] = 1.0 / time_weights(n_steps + 1, T / n_steps)[-1]
-    U = np.vstack([basis.conormal_traces, np.diag(1.0 / basis.boundary_weights)])
-    V = np.vstack([_grid_sin_factors(basis, T, n_steps), spikes])
+    spikes[:, -1] = 1.0 / fac.wt[-1]
+    U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
+    fac = replace(fac, U=U, V=np.vstack([fac.V, spikes]))
     h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + basis.modes.shape[1:])])
 
     def from_data(z):
@@ -497,4 +489,4 @@ def h1_star_experiment(
 
     to_data = lambda pairs: state(pairs[:K], pairs[K:])  # pairs[K:]: final-time values
     inner_data = lambda u, v: h1_inner(u, v, basis)
-    return _solve(problem, basis, U, V, target.values, to_data, from_data, inner_data)
+    return _solve(problem, fac, target.values, to_data, from_data, inner_data)

@@ -34,7 +34,6 @@ __all__ = [
     "reconstruct",
     "ds_inner",
     "ds_norm",
-    "rescaled_mode",
     "write_spectrum_csv",
 ]
 
@@ -328,13 +327,6 @@ def ds_inner(y, w, s: float, basis: SpectralBasis) -> float:
 
 def ds_norm(y: ModalCoefficients, s: float, basis: SpectralBasis) -> float:
     return float(np.sqrt(max(ds_inner(y, y, s, basis), 0.0)))
-
-
-def rescaled_mode(basis: SpectralBasis, k: int, s: float) -> np.ndarray:
-    """Mode k scaled to unit s-weighted norm: lambda_k^(-s/2) e_k."""
-    if s < 0:
-        raise ValueError(f"weight order s must be nonnegative, got {s}")
-    return basis.modes[k] * basis.lambdas[k] ** (-s / 2.0)
 
 
 def write_spectrum_csv(path, basis: SpectralBasis) -> None:

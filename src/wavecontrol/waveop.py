@@ -5,18 +5,21 @@ The forward system drives zero initial data with Dirichlet boundary data f on
 velocity perturbation y backwards from t = T with zero boundary data; its
 outward conormal trace on the boundary cylinder is the observation.
 
-Both operators are realized over the same truncated eigenbasis and the same
-trapezoid quadratures, the control operator by transposition against the
-observation of each mode.  The two discrete operators are therefore exact
-adjoints: (forward f, y)_H equals (f, observe y)_F up to float roundoff,
-independent of grid resolution.  An explicit leapfrog time stepper provides
-an independent oracle for the forward map.
+Both operators are one rank-K factor object, built by ``modal_factors``: the
+conormal traces of a truncated eigenbasis x sine time factors, under the
+boundary measure x trapezoid product.  Its pairing is the control operator,
+by transposition against the observation of each mode, and its expansion is
+the observation.  The two discrete operators are therefore exact adjoints:
+(forward f, y)_H equals (f, observe y)_F up to float roundoff, independent of
+grid resolution.  An explicit leapfrog time stepper provides an independent
+oracle for the forward map.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +42,6 @@ __all__ = [
     "verify_duality",
     "fd_oracle_forward",
     "support_violation",
-    "truncate_control",
-    "control_time_derivative",
     "random_control",
     "random_state",
     "write_state_csv",
@@ -129,12 +130,7 @@ def time_weights(n_t: int, dt: float) -> np.ndarray:
 
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:
     """Inner product on the boundary cylinder: boundary measure x trapezoid."""
-    return _f_pairing(f, g, bweights, time_weights(f.shape[1], dt))
-
-
-def _f_pairing(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray) -> float:
-    """f_inner with the time weights given."""
-    return float(np.einsum("gt,gt,g,t->", f, g, bw, wt))
+    return float(np.einsum("gt,gt,g,t->", f, g, bweights, time_weights(f.shape[1], dt)))
 
 
 def f_norm(f: np.ndarray, bweights: np.ndarray, dt: float) -> float:
@@ -155,6 +151,46 @@ def _grid_sin_factors(basis: SpectralBasis, T: float, n_steps: int) -> np.ndarra
         S.setflags(write=False)
         basis.sines[(T, n_steps)] = S
     return S
+
+
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """A boundary-cylinder map of rank at most J, held as its factors.
+
+    Every control-space operator here is a stack of boundary factors U
+    (J, n_bnd) and time factors V (J, n_t) under the boundary weights bw and
+    the trapezoid time weights wt.  ``pair`` maps g to <g, U_j x V_j>_F for
+    every j, ``expand`` is its adjoint and ``inner`` the F inner product.
+    The weighted factors are built on first use, once per object, so a
+    solver that builds its object once pays for them once.
+    """
+
+    U: np.ndarray
+    V: np.ndarray
+    bw: np.ndarray
+    wt: np.ndarray
+
+    @cached_property
+    def _weighted(self):
+        return self.U * self.bw, self.V * self.wt
+
+    def pair(self, g: np.ndarray) -> np.ndarray:
+        Ub, Vw = self._weighted
+        return np.sum((Ub @ g) * Vw, axis=1)
+
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c_j U_j x V_j as (n_bnd, n_t) samples."""
+        return (self.U.T * c) @ self.V
+
+    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
+        return float(np.einsum("gt,gt,g,t->", f, g, self.bw, self.wt))
+
+
+def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
+    """Conormal traces x sine time factors on time_grid(T, n_steps)."""
+    S = _grid_sin_factors(basis, T, n_steps)
+    wt = time_weights(n_steps + 1, T / n_steps)
+    return Factors(basis.conormal_traces, S, basis.boundary_weights, wt)
 
 
 def solve_dual(
@@ -188,8 +224,7 @@ def observe(
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alphas = project(y.values, basis).alphas
-    S = _grid_sin_factors(basis, T, n_steps)
-    return BoundaryTrace(samples=_expand(alphas, basis.conormal_traces, S), T=T)
+    return BoundaryTrace(samples=modal_factors(basis, T, n_steps).expand(alphas), T=T)
 
 
 def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
@@ -204,32 +239,7 @@ def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
             f"control has {f.samples.shape[0]} boundary rows, "
             f"domain has {len(basis.boundary_weights)} boundary nodes"
         )
-    S = _grid_sin_factors(basis, f.T, f.n_t - 1)
-    return _pair(
-        f.samples, basis.conormal_traces, S, basis.boundary_weights, time_weights(f.n_t, f.dt)
-    )
-
-
-# Every control-space operator here has rank at most J: a stack of boundary
-# factors U (J, n_bnd) and time factors V (J, n_t).  Solvers build the
-# factors once per solve and apply them through these two kernels.
-
-
-def _pair(
-    g: np.ndarray, U: np.ndarray, V: np.ndarray, bw: np.ndarray, wt: np.ndarray
-) -> np.ndarray:
-    """<g, U_j x V_j>_F for every j, boundary weights bw and time weights wt."""
-    return _pair_weighted(g, U * bw, V * wt)
-
-
-def _pair_weighted(g: np.ndarray, Ub: np.ndarray, Vw: np.ndarray) -> np.ndarray:
-    """_pair with the weights already folded into the factors."""
-    return np.sum((Ub @ g) * Vw, axis=1)
-
-
-def _expand(c: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_j c_j U_j x V_j as (n_bnd, n_t) samples; adjoint of _pair."""
-    return (U.T * c) @ V
+    return modal_factors(basis, f.T, f.n_t - 1).pair(f.samples)
 
 
 def control_to_state(f: BoundaryControl, basis: SpectralBasis) -> StateField:
@@ -253,11 +263,12 @@ def verify_duality(
     u = control_to_state(f, basis)
     lhs = basis.h_inner(u.values, y.values)
     g = observe(y, f.T, basis, n_steps=f.n_t - 1)
-    wt = time_weights(f.n_t, f.dt)
+    fac = modal_factors(basis, f.T, f.n_t - 1)
     if _break_weights:
-        wt = wt.copy()
+        wt = fac.wt.copy()
         wt[0] = wt[-1] = f.dt  # flat weights at the ends: wrong trapezoid rule
-    rhs = _f_pairing(f.samples, g.samples, basis.boundary_weights, wt)
+        fac = replace(fac, wt=wt)
+    rhs = fac.inner(f.samples, g.samples)
     denom = f_norm(f.samples, basis.boundary_weights, f.dt) * basis.h_norm(y.values)
     if denom == 0:
         return 0.0
@@ -315,24 +326,6 @@ def support_violation(
 
 # ---------------------------------------------------------------------------
 # control utilities
-
-
-def truncate_control(f: BoundaryControl, n_t: int) -> BoundaryControl:
-    """Restriction of f to the first n_t samples, horizon shortened to match."""
-    if not 2 <= n_t <= f.n_t:
-        raise ValueError(f"cannot truncate to {n_t} of {f.n_t} samples")
-    return BoundaryControl(
-        samples=f.samples[:, :n_t].copy(),
-        T=f.dt * (n_t - 1),
-        vanishes_near_zero=f.vanishes_near_zero,
-        zero_band=min(f.zero_band, f.dt * (n_t - 1)),
-    )
-
-
-def control_time_derivative(f: BoundaryControl) -> BoundaryControl:
-    """Second-order discrete time derivative on the same grid."""
-    g = np.gradient(f.samples, f.dt, axis=1, edge_order=2)
-    return BoundaryControl(samples=g, T=f.T)
 
 
 def random_control(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wavecontrol import control_lab, geometry, presets
+from wavecontrol import control_lab, geometry, presets, waveop
 from wavecontrol.control_lab import (
+    CONTROL_CLASSES,
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
     _axis_diff_weights,
@@ -19,8 +20,9 @@ from wavecontrol.control_lab import (
 )
 from wavecontrol.spectral import fd_operator
 from wavecontrol.waveop import (
+    DEFAULT_TIME_STEPS,
+    Factors,
     StateField,
-    _pair,
     _sin_factors,
     control_to_state,
     f_inner,
@@ -89,7 +91,7 @@ def test_class_operator_adjoint_pair(small_basis, rng, control_class):
 
 @pytest.mark.parametrize("control_class", ["smooth", "smooth_vanishing_at_T"])
 def test_class_operator_folds_into_time_factors(small_basis, rng, control_class):
-    """_pair(g, U, C* S) = _pair(C g, U, S); a terminal-spike row reads (C g)[:, -1]."""
+    """Factors (U, C* S) pair g as (U, S) pair C g; a terminal-spike row reads (C g)[:, -1]."""
     n_t = 129
     wt = time_weights(n_t, T_DESK / (n_t - 1))
     bw = small_basis.boundary_weights
@@ -99,12 +101,12 @@ def test_class_operator_folds_into_time_factors(small_basis, rng, control_class)
     U = small_basis.conormal_traces
     S = _sin_factors(small_basis.lambdas, np.linspace(0.0, T_DESK, n_t), T_DESK)
     g = rng.standard_normal((len(bw), n_t))
-    folded = _pair(g, U, apply_ct(S), bw, wt)
-    direct = _pair(apply_c(g), U, S, bw, wt)
+    folded = Factors(U, apply_ct(S), bw, wt).pair(g)
+    direct = Factors(U, S, bw, wt).pair(apply_c(g))
     assert np.abs(folded - direct).max() <= 1e-12 * np.abs(direct).max()
     spikes = np.zeros((len(bw), n_t))
     spikes[:, -1] = 1.0 / wt[-1]
-    terminal = _pair(g, np.diag(1.0 / bw), apply_ct(spikes), bw, wt)
+    terminal = Factors(np.diag(1.0 / bw), apply_ct(spikes), bw, wt).pair(g)
     smoothed = apply_c(g)
     assert np.abs(terminal - smoothed[:, -1]).max() <= 1e-12 * np.abs(smoothed).max()
 
@@ -140,6 +142,30 @@ def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
         calls.clear()
         assert h1_star_experiment(ramp, T_DESK, desk_basis, budget=budget).iterations == budget
         assert sorted(calls) == ["apply_c", "apply_ct"]
+
+
+def test_time_weights_built_once_per_synthesis(desk_basis, monkeypatch):
+    """Each synthesis builds the weights of its boundary-cylinder product once."""
+    built = []
+    real = waveop.time_weights
+
+    def counting(n_t, dt):
+        built.append(n_t)
+        return real(n_t, dt)
+
+    # control_lab is patched too in case it binds the name itself
+    for module in (waveop, control_lab):
+        if hasattr(module, "time_weights"):
+            monkeypatch.setattr(module, "time_weights", counting)
+    y = presets.smooth_interior_target(desk_basis.domain)
+    for control_class in CONTROL_CLASSES:
+        built.clear()
+        prob = SynthesisProblem(target=y, T=T_DESK, control_class=control_class, budget=5)
+        synthesize_control(prob, desk_basis)
+        assert built == [prob.n_steps + 1]
+    built.clear()
+    h1_star_experiment(presets.ramp_target(desk_basis.domain), T_DESK, desk_basis, budget=5)
+    assert built == [DEFAULT_TIME_STEPS + 1]
 
 
 def test_identity_class_operators():

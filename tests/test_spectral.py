@@ -305,14 +305,6 @@ def test_ds_norm_weights(interval_basis):
     assert spectral.ds_norm(e0, 0.0, interval_basis) == pytest.approx(1.0)
 
 
-def test_rescaled_mode_unit_ds_norm(interval_basis):
-    for s in (1.0, 2.0):
-        for k in (0, 13):
-            m = spectral.rescaled_mode(interval_basis, k, s)
-            coeffs = spectral.project(m, interval_basis).alphas
-            assert spectral.ds_norm(coeffs, s, interval_basis) == pytest.approx(1.0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_ds_inner_cauchy_schwarz(seed, small_basis):

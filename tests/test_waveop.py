@@ -112,6 +112,28 @@ def test_factor_kernels_match_full_contractions(request, rng, basis_name):
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("basis_name", ["desk", "square_33"])
+def test_factors_adjoint_and_gramian(request, rng, basis_name):
+    """expand is the F-adjoint of pair, and pair(expand(c)) is the Gramian times c."""
+    if basis_name == "desk":
+        basis = request.getfixturevalue("desk_basis")
+    else:
+        basis = spectral.eigensolve(geometry.rectangle(shape=(33, 33)), 100, backend="fd")
+    fac = waveop.modal_factors(basis, 0.75, 256)
+    U, V, bw, wt = fac.U, fac.V, fac.bw, fac.wt
+    c = rng.standard_normal(basis.n_modes)
+    g = rng.standard_normal(U.shape[1:] + V.shape[1:])
+    lhs, rhs = fac.inner(fac.expand(c), g), c @ fac.pair(g)
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    gramian = ((U * bw) @ U.T) * ((V * wt) @ V.T)
+    expect = gramian @ c
+    got = fac.pair(fac.expand(c))
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    # a replaced factor is paired with its own weighted copy, not the cached one
+    doubled = replace(fac, U=2.0 * U).pair(g)
+    assert np.abs(doubled - 2.0 * fac.pair(g)).max() <= 1e-12 * np.abs(doubled).max()
+
+
 def test_dalembert_traveling_pulse(interval_domain, interval_basis):
     # left-end control, T short enough that the front never reflects
     T = 0.75
@@ -241,21 +263,6 @@ def test_support_violation_short_horizon(interval_domain, interval_basis):
     band = 2 * dist.h + 2 * T / 1024
     v = waveop.support_violation(u, region, band, interval_basis.mass_weights)
     assert v <= 1e-3
-
-
-def test_truncate_control():
-    f = waveop.BoundaryControl(samples=np.ones((2, 11)), T=1.0)
-    g = waveop.truncate_control(f, 6)
-    assert g.samples.shape == (2, 6)
-    assert g.T == pytest.approx(0.5)
-
-
-def test_control_time_derivative():
-    t = np.linspace(0, 1.0, 1001)
-    f = waveop.BoundaryControl(samples=np.sin(2 * np.pi * t)[None, :], T=1.0)
-    df = waveop.control_time_derivative(f)
-    expect = 2 * np.pi * np.cos(2 * np.pi * t)
-    np.testing.assert_allclose(df.samples[0], expect, atol=1e-3)
 
 
 def test_random_smooth_control_support_and_regularity(interval_basis, rng):
