@@ -128,9 +128,15 @@ def time_weights(n_t: int, dt: float) -> np.ndarray:
     return grid_trapezoid_weights((n_t,), (dt,))
 
 
+def _f_product(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray) -> float:
+    # the time sum as one matrix-vector product, then the boundary sum; the
+    # CGLS iteration count of an ill-conditioned solve moves with this order
+    return float(np.sum((f * g) @ wt * bw))
+
+
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:
     """Inner product on the boundary cylinder: boundary measure x trapezoid."""
-    return float(np.einsum("gt,gt,g,t->", f, g, bweights, time_weights(f.shape[1], dt)))
+    return _f_product(f, g, bweights, time_weights(f.shape[1], dt))
 
 
 def f_norm(f: np.ndarray, bweights: np.ndarray, dt: float) -> float:
@@ -175,15 +181,16 @@ class Factors:
         return self.U * self.bw, self.V * self.wt
 
     def pair(self, g: np.ndarray) -> np.ndarray:
+        # the GEMM contracts the long time axis; the temporary is (J, n_bnd)
         Ub, Vw = self._weighted
-        return np.sum((Ub @ g) * Vw, axis=1)
+        return np.sum(Ub * (Vw @ g.T), axis=1)
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """sum_j c_j U_j x V_j as (n_bnd, n_t) samples."""
         return (self.U.T * c) @ self.V
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.einsum("gt,gt,g,t->", f, g, self.bw, self.wt))
+        return _f_product(f, g, self.bw, self.wt)
 
 
 def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:

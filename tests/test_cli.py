@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavecontrol
-from wavecontrol import cli, control_lab, presets, waveop
+from wavecontrol import cli, control_lab, presets, regularizer, waveop
 from wavecontrol.cli import ConfigError, ExperimentConfig, parse_config
 
 FAST = """
@@ -497,6 +497,55 @@ def test_verify_report_items_and_bounds():
     for items in report["suites"].values():
         for item in items:
             assert isinstance(item["passed"], bool)
+
+
+@pytest.mark.parametrize(
+    "overrides, builds",
+    [({}, 1), ({"preset": "square", "nx": 33, "ny": 33, "n_modes": 40}, 2)],
+    ids=["desk", "square_33"],
+)
+def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrides, builds):
+    """Trials share a mollifier matrix, drawn in the per-trial order.
+
+    All ten fit one pass on the interval's two boundary nodes; the 128 rows
+    of a 33^2 square fit eight to a 1025-row matrix, so it takes two.
+    """
+    cfg = ExperimentConfig(**overrides)
+    domain = cli.build_domain(cfg)
+    basis = cli.build_basis(cfg, domain)
+    built, passes = [], []
+    real_matrix, real_smooth = regularizer.mollifier_matrix, cli.smooth_control
+
+    def counting_matrix(*args, **kwargs):
+        built.append(args)
+        return real_matrix(*args, **kwargs)
+
+    def recording_smooth(f, *args):
+        out = real_smooth(f, *args)
+        passes.append(out.samples)
+        return out
+
+    monkeypatch.setattr(regularizer, "mollifier_matrix", counting_matrix)
+    monkeypatch.setattr(cli, "smooth_control", recording_smooth)
+    rng = np.random.default_rng(cfg.seed)
+    (item,) = cli._suite_smoothing_identity(cfg, domain, basis, rng)
+    assert item["passed"]
+    assert len(built) == len(passes) == builds
+    # the same draws in the interleaved order: f, then y, per trial
+    redraw = np.random.default_rng(cfg.seed)
+    controls = []
+    for _ in range(10):
+        controls.append(
+            waveop.random_smooth_control(
+                basis, cfg.T, redraw, n_steps=cfg.n_steps, support=(cfg.delta, cfg.T)
+            )
+        )
+        waveop.random_state(basis, redraw)
+    assert rng.bit_generator.state == redraw.bit_generator.state
+    for f, rows in zip(controls, np.split(np.vstack(passes), 10)):
+        expect = real_smooth(f, cfg.epsilon, cfg.delta).samples
+        assert np.abs(rows - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert len(built) == builds + 10  # the patch sees every build: one per trial above
 
 
 def test_verify_catches_broken_quadrature(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,37 @@ def test_factors_adjoint_and_gramian(request, rng, basis_name):
     # a replaced factor is paired with its own weighted copy, not the cached one
     doubled = replace(fac, U=2.0 * U).pair(g)
     assert np.abs(doubled - 2.0 * fac.pair(g)).max() <= 1e-12 * np.abs(doubled).max()
+
+
+@pytest.mark.parametrize("basis_name", ["desk", "square_33"])
+def test_f_product_matches_full_contraction(request, rng, basis_name):
+    """Factors.inner and f_inner against the four-operand contraction."""
+    if basis_name == "desk":
+        basis = request.getfixturevalue("desk_basis")
+    else:
+        basis = spectral.eigensolve(geometry.rectangle(shape=(33, 33)), 100, backend="fd")
+    T, n_steps = 0.75, 256
+    fac = waveop.modal_factors(basis, T, n_steps)
+    f = rng.standard_normal(fac.U.shape[1:] + fac.V.shape[1:])
+    g = rng.standard_normal(f.shape)
+    expect = np.einsum("gt,gt,g,t->", f, g, fac.bw, fac.wt)
+    assert abs(fac.inner(f, g) - expect) <= 1e-14 * abs(expect)
+    assert abs(waveop.f_inner(f, g, fac.bw, T / n_steps) - expect) <= 1e-14 * abs(expect)
+
+
+def test_pair_allocates_no_time_axis_temporary(desk_basis, rng):
+    """pair contracts the time axis inside its GEMM: no (J, n_t) temporary."""
+    fac = waveop.modal_factors(desk_basis, 0.75, waveop.DEFAULT_TIME_STEPS)
+    J, n_t = fac.V.shape
+    g = rng.standard_normal((fac.U.shape[1], n_t))
+    fac.pair(g)  # build the cached weighted factors outside the trace
+    tracemalloc.start()
+    try:
+        fac.pair(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * J * n_t * 8
 
 
 def test_dalembert_traveling_pulse(interval_domain, interval_basis):
