@@ -46,6 +46,7 @@ EXPERIMENTS = (
     ("beta_default", "beta", {}),
     ("control_unreachable", "control", {"T": 0.3, "target": "center_bump"}),
     ("control_in_range", "control", {"target": "in_range"}),
+    ("control_smooth", "control", {"target": "smooth_interior", "control_class": "smooth"}),
     (
         "control_smooth_class",
         "control",

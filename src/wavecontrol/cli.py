@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,16 @@ import numpy.random  # noqa: F401  verify seeds a generator; load it with the mo
 from . import __version__
 from . import geometry, presets
 from .control_lab import (
-    CONTROL_CLASSES,
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
     h1_star_experiment,
     observability_test,
+    residual_curve,
     synthesize_control,
     unreachability_bound,
 )
 from .regularizer import (
+    CONTROL_CLASSES,
     beta,
     beta_table,
     regularize_state,
@@ -380,7 +381,7 @@ def _run_control(cfg, out, domain, timings):
         n_steps=cfg.n_steps,
     )
     t0 = time.perf_counter()
-    results = [synthesize_control(replace(problem, alpha=a), basis) for a in cfg.alphas]
+    results = residual_curve(problem, cfg.alphas, basis)
     res = results[-1]
     timings["synthesis"] = time.perf_counter() - t0
     dist = geometry.eikonal_distance(domain)
@@ -510,7 +511,7 @@ def _suite_regularizer(cfg, domain, basis, rng):
     k = int(rng.integers(0, basis.n_modes))
     ek = StateField(basis.modes[k].copy())
     smoothed = regularize_state(ek, cfg.epsilon, basis)
-    coeffs = project(smoothed.values, basis).alphas
+    coeffs = project(smoothed.values, basis)
     expect = np.zeros(basis.n_modes)
     expect[k] = beta(cfg.epsilon, lam[k])
     dev = float(np.abs(coeffs - expect).max())
@@ -556,7 +557,7 @@ def _smoothing_pass(cfg, basis, rng, bvals, n):
     dt = cfg.T / cfg.n_steps
     worst = 0.0
     for y, f, f_eps in zip(states, np.split(raw, n), np.split(smoothed, n)):
-        alphas = project(y.values, basis).alphas
+        alphas = project(y.values, basis)
         lhs = float(control_to_modal(BoundaryControl(f_eps, cfg.T), basis) @ alphas)
         rhs = float(control_to_modal(BoundaryControl(f, cfg.T), basis) @ (bvals * alphas))
         g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)

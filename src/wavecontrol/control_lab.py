@@ -7,10 +7,11 @@ penalty on the control.  Because the forward and observation operators are
 exact discrete adjoints, the normal equations are available without any
 auxiliary PDE solves.
 
-Restricted control classes are realized structurally: candidates are masked
-to [delta, T] and post-composed with time mollification, antisymmetrized
-about the horizon when the class requires the final snapshot data and its
-even time derivatives to vanish at t = T.
+Restricted control classes are realized structurally by the class operator
+of ``regularizer.class_operators``: candidates are masked to [delta, T] and
+post-composed with time mollification, antisymmetrized about the horizon when
+the class requires the final snapshot data and its even time derivatives to
+vanish at t = T.
 
 The H1 experiment reconstructs reachable states as a boundary lifting plus a
 modal correction.  Truncated modal sums vanish on the boundary, so without
@@ -28,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
-from .regularizer import mollifier_matrix
+from .regularizer import CONTROL_CLASSES, _identity, class_operators
 from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
@@ -46,7 +47,6 @@ __all__ = [
     "UnreachabilityReport",
     "ObservabilityVerdict",
     "DEFAULT_ALPHA_SCHEDULE",
-    "CONTROL_CLASSES",
     "synthesize_control",
     "residual_curve",
     "unreachability_bound",
@@ -58,8 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-
-CONTROL_CLASSES = ("all_of_F", "smooth", "smooth_vanishing_at_T")
 
 
 @dataclass
@@ -114,30 +112,6 @@ class SynthesisResult:
     wall_time: float
 
 
-def _identity(x):
-    return x
-
-
-def _class_operators(problem: SynthesisProblem, n_t: int):
-    """Pair (C, C*) realizing the control class inside the ambient space."""
-    if problem.control_class == "all_of_F":
-        return _identity, _identity
-    T = problem.T
-    mask = np.linspace(0.0, T, n_t) >= problem.delta - 1e-12 * T
-    KW = mollifier_matrix(
-        problem.epsilon, T, n_t, antisymmetric=problem.control_class == "smooth_vanishing_at_T"
-    )
-
-    def apply_c(g):
-        return (g * mask) @ KW.T
-
-    def apply_ct(z):
-        # kernel symmetric, weights shared: the mask and smoothing swap order
-        return (z @ KW.T) * mask
-
-    return apply_c, apply_ct
-
-
 def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, budget, tol):
     """CGLS for min |A g - rhs|_data^2 + alpha |g|_ctrl^2.
 
@@ -185,7 +159,9 @@ def _solve(problem, fac, rhs, to_data, from_data, inner_data) -> SynthesisResult
     norm are measured in it.
     """
     start = time.perf_counter()
-    apply_c, apply_ct = _class_operators(problem, len(fac.wt))
+    apply_c, apply_ct = class_operators(
+        problem.control_class, problem.T, problem.delta, problem.epsilon, len(fac.wt)
+    )
     # C acts in time only, so its adjoint folds into the time factors
     fac = replace(fac, V=apply_ct(fac.V))
     fwd = lambda g: to_data(fac.pair(g))
@@ -204,16 +180,8 @@ def _solve(problem, fac, rhs, to_data, from_data, inner_data) -> SynthesisResult
     norm = lambda u: float(np.sqrt(max(inner_data(u, u), 0.0)))
     final = norm(fwd(g) - rhs)
     target_norm = norm(rhs)
-    restricted = problem.control_class != "all_of_F"
-    control = BoundaryControl(
-        samples=apply_c(g),
-        T=problem.T,
-        vanishes_near_zero=restricted,
-        zero_band=max(problem.delta - problem.epsilon, 0.0) if restricted else 0.0,
-        vanishes_at_T_even_derivatives=problem.control_class == "smooth_vanishing_at_T",
-    )
     return SynthesisResult(
-        control=control,
+        control=BoundaryControl(samples=apply_c(g), T=problem.T),
         residual_history=history,
         final_residual=final,
         target_norm=target_norm,
@@ -232,7 +200,7 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     is returned with converged = False.
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
-    y_hat = weights_s * project(problem.target.values, basis).alphas
+    y_hat = weights_s * project(problem.target.values, basis)
     fac = modal_factors(basis, problem.T, problem.n_steps)
     # the weighted forward map W: s-weighted traces x sines
     fac = replace(fac, U=weights_s[:, None] * fac.U)
@@ -242,27 +210,16 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
 def residual_curve(
     problem: SynthesisProblem, alphas=DEFAULT_ALPHA_SCHEDULE, basis: SpectralBasis = None
 ) -> list:
-    """Synthesis sweep over a decreasing positive Tikhonov schedule."""
+    """Synthesis sweep over a decreasing positive Tikhonov schedule.
+
+    One synthesize_control per alpha; the results in schedule order.
+    """
     alphas = list(alphas)
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha schedule must be positive")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])) or sorted(
-        alphas, reverse=True
-    ) != alphas:
+    if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha schedule must be strictly decreasing")
-    rows = []
-    for a in alphas:
-        res = synthesize_control(replace(problem, alpha=a), basis)
-        rows.append(
-            {
-                "alpha": a,
-                "final_residual": res.final_residual,
-                "relative_residual": res.relative_residual,
-                "iterations": res.iterations,
-                "converged": res.converged,
-            }
-        )
-    return rows
+    return [synthesize_control(replace(problem, alpha=a), basis) for a in alphas]
 
 
 @dataclass(frozen=True)

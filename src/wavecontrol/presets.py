@@ -91,9 +91,7 @@ def pulse_control(
     times = np.linspace(0.0, T, n_steps + 1)
     samples = np.zeros((n_boundary, n_steps + 1))
     samples[row] = _pulse_samples(times, support, sharpness)
-    return BoundaryControl(
-        samples=samples, T=T, vanishes_near_zero=True, zero_band=support[0]
-    )
+    return BoundaryControl(samples=samples, T=T)
 
 
 def two_sided_pulse_control(
@@ -106,9 +104,7 @@ def two_sided_pulse_control(
     """The same pulse on every boundary row."""
     times = np.linspace(0.0, T, n_steps + 1)
     samples = np.tile(_pulse_samples(times, support, sharpness), (n_boundary, 1))
-    return BoundaryControl(
-        samples=samples, T=T, vanishes_near_zero=True, zero_band=support[0]
-    )
+    return BoundaryControl(samples=samples, T=T)
 
 
 def stored_reference_control(

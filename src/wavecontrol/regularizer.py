@@ -6,9 +6,10 @@ induces diagonal spectral multipliers
 
     beta_k(eps) = integral phi(t) cos(eps sqrt(lambda_k) t) dt,
 
-which damp a velocity perturbation mode by mode.  Smoothing a boundary
-control combines phi_eps with its reflection about t = T so the result and
-all its even time derivatives vanish at the horizon.
+which damp a velocity perturbation mode by mode.  The control classes are
+defined once, by ``class_operators``: support in [delta, T] and phi_eps in
+time, combined with its reflection about t = T when the result and all its
+even time derivatives must vanish at the horizon.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
     "beta_table",
     "regularize_state",
     "mollifier_matrix",
+    "CONTROL_CLASSES",
+    "class_operators",
     "smooth_control",
     "write_beta_csv",
 ]
@@ -141,7 +144,7 @@ def beta_table(epsilon: float, lambdas: np.ndarray) -> np.ndarray:
 
 def regularize_state(y: StateField, epsilon: float, basis: SpectralBasis) -> StateField:
     """Diagonal action in the eigenbasis: coefficient k scaled by beta_k."""
-    alphas = project(y.values, basis).alphas
+    alphas = project(y.values, basis)
     betas = beta_table(epsilon, basis.lambdas)
     return StateField(values=reconstruct(alphas * betas, basis), role=y.role)
 
@@ -168,10 +171,42 @@ def mollifier_matrix(epsilon: float, T: float, n_t: int, antisymmetric: bool) ->
     return K
 
 
+CONTROL_CLASSES = ("all_of_F", "smooth", "smooth_vanishing_at_T")
+
+
+def _identity(x):
+    return x
+
+
+def class_operators(control_class: str, T: float, delta: float, epsilon: float, n_t: int):
+    """Pair (C, C*) realizing a control class on n_t samples of [0, T].
+
+    "all_of_F" is the identity; "smooth" masks samples to [delta, T] and
+    mollifies in time; "smooth_vanishing_at_T" antisymmetrizes the mollifier
+    about the horizon.  C acts on (n_bnd, n_t) samples as (g * mask) @ KW.T.
+    """
+    if control_class not in CONTROL_CLASSES:
+        raise ValueError(f"unknown control class {control_class!r}")
+    if control_class == "all_of_F":
+        return _identity, _identity
+    mask = np.linspace(0.0, T, n_t) >= delta - 1e-12 * T
+    KW = mollifier_matrix(epsilon, T, n_t, antisymmetric=control_class == "smooth_vanishing_at_T")
+
+    def apply_c(g):
+        return (g * mask) @ KW.T
+
+    def apply_ct(z):
+        # kernel symmetric, weights shared: the mask and smoothing swap order
+        return (z @ KW.T) * mask
+
+    return apply_c, apply_ct
+
+
 def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> BoundaryControl:
     """Time smoothing of a control supported in [delta, T].
 
-    Convolves with phi_eps antisymmetrized about the horizon:
+    Applies the "smooth_vanishing_at_T" class operator, the convolution with
+    phi_eps antisymmetrized about the horizon:
         out(t) = integral (phi_eps(t - s) - phi_eps(2T - t - s)) f(s) ds,
     discretized with the control's own trapezoid weights.  The output vanishes
     identically on [0, delta - eps], vanishes exactly at t = T, and its even
@@ -192,14 +227,8 @@ def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> Boundary
             f"control must vanish before t=delta={delta}; "
             f"nonzero sample at boundary row {bad[0]}, t={t[early][bad[1]]:g}"
         )
-    out = f.samples @ mollifier_matrix(epsilon, f.T, f.n_t, antisymmetric=True).T
-    return BoundaryControl(
-        samples=out,
-        T=f.T,
-        vanishes_near_zero=True,
-        zero_band=max(delta - epsilon, 0.0),
-        vanishes_at_T_even_derivatives=True,
-    )
+    apply_c = class_operators("smooth_vanishing_at_T", f.T, delta, epsilon, f.n_t)[0]
+    return BoundaryControl(samples=apply_c(f.samples), T=f.T)
 
 
 def write_beta_csv(path, basis: SpectralBasis, epsilon: float) -> None:

@@ -27,13 +27,10 @@ from .geometry import DomainSpec, interval, trapezoid_weights
 
 __all__ = [
     "SpectralBasis",
-    "ModalCoefficients",
     "eigensolve",
     "fd_operator",
     "project",
     "reconstruct",
-    "ds_inner",
-    "ds_norm",
     "write_spectrum_csv",
 ]
 
@@ -78,17 +75,6 @@ class SpectralBasis:
         flat = self.modes.reshape(self.n_modes, -1)
         w = self.mass_weights.ravel()
         return (flat * w) @ flat.T
-
-
-@dataclass
-class ModalCoefficients:
-    """Coefficients against the stored eigenbasis."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.alphas)):
-            raise ValueError("non-finite modal coefficients")
 
 
 def eigensolve(domain: DomainSpec, n_modes: int, backend: str = "auto") -> SpectralBasis:
@@ -291,42 +277,23 @@ def _conormal_traces(domain: DomainSpec, modes: np.ndarray) -> np.ndarray:
     return full[:, domain.boundary_mask]
 
 
-def project(values: np.ndarray, basis: SpectralBasis) -> ModalCoefficients:
+def project(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Mass-weighted modal coefficients of a grid function."""
     if values.shape != tuple(basis.domain.shape):
         raise ValueError(
             f"grid mismatch: values {values.shape}, domain {tuple(basis.domain.shape)}"
         )
     flat = basis.modes.reshape(basis.n_modes, -1)
-    alphas = flat @ (basis.mass_weights.ravel() * values.ravel())
-    return ModalCoefficients(alphas=alphas)
+    return flat @ (basis.mass_weights.ravel() * values.ravel())
 
 
-def reconstruct(coeffs: ModalCoefficients | np.ndarray, basis: SpectralBasis) -> np.ndarray:
+def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Grid function of a modal coefficient vector."""
-    alphas = coeffs.alphas if isinstance(coeffs, ModalCoefficients) else np.asarray(coeffs)
+    alphas = np.asarray(coeffs)
     if len(alphas) != basis.n_modes:
         raise ValueError("coefficient count does not match basis")
     flat = basis.modes.reshape(basis.n_modes, -1)
     return (alphas @ flat).reshape(basis.domain.shape)
-
-
-def ds_inner(y, w, s: float, basis: SpectralBasis) -> float:
-    """Smoothness-weighted inner product sum_k lambda_k^s alpha_k beta_k.
-
-    Accepts ModalCoefficients or plain coefficient arrays.
-    """
-    if s < 0:
-        raise ValueError(f"weight order s must be nonnegative, got {s}")
-    ya = y.alphas if isinstance(y, ModalCoefficients) else np.asarray(y, dtype=float)
-    wa = w.alphas if isinstance(w, ModalCoefficients) else np.asarray(w, dtype=float)
-    if len(ya) != basis.n_modes or len(wa) != basis.n_modes:
-        raise ValueError("coefficient length does not match the basis truncation")
-    return float(np.sum(basis.lambdas**s * ya * wa))
-
-
-def ds_norm(y: ModalCoefficients, s: float, basis: SpectralBasis) -> float:
-    return float(np.sqrt(max(ds_inner(y, y, s, basis), 0.0)))
 
 
 def write_spectrum_csv(path, basis: SpectralBasis) -> None:

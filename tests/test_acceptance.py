@@ -76,9 +76,7 @@ def test_criterion_03_regularizer_identities(desk_basis, acceptance_log):
     diag_dev = 0.0
     for k in (0, 5, 31):
         y = presets.mode_target(desk_basis, k)
-        coeffs = spectral.project(
-            regularize_state(y, eps, desk_basis).values, desk_basis
-        ).alphas
+        coeffs = spectral.project(regularize_state(y, eps, desk_basis).values, desk_basis)
         expect = np.zeros(desk_basis.n_modes)
         expect[k] = betas[k]
         diag_dev = max(diag_dev, float(np.abs(coeffs - expect).max()))
@@ -289,10 +287,10 @@ def test_criterion_07_reachable_closure(desk_basis, baselines, acceptance_log):
     )
     ref = baselines["d1_smooth_vanishing_relative_residual"]
 
-    rows = residual_curve(
+    curve = residual_curve(
         SynthesisProblem(target=y_in, T=T_DESK), basis=desk_basis
     )
-    finals = [r["final_residual"] for r in rows]
+    finals = [r.final_residual for r in curve]
     monotone = all(b <= a + 1e-12 * finals[0] for a, b in zip(finals, finals[1:]))
 
     passed = (

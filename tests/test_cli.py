@@ -123,7 +123,7 @@ _CONFIG_VALUES = st.one_of(
     st.sampled_from(
         ("0", "1", "true", "false", "yes", "", ",", "-1", "1e-2, 1e-4", "1e-4,1e-2")
         + cli._PRESETS
-        + control_lab.CONTROL_CLASSES
+        + regularizer.CONTROL_CLASSES
         + ("ramp", "in_range", "center_bump")
     ),
     st.integers(-(10**6), 10**6).map(str),
@@ -152,7 +152,7 @@ def test_config_grammar_parses_or_raises_config_error(lines):
     assert 0 < cfg.epsilon < cfg.delta < cfg.T
     assert cfg.s >= 0 and cfg.budget >= 1 and cfg.n_steps >= 2
     assert cfg.alphas and all(a > 0 for a in cfg.alphas)
-    assert cfg.control_class in control_lab.CONTROL_CLASSES
+    assert cfg.control_class in regularizer.CONTROL_CLASSES
 
 
 @pytest.mark.parametrize(
@@ -268,7 +268,7 @@ _RUN_CONFIGS = st.fixed_dictionaries(
         "budget": st.integers(1, 5),
         "T": _finite_or(0.06, 2.0),
         "target": st.sampled_from(tuple(presets.TARGET_PRESETS)),
-        "control_class": st.sampled_from(control_lab.CONTROL_CLASSES),
+        "control_class": st.sampled_from(regularizer.CONTROL_CLASSES),
         "seed": st.integers(0, 2**32 - 1),
     },
     optional={

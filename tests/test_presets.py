@@ -48,7 +48,6 @@ def test_pulse_control_rows_and_band():
     times = f.times
     assert np.all(f.samples[1, times <= 0.1] == 0.0)
     assert np.all(f.samples[1, times >= 0.5] == 0.0)
-    assert f.vanishes_near_zero and f.zero_band == pytest.approx(0.1)
 
 
 def test_two_sided_pulse_is_row_uniform():

@@ -158,7 +158,7 @@ def test_regularize_state_is_modal_multiplier(interval_basis, rng):
     y = waveop.StateField(spectral.reconstruct(alphas, interval_basis))
     eps = 0.04
     smoothed = regularizer.regularize_state(y, eps, interval_basis)
-    got = spectral.project(smoothed.values, interval_basis).alphas
+    got = spectral.project(smoothed.values, interval_basis)
     expect = alphas * regularizer.beta_table(eps, interval_basis.lambdas)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -238,10 +238,21 @@ def test_smooth_control_structure(interval_basis, rng):
     delta, eps = 0.075, 0.0375
     f = waveop.random_smooth_control(interval_basis, T, rng, support=(delta, T))
     g = regularizer.smooth_control(f, eps, delta)
-    assert g.vanishes_near_zero and g.vanishes_at_T_even_derivatives
     t = g.times
     assert np.abs(g.samples[:, t <= delta - eps]).max() == 0.0
     assert np.abs(g.samples[:, -1]).max() == 0.0
+
+
+def test_smooth_control_is_the_vanishing_class_operator(interval_basis, rng):
+    T, delta, eps = 0.75, 0.075, 0.0375
+    f = waveop.random_smooth_control(interval_basis, T, rng, support=(delta, T))
+    apply_c = regularizer.class_operators("smooth_vanishing_at_T", T, delta, eps, f.n_t)[0]
+    assert np.array_equal(regularizer.smooth_control(f, eps, delta).samples, apply_c(f.samples))
+
+
+def test_class_operators_refuse_unknown_class():
+    with pytest.raises(ValueError, match="control class"):
+        regularizer.class_operators("bounded_variation", 0.75, 0.075, 0.0375, 33)
 
 
 def test_smooth_control_pairing_identity(interval_basis, rng):
@@ -253,7 +264,7 @@ def test_smooth_control_pairing_identity(interval_basis, rng):
     for _ in range(5):
         f = waveop.random_smooth_control(interval_basis, T, rng, support=(delta, T))
         y = waveop.random_state(interval_basis, rng)
-        alphas = spectral.project(y.values, interval_basis).alphas
+        alphas = spectral.project(y.values, interval_basis)
         f_eps = regularizer.smooth_control(f, eps, delta)
         lhs = waveop.control_to_modal(f_eps, interval_basis) @ alphas
         rhs = waveop.control_to_modal(f, interval_basis) @ (bvals * alphas)

@@ -22,14 +22,6 @@ def test_boundary_control_validation():
     assert f.dt == pytest.approx(1.0 / 8)
 
 
-def test_zero_band_consistency_check():
-    samples = np.ones((1, 11))
-    with pytest.raises(ValueError, match="vanishing"):
-        waveop.BoundaryControl(
-            samples=samples, T=1.0, vanishes_near_zero=True, zero_band=0.3
-        )
-
-
 def test_grid_sin_factors_memoized_read_only():
     basis = spectral.eigensolve(geometry.interval(n=65), 12)
     S = waveop._grid_sin_factors(basis, 0.75, 256)
@@ -107,7 +99,7 @@ def test_factor_kernels_match_full_contractions(request, rng, basis_name):
     got = waveop.control_to_modal(f, basis)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
     y = waveop.random_state(basis, rng)
-    alphas = spectral.project(y.values, basis).alphas
+    alphas = spectral.project(y.values, basis)
     expect = np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
     got = waveop.observe(y, T, basis, n_steps=256).samples
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -197,6 +189,27 @@ def test_duality_2d(square_basis, rng):
     f = waveop.random_control(square_basis, 0.4, rng, n_steps=256)
     y = waveop.random_state(square_basis, rng)
     assert waveop.verify_duality(f, y, square_basis) <= 1e-12
+
+
+def test_duality_builds_one_factor_object(interval_basis, rng, monkeypatch):
+    """Both sides of the identity come from one modal_factors build per call."""
+    built = []
+    real = waveop.modal_factors
+
+    def counting(*args):
+        built.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(waveop, "modal_factors", counting)
+    f = waveop.random_control(interval_basis, 0.75, rng, n_steps=256)
+    y = waveop.random_state(interval_basis, rng)
+    for broken in (False, True):
+        built.clear()
+        waveop.verify_duality(f, y, interval_basis, _break_weights=broken)
+        assert built == [(0.75, 256)]
+    one_row = waveop.BoundaryControl(samples=f.samples[:1], T=0.75)
+    with pytest.raises(ValueError, match="boundary rows"):
+        waveop.verify_duality(one_row, y, interval_basis)
 
 
 def test_fd_oracle_cfl_guard(interval_domain):
