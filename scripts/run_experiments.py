@@ -4,8 +4,8 @@
 Writes one artifact directory per experiment under --out-root (default
 ./out) and prints a one-line summary for each.  Every run is seeded and
 reproducible; see the manifest.json in each directory for the exact config.
-The coefficient table that ``eikonal_mixed_65`` reads is written into the
-out root first.
+The coefficient tables that ``eikonal_mixed_65`` and ``eikonal_jump_65``
+read are written into the out root first.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from wavecontrol.cli import ExperimentConfig, run
 
 # a coefficient_csv named here is the file of that name under --out-root
 MIXED_TABLE = "mixed_65.csv"
+JUMP_TABLE = "jump_65.csv"
 
 EXPERIMENTS = (
     ("eikonal_interval", "eikonal", {}),
@@ -29,6 +30,11 @@ EXPERIMENTS = (
         "eikonal_mixed_65",
         "eikonal",
         {"preset": "square", "nx": 65, "ny": 65, "coefficient_csv": MIXED_TABLE},
+    ),
+    (
+        "eikonal_jump_65",
+        "eikonal",
+        {"preset": "square", "nx": 65, "ny": 65, "coefficient_csv": JUMP_TABLE},
     ),
     ("spectrum_interval", "eigen", {}),
     ("spectrum_square", "eigen", {"preset": "square"}),
@@ -74,15 +80,31 @@ EXPERIMENTS = (
 )
 
 
-def write_mixed_table(path, n=65):
-    """Node table ``i,j,a11,a12,a22`` of a smooth medium with a mixed term.
-
-    The mixed term a12 != 0 sends the eikonal to its graph fallback.
-    """
-    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+def mixed_coefficients(x, y):
+    """A smooth medium with a mixed term a12 != 0: the eikonal's graph fallback."""
     a11 = 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y)
     a12 = 0.25 * np.cos(2 * x + y)
     a22 = 0.7 + 0.4 * x * y
+    return a11, a12, a22
+
+
+def jump_coefficients(x, y):
+    """Isotropic a = 1 | 100 across x = 0.5 with a12 = 0.
+
+    Fast marching runs on it, and along the jump the two-term upwind root
+    falls below a neighbour, so the one-sided update is taken.
+    """
+    a = np.where(x < 0.5, 1.0, 100.0)
+    return a, np.zeros_like(a), a
+
+
+TABLES = {MIXED_TABLE: mixed_coefficients, JUMP_TABLE: jump_coefficients}
+
+
+def write_coefficient_table(path, coefficients, n=65):
+    """Node table ``i,j,a11,a12,a22`` of the medium on the n x n unit grid."""
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+    a11, a12, a22 = coefficients(x, y)
     with open(path, "w") as fh:
         fh.write("i,j,a11,a12,a22\n")
         for (i, j), *values in zip(np.ndindex(n, n), a11.flat, a12.flat, a22.flat):
@@ -97,7 +119,8 @@ def main():
 
     root = Path(args.out_root)
     root.mkdir(parents=True, exist_ok=True)
-    write_mixed_table(root / MIXED_TABLE)
+    for name, coefficients in TABLES.items():
+        write_coefficient_table(root / name, coefficients)
     worst = 0
     for name, sub, overrides in EXPERIMENTS:
         if "coefficient_csv" in overrides:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -47,9 +48,9 @@ from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
-    control_to_modal,
     control_to_state,
     f_norm,
+    modal_factors,
     observe,
     random_control,
     random_smooth_control,
@@ -554,16 +555,15 @@ def _smoothing_pass(cfg, basis, rng, bvals, n):
         states.append(random_state(basis, rng))
     raw = np.vstack(raw)
     smoothed = smooth_control(BoundaryControl(raw, cfg.T), cfg.epsilon, cfg.delta).samples
-    dt = cfg.T / cfg.n_steps
+    # one factor object serves the forward map, the observation and the norms
+    fac = modal_factors(basis, cfg.T, cfg.n_steps)
     worst = 0.0
     for y, f, f_eps in zip(states, np.split(raw, n), np.split(smoothed, n)):
         alphas = project(y.values, basis)
-        lhs = float(control_to_modal(BoundaryControl(f_eps, cfg.T), basis) @ alphas)
-        rhs = float(control_to_modal(BoundaryControl(f, cfg.T), basis) @ (bvals * alphas))
-        g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)
-        scale = f_norm(f, basis.boundary_weights, dt) * f_norm(
-            g.samples, basis.boundary_weights, dt
-        )
+        lhs = float(fac.pair(f_eps) @ alphas)
+        rhs = float(fac.pair(f) @ (bvals * alphas))
+        g = fac.expand(alphas)
+        scale = math.sqrt(fac.inner(f, f)) * math.sqrt(fac.inner(g, g))
         worst = max(worst, abs(lhs - rhs) / scale if scale > 0 else 0.0)
     return worst
 

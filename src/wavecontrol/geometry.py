@@ -338,80 +338,75 @@ def _eikonal_1d(domain: DomainSpec) -> np.ndarray:
     return np.minimum(left, right)
 
 
-def _flat_table(values) -> array:
-    """Node values, row-major, as an array("d") that indexes to Python floats."""
-    return array("d", np.ascontiguousarray(values, dtype=float).tobytes())
-
-
-def _boundary_heap(domain: DomainSpec):
-    """Distance table at inf with the boundary at 0, and the heap of its nodes."""
-    tau = array("d", [math.inf]) * math.prod(domain.shape)
-    heap = []
-    for f in np.flatnonzero(domain.boundary_mask).tolist():
-        tau[f] = 0.0
-        heapq.heappush(heap, (0.0, f))
-    return tau, heap
+def _padded_table(values: np.ndarray, fill: float) -> array:
+    """Grid values inside a one-node ring of ``fill``, row-major, as an
+    array("d") that indexes to Python floats; numpy writes into its buffer."""
+    nx, ny = values.shape
+    table = array("d", [fill]) * ((nx + 2) * (ny + 2))
+    np.frombuffer(table).reshape(nx + 2, ny + 2)[1:-1, 1:-1] = values
+    return table
 
 
 def _fast_march_2d(domain: DomainSpec) -> np.ndarray:
     """Upwind fast marching for a11(x) tau_x^2 + a22(x) tau_y^2 = 1.
 
-    Nodes are flat indices f = i*ny + j; the neighbours of f are f +- ny
-    and f +- 1, guarded by the i and j bounds.
+    The grid carries a one-node pad ring: node (i, j) has flat index
+    f = (i+1)(ny+2) + (j+1), its neighbours are f +- (ny+2) and f +- 1, and
+    the pad starts accepted, so no neighbour needs a bounds check.  ``ta``
+    holds tau where a node is accepted and inf elsewhere, pad included, so
+    the smallest accepted neighbour per axis is a min of two reads.  f grows
+    with (i, j) as i*ny + j does, so equal times pop in row-major order.
     """
     nx, ny = domain.shape
     hx, hy = domain.spacings
-    a11 = domain.coeff[..., 0, 0].ravel()
-    a22 = domain.coeff[..., 1, 1].ravel()
-    px, py = _flat_table(a11 / hx**2), _flat_table(a22 / hy**2)
-    cx, cy = _flat_table(hx / np.sqrt(a11)), _flat_table(hy / np.sqrt(a22))
-    tau, heap = _boundary_heap(domain)
-    accepted = bytearray(nx * ny)
+    a11 = domain.coeff[..., 0, 0]
+    a22 = domain.coeff[..., 1, 1]
+    px, py = _padded_table(a11 / hx**2, 0.0), _padded_table(a22 / hy**2, 0.0)
+    cx, cy = _padded_table(hx / np.sqrt(a11), 0.0), _padded_table(hy / np.sqrt(a22), 0.0)
     inf, sqrt = math.inf, math.sqrt
+    boundary = domain.boundary_mask
+    tau = _padded_table(np.where(boundary, 0.0, inf), inf)
+    ta = array("d", [inf]) * len(tau)
+    accepted = bytearray(np.pad(np.zeros((nx, ny), np.uint8), 1, constant_values=1))
+    heap = [(0.0, f) for f in np.flatnonzero(np.pad(boundary, 1)).tolist()]
+    heapq.heapify(heap)  # keys are distinct, so the pops come in one order
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    def update(f, i, j):
-        # smallest accepted neighbor per axis, if any
-        ux = inf
-        if i > 0 and accepted[f - ny]:
-            ux = tau[f - ny]
-        if i < nx - 1 and accepted[f + ny]:
-            ux = min(ux, tau[f + ny])
-        uy = inf
-        if j > 0 and accepted[f - 1]:
-            uy = tau[f - 1]
-        if j < ny - 1 and accepted[f + 1]:
-            uy = min(uy, tau[f + 1])
-        if ux < inf and uy < inf:
-            # two-term quadratic: p (u-ux)^2 + q (u-uy)^2 = 1
-            p, q = px[f], py[f]
-            s, t = p + q, p * ux + q * uy
-            disc = t**2 - s * (p * ux**2 + q * uy**2 - 1.0)
-            if disc >= 0:
-                cand = (t + sqrt(disc)) / s
-                if cand >= max(ux, uy):
-                    return cand
-        # one-sided update; an axis without an accepted neighbor gives inf
-        return min(ux + cx[f], uy + cy[f])
-
+    NY = ny + 2
     while heap:
-        f = heappop(heap)[1]
+        u, f = heappop(heap)
         if accepted[f]:
             continue
         accepted[f] = 1
-        i, j = divmod(f, ny)
-        for g, gi, gj, inside in (
-            (f + ny, i + 1, j, i < nx - 1),
-            (f - ny, i - 1, j, i > 0),
-            (f + 1, i, j + 1, j < ny - 1),
-            (f - 1, i, j - 1, j > 0),
-        ):
-            if inside and not accepted[g]:
-                cand = update(g, gi, gj)
-                if cand < tau[g]:
-                    tau[g] = cand
-                    heappush(heap, (cand, g))
-    return np.frombuffer(tau).reshape(nx, ny).copy()
+        ta[f] = u
+        for g in (f + NY, f - NY, f + 1, f - 1):
+            if accepted[g]:
+                continue
+            # smallest accepted neighbour per axis, inf if none
+            ux, v = ta[g - NY], ta[g + NY]
+            if v < ux:
+                ux = v
+            uy, v = ta[g - 1], ta[g + 1]
+            if v < uy:
+                uy = v
+            cand = inf
+            if ux < inf and uy < inf:
+                # two-term quadratic: p (u-ux)^2 + q (u-uy)^2 = 1
+                p, q = px[g], py[g]
+                s, t = p + q, p * ux + q * uy
+                disc = t**2 - s * (p * ux**2 + q * uy**2 - 1.0)
+                if disc >= 0:
+                    cand = (t + sqrt(disc)) / s
+                    if cand < ux or cand < uy:
+                        cand = inf
+            if cand == inf:
+                # one-sided update; an axis without an accepted neighbour gives inf
+                cand, v = ux + cx[g], uy + cy[g]
+                if v < cand:
+                    cand = v
+            if cand < tau[g]:
+                tau[g] = cand
+                heappush(heap, (cand, g))
+    return np.frombuffer(tau).reshape(nx + 2, ny + 2)[1:-1, 1:-1].copy()
 
 
 def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:

@@ -505,7 +505,8 @@ def test_verify_report_items_and_bounds():
     ids=["desk", "square_33"],
 )
 def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrides, builds):
-    """Trials share a mollifier matrix, drawn in the per-trial order.
+    """Trials share a mollifier matrix and a modal factor object, drawn in
+    the per-trial order.
 
     All ten fit one pass on the interval's two boundary nodes; the 128 rows
     of a 33^2 square fit eight to a 1025-row matrix, so it takes two.
@@ -513,8 +514,13 @@ def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrid
     cfg = ExperimentConfig(**overrides)
     domain = cli.build_domain(cfg)
     basis = cli.build_basis(cfg, domain)
-    built, passes = [], []
+    built, passes, factors = [], [], []
     real_matrix, real_smooth = regularizer.mollifier_matrix, cli.smooth_control
+    real_factors = cli.modal_factors
+
+    def counting_factors(*args):
+        factors.append(args)
+        return real_factors(*args)
 
     def counting_matrix(*args, **kwargs):
         built.append(args)
@@ -527,10 +533,11 @@ def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrid
 
     monkeypatch.setattr(regularizer, "mollifier_matrix", counting_matrix)
     monkeypatch.setattr(cli, "smooth_control", recording_smooth)
+    monkeypatch.setattr(cli, "modal_factors", counting_factors)
     rng = np.random.default_rng(cfg.seed)
     (item,) = cli._suite_smoothing_identity(cfg, domain, basis, rng)
     assert item["passed"]
-    assert len(built) == len(passes) == builds
+    assert len(built) == len(passes) == len(factors) == builds
     # the same draws in the interleaved order: f, then y, per trial
     redraw = np.random.default_rng(cfg.seed)
     controls = []

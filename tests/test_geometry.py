@@ -1,12 +1,13 @@
 import csv
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import geometry, waveop
+from wavecontrol import cli, geometry, waveop
 
 
 def test_interval_defaults(interval_domain):
@@ -219,7 +220,12 @@ def _variable_rectangle(shape, a12=0.0):
 
 
 def _reference_fast_march(domain):
-    """Fast marching with numpy-scalar indexing, one node at a time."""
+    """Fast marching with numpy-scalar indexing, one node at a time.
+
+    Returns tau and the number of updates that had an accepted neighbour on
+    both axes but took the one-sided update, because the two-term root was
+    complex or fell below a neighbour.
+    """
     nx, ny = domain.shape
     hx, hy = domain.spacings
     a11 = domain.coeff[..., 0, 0]
@@ -227,11 +233,13 @@ def _reference_fast_march(domain):
     tau = np.full((nx, ny), np.inf)
     accepted = np.zeros((nx, ny), dtype=bool)
     heap = []
+    fallbacks = 0
     for i, j in domain.boundary_nodes():
         tau[i, j] = 0.0
         heapq.heappush(heap, (0.0, i * ny + j))
 
     def update(i, j):
+        nonlocal fallbacks
         ux = np.inf
         if i > 0 and accepted[i - 1, j]:
             ux = tau[i - 1, j]
@@ -253,6 +261,8 @@ def _reference_fast_march(domain):
                 if cand >= max(ux, uy):
                     best = cand
         if not np.isfinite(best):
+            if np.isfinite(ux) and np.isfinite(uy):
+                fallbacks += 1
             cand_x = ux + hx / np.sqrt(a11[i, j]) if np.isfinite(ux) else np.inf
             cand_y = uy + hy / np.sqrt(a22[i, j]) if np.isfinite(uy) else np.inf
             best = min(cand_x, cand_y)
@@ -271,7 +281,7 @@ def _reference_fast_march(domain):
                 if cand < tau[ii, jj]:
                     tau[ii, jj] = cand
                     heapq.heappush(heap, (cand, ii * ny + jj))
-    return tau
+    return tau, fallbacks
 
 
 def _reference_dijkstra(domain):
@@ -305,13 +315,53 @@ def _reference_dijkstra(domain):
     return tau
 
 
-def test_fast_march_matches_reference_loop():
-    # nx != ny, so a +-nx / +-ny mix-up in the flat offsets shows
-    dom = _variable_rectangle((37, 23))
+def _jump(x, y):
+    # a = 1 | 100 across x = 0.5: along the jump the two-term root falls
+    # below a neighbour, so the march takes its one-sided update
+    return np.where(x < 0.5, 1.0, 100.0)
+
+
+# (id, domain, whether the one-sided fallback must be taken); nx != ny, so a
+# +-nx / +-ny mix-up in the flat offsets shows, and 3-node axes have a single
+# interior line between two boundary faces
+_MARCH_CASES = [
+    ("3x3", lambda: _variable_rectangle((3, 3)), False),
+    ("3x17", lambda: _variable_rectangle((3, 17)), False),
+    ("17x3", lambda: _variable_rectangle((17, 3)), False),
+    ("37x23", lambda: _variable_rectangle((37, 23)), False),
+    ("jump_65", lambda: geometry.rectangle(shape=(65, 65), a11=_jump, a22=_jump), True),
+    (
+        "square_bump_33",
+        lambda: cli.build_domain(cli.ExperimentConfig(preset="square_bump", nx=33, ny=33)),
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, falls_back", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
+)
+def test_fast_march_matches_reference_loop(build, falls_back):
+    dom = build()
     tau = geometry.eikonal_distance(dom).tau
-    ref = _reference_fast_march(dom)
+    ref, fallbacks = _reference_fast_march(dom)
     assert np.all(np.isfinite(ref))
     assert np.array_equal(tau, ref)
+    if falls_back:
+        assert fallbacks > 0
+
+
+def test_fast_march_peak_memory_per_node():
+    # per-node tables of Python floats would cost about 94 bytes a node;
+    # array("d") tables with the pad ring stay near 63
+    dom = cli.build_domain(cli.ExperimentConfig(preset="square_bump"))
+    tracemalloc.start()
+    try:
+        geometry._fast_march_2d(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * np.prod(dom.shape)
 
 
 def test_dijkstra_matches_reference_loop():
