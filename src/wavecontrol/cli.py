@@ -261,8 +261,7 @@ def _run_eikonal(cfg, out, domain, timings):
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, cfg.T)
     timings["eikonal"] = time.perf_counter() - t0
-    geometry.write_distance_csv(out / "tau.csv", domain, dist)
-    geometry.write_region_csv(out / "region.csv", domain, region)
+    geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, dist, region)
     return {
         "T": cfg.T,
         "T_fill": geometry.filling_time(dist),

@@ -35,6 +35,7 @@ from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
+    _grid_sin_factors,
     control_to_modal,
     f_norm,
     modal_factors,
@@ -149,21 +150,17 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
     return g, np.array(history), its, bool(converged)
 
 
-def _solve(problem, fac, rhs, to_data, from_data, inner_data) -> SynthesisResult:
+def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> SynthesisResult:
     """CGLS over the control samples for a map held as rank-K factors.
 
-    The forward map is to_data(fac.pair(C g)) and its adjoint expands
-    from_data(z) over the same factors, so the class operator C acts on the
-    time factors once and on the output once, never per iteration.
-    inner_data is the data-space inner product; the misfit and the target
-    norm are measured in it.
+    fac's time factors already carry C*: C acts in time only, so its adjoint
+    folds into them.  The forward map is then to_data(fac.pair(g)) and its
+    adjoint expands from_data(z) over the same factors, so the class
+    operator acts on the time factors once and on the output (apply_c)
+    once, never per iteration.  inner_data is the data-space inner product;
+    the misfit and the target norm are measured in it.
     """
     start = time.perf_counter()
-    apply_c, apply_ct = class_operators(
-        problem.control_class, problem.T, problem.delta, problem.epsilon, len(fac.wt)
-    )
-    # C acts in time only, so its adjoint folds into the time factors
-    fac = replace(fac, V=apply_ct(fac.V))
     fwd = lambda g: to_data(fac.pair(g))
     adj = lambda z: fac.expand(from_data(z))
     g, history, its, converged = _cgls(
@@ -192,6 +189,26 @@ def _solve(problem, fac, rhs, to_data, from_data, inner_data) -> SynthesisResult
     )
 
 
+def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
+    """The class operator C and C* folded into the sine time factors.
+
+    Built once per basis, horizon, step count and class, and kept in the
+    basis's memo: an alpha sweep builds the mollifier matrix and the fold
+    once, and both are freed with the basis.
+    """
+    key = (problem.T, problem.n_steps, problem.control_class, problem.delta, problem.epsilon)
+
+    def build():
+        apply_c, apply_ct = class_operators(
+            problem.control_class, problem.T, problem.delta, problem.epsilon, problem.n_steps + 1
+        )
+        V = apply_ct(_grid_sin_factors(basis, problem.T, problem.n_steps))
+        V.setflags(write=False)
+        return apply_c, V
+
+    return basis.memo(key, build)
+
+
 def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
     """Minimize the weighted modal misfit of the final snapshot.
 
@@ -201,10 +218,11 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis)
+    apply_c, V = _class_fold(problem, basis)
     fac = modal_factors(basis, problem.T, problem.n_steps)
-    # the weighted forward map W: s-weighted traces x sines
-    fac = replace(fac, U=weights_s[:, None] * fac.U)
-    return _solve(problem, fac, y_hat, _identity, _identity, lambda u, v: float(u @ v))
+    # the weighted forward map W: s-weighted traces x class-folded sines
+    fac = replace(fac, U=weights_s[:, None] * fac.U, V=V)
+    return _solve(problem, fac, apply_c, y_hat, _identity, _identity, lambda u, v: float(u @ v))
 
 
 def residual_curve(
@@ -212,7 +230,10 @@ def residual_curve(
 ) -> list:
     """Synthesis sweep over a decreasing positive Tikhonov schedule.
 
-    One synthesize_control per alpha; the results in schedule order.
+    One synthesize_control per alpha, so each result carries its own CGLS
+    iteration count; the results in schedule order.  The class operator and
+    its fold into the time factors are built by the first solve and kept in
+    the basis's memo, so the sweep builds them once.
     """
     alphas = list(alphas)
     if any(a <= 0 for a in alphas):
@@ -314,6 +335,33 @@ def _axis_diff_weights(domain: DomainSpec, axis: int) -> np.ndarray:
     return reduce(np.multiply.outer, ws)
 
 
+def _h1_diffs(u: np.ndarray, dim: int) -> list:
+    """Forward differences of u (or of a stack of grid functions) per axis."""
+    return [np.diff(u, axis=axis - dim) for axis in range(dim)]
+
+
+def _h1_pairing(basis: SpectralBasis):
+    """h1_inner as pair(u, v, du), with du = _h1_diffs(u, dim).
+
+    The per-axis difference weights are taken once, when the pairing is
+    built, so a solver that pairs on every iteration builds them once, and
+    a fixed stack u can take its differences once too.
+    """
+    dom = basis.domain
+    dim = dom.dimension
+    weights = [_axis_diff_weights(dom, axis) for axis in range(dim)]
+
+    def pair(u, v, du):
+        # weights go on v, so a stack u costs one temporary per axis
+        total = np.tensordot(u, basis.mass_weights * v, axes=dim)
+        for axis, (h, w, du_axis) in enumerate(zip(dom.spacings, weights, du)):
+            dv = w * np.diff(v, axis=axis) / h**2
+            total = total + np.tensordot(du_axis, dv, axes=dim)
+        return float(total) if np.ndim(total) == 0 else total
+
+    return pair
+
+
 def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.ndarray:
     """Grid gradient quadrature plus the mass term.
 
@@ -321,14 +369,7 @@ def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.n
     targets are not required to vanish on the boundary.  u may also be a
     stack of grid functions along a leading axis, paired with v one by one.
     """
-    dom = basis.domain
-    dim = dom.dimension
-    # weights go on v, so a stack u costs one temporary per axis
-    total = np.tensordot(u, basis.mass_weights * v, axes=dim)
-    for axis, h in enumerate(dom.spacings):
-        dv = _axis_diff_weights(dom, axis) * np.diff(v, axis=axis) / h**2
-        total = total + np.tensordot(np.diff(u, axis=axis - dim), dv, axes=dim)
-    return float(total) if np.ndim(total) == 0 else total
+    return _h1_pairing(basis)(u, v, _h1_diffs(u, basis.domain.dimension))
 
 
 def h1_norm(u: np.ndarray, basis: SpectralBasis) -> float:
@@ -372,18 +413,26 @@ def _lifted_state(basis: SpectralBasis):
     """Boundary lift columns, their modal shadow, and the lifted state map.
 
     The map takes modal coefficients and terminal boundary values b to the
-    grid state lift(b) + sum_k (coeffs - lift_modal b)_k e_k.
+    grid state lift(b) + sum_k (coeffs - lift_modal b)_k e_k.  Built once
+    per basis (the 2D lift is a sparse LU solve) and kept, read-only, in
+    the basis's memo.
     """
-    lift_cols = _boundary_lift(basis.domain)  # (n_nodes, n_bnd)
-    flat_modes = basis.modes.reshape(basis.n_modes, -1)
-    # modal mass coefficients of each lift column, for the correction term
-    lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
-    shape = tuple(basis.domain.shape)
 
-    def state(coeffs, b):
-        return (lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes).reshape(shape)
+    def build():
+        lift_cols = _boundary_lift(basis.domain)  # (n_nodes, n_bnd)
+        flat_modes = basis.modes.reshape(basis.n_modes, -1)
+        # modal mass coefficients of each lift column, for the correction term
+        lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
+        lift_cols.setflags(write=False)
+        lift_modal.setflags(write=False)
+        shape = tuple(basis.domain.shape)
 
-    return lift_cols, lift_modal, state
+        def state(coeffs, b):
+            return (lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes).reshape(shape)
+
+        return lift_cols, lift_modal, state
+
+    return basis.memo("lifted_state", build)
 
 
 def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> StateField:
@@ -426,24 +475,42 @@ def h1_star_experiment(
         epsilon=epsilon,
         n_steps=n_steps,
     )
-    K = basis.n_modes
     n_bnd = len(basis.boundary_weights)
-    lift_cols, lift_modal, state = _lifted_state(basis)
+    apply_c, apply_ct = class_operators(
+        problem.control_class, T, problem.delta, problem.epsilon, n_steps + 1
+    )
     # K mode rows (traces x sines) and n_bnd terminal-spike rows, whose
     # pairing reads (C g)[m, -1]
     fac = modal_factors(basis, T, n_steps)
     spikes = np.zeros((n_bnd, n_steps + 1))
     spikes[:, -1] = 1.0 / fac.wt[-1]
     U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
-    fac = replace(fac, U=U, V=np.vstack([fac.V, spikes]))
-    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((n_bnd,) + basis.modes.shape[1:])])
+    fac = replace(fac, U=U, V=apply_ct(np.vstack([fac.V, spikes])))
+    return _solve(problem, fac, apply_c, target.values, *_h1_data_maps(basis))
+
+
+def _h1_data_maps(basis: SpectralBasis):
+    """h1_star_experiment's data space: (to_data, from_data, inner_data).
+
+    to_data takes the K modal pairings and the n_bnd final-time values to
+    the lifted state; from_data pairs z in H1 with the K modes and the lift
+    columns, the lift part less its modal shadow; inner_data is h1_inner.
+    The difference weights, and the differences of the fixed (K + n_bnd)-row
+    stack, are taken once here rather than once per CGLS iteration.
+    """
+    K = basis.n_modes
+    dim = basis.domain.dimension
+    lift_cols, lift_modal, state = _lifted_state(basis)
+    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((-1,) + basis.modes.shape[1:])])
+    row_diffs = _h1_diffs(h1_rows, dim)
+    pair = _h1_pairing(basis)
 
     def from_data(z):
-        d = h1_inner(h1_rows, z, basis)
+        d = pair(h1_rows, z, row_diffs)
         # boundary part: lift columns paired with z, minus their modal shadow
         d[K:] -= lift_modal.T @ d[:K]
         return d
 
     to_data = lambda pairs: state(pairs[:K], pairs[K:])  # pairs[K:]: final-time values
-    inner_data = lambda u, v: h1_inner(u, v, basis)
-    return _solve(problem, fac, target.values, to_data, from_data, inner_data)
+    inner_data = lambda u, v: pair(u, v, _h1_diffs(u, dim))
+    return to_data, from_data, inner_data

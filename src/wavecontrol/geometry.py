@@ -13,6 +13,7 @@ import csv
 import heapq
 import math
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -34,6 +35,7 @@ __all__ = [
     "trapezoid_weights",
     "write_distance_csv",
     "write_region_csv",
+    "write_eikonal_csvs",
 ]
 
 
@@ -470,25 +472,46 @@ def filling_time(dist: DistanceField) -> float:
 # CSV artifacts
 
 
-def _write_node_csv(path, domain: DomainSpec, name: str, values, fmt: str) -> None:
-    """Table ``i,j,x,y,<name>`` with one row per node (1D: j = 0, y = 0).
+def _write_node_csvs(domain: DomainSpec, tables) -> None:
+    """Tables ``i,j,x,y,<name>`` with one row per node (1D: j = 0, y = 0).
 
-    Rows end in CRLF, as csv.writer writes them; each grid line goes out in
-    one write, so the whole file is never held as one string.
+    tables holds (path, name, values, fmt) per file.  Each row's ``i,j,x,y,``
+    prefix is rendered once for all of them.  Rows end in CRLF, as
+    csv.writer writes them; each grid line goes out in one write per file,
+    so no whole file is ever held as one string.
     """
     xs = [f"{x:.17g}" for x in domain.axes[0]]
     ys = [f"{y:.17g}" for y in domain.axes[1]] if domain.dimension == 2 else ["0"]
-    grid = np.asarray(values).reshape(len(xs), len(ys))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"i,j,x,y,{name}\r\n")
-        for i, (x, line) in enumerate(zip(xs, grid)):
-            rows = enumerate(zip(ys, line.tolist()))
-            fh.write("".join([f"{i},{j},{x},{y},{v:{fmt}}\r\n" for j, (y, v) in rows]))
+    grids = [np.asarray(values).reshape(len(xs), len(ys)) for _, _, values, _ in tables]
+    rows = [("{}{:" + fmt + "}\r\n").format for _, _, _, fmt in tables]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path, *_ in tables]
+        for fh, (_, name, _, _) in zip(files, tables):
+            fh.write(f"i,j,x,y,{name}\r\n")
+        for i, x in enumerate(xs):
+            prefixes = [f"{i},{j},{x},{y}," for j, y in enumerate(ys)]
+            for fh, grid, row in zip(files, grids, rows):
+                fh.write("".join(map(row, prefixes, grid[i].tolist())))
+
+
+def _distance_table(path, dist: DistanceField):
+    return path, "tau", dist.tau, ".17g"
+
+
+def _region_table(path, region: FilledRegion):
+    return path, "inside", region.indicator.astype(int), "d"
 
 
 def write_distance_csv(path, domain: DomainSpec, dist: DistanceField) -> None:
-    _write_node_csv(path, domain, "tau", dist.tau, ".17g")
+    _write_node_csvs(domain, [_distance_table(path, dist)])
 
 
 def write_region_csv(path, domain: DomainSpec, region: FilledRegion) -> None:
-    _write_node_csv(path, domain, "inside", region.indicator.astype(int), "d")
+    _write_node_csvs(domain, [_region_table(path, region)])
+
+
+def write_eikonal_csvs(
+    tau_path, region_path, domain: DomainSpec, dist: DistanceField, region: FilledRegion
+) -> None:
+    """write_distance_csv and write_region_csv in one pass over the nodes."""
+    _write_node_csvs(domain, [_distance_table(tau_path, dist), _region_table(region_path, region)])

@@ -48,8 +48,11 @@ class SpectralBasis:
                        boundary nodes, ordered like domain.boundary_nodes()
     mass_weights     : trapezoid quadrature weights of the H = L2 inner product
     boundary_weights : quadrature weights of the boundary measure
-    sines            : read-only sine time factors by (T, n_steps), filled by
-                       waveop on first use
+    sines            : the basis's memo, filled on first use through ``memo``:
+                       read-only sine time factors by (T, n_steps) (waveop),
+                       class-folded ones by (T, n_steps, class, delta,
+                       epsilon) and the boundary lift (control_lab); it lives
+                       exactly as long as the basis
     """
 
     domain: DomainSpec
@@ -64,6 +67,13 @@ class SpectralBasis:
     @property
     def n_modes(self) -> int:
         return len(self.lambdas)
+
+    def memo(self, key, build):
+        """sines[key], calling build() to fill it on first use."""
+        value = self.sines.get(key)
+        if value is None:
+            value = self.sines[key] = build()
+        return value
 
     def h_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.mass_weights * u * v))

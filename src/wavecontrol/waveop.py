@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DomainSpec, FilledRegion, _write_node_csv, grid_trapezoid_weights
+from .geometry import DomainSpec, FilledRegion, _write_node_csvs, grid_trapezoid_weights
 from .spectral import SpectralBasis, fd_operator, project, reconstruct
 
 __all__ = [
@@ -122,7 +122,7 @@ def time_weights(n_t: int, dt: float) -> np.ndarray:
 def _f_product(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray) -> float:
     # the time sum as one matrix-vector product, then the boundary sum; the
     # CGLS iteration count of an ill-conditioned solve moves with this order
-    return float(np.sum((f * g) @ wt * bw))
+    return float(((f * g) @ wt * bw).sum())
 
 
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:
@@ -142,12 +142,13 @@ def _sin_factors(lambdas: np.ndarray, times: np.ndarray, T: float) -> np.ndarray
 
 def _grid_sin_factors(basis: SpectralBasis, T: float, n_steps: int) -> np.ndarray:
     """_sin_factors on time_grid(T, n_steps), built once per basis and read-only."""
-    S = basis.sines.get((T, n_steps))
-    if S is None:
+
+    def build():
         S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
         S.setflags(write=False)
-        basis.sines[(T, n_steps)] = S
-    return S
+        return S
+
+    return basis.memo((T, n_steps), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +175,7 @@ class Factors:
     def pair(self, g: np.ndarray) -> np.ndarray:
         # the GEMM contracts the long time axis; the temporary is (J, n_bnd)
         Ub, Vw = self._weighted
-        return np.sum(Ub * (Vw @ g.T), axis=1)
+        return (Ub * (Vw @ g.T)).sum(axis=1)
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """sum_j c_j U_j x V_j as (n_bnd, n_t) samples."""
@@ -388,7 +389,7 @@ def random_smooth_control(
 
 def write_state_csv(path, domain: DomainSpec, state: StateField) -> None:
     if domain.dimension == 2:
-        _write_node_csv(path, domain, "u", state.values, ".17g")
+        _write_node_csvs(domain, [(path, "u", state.values, ".17g")])
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,12 +1,18 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wavecontrol import control_lab, geometry, presets, waveop
+from wavecontrol import control_lab, geometry, presets, regularizer, spectral, waveop
 from wavecontrol.control_lab import (
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
     _axis_diff_weights,
     _boundary_lift,
+    _h1_data_maps,
+    _lifted_state,
     h1_inner,
     h1_norm,
     h1_star_experiment,
@@ -107,7 +113,11 @@ def test_class_operator_folds_into_time_factors(small_basis, rng, control_class)
 
 
 def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
-    """The class operator acts on the factors and the output, never per iteration."""
+    """The class operator acts on the factors and the output, never per iteration.
+
+    The fold into the time factors is kept in the basis's memo, so a second
+    synthesis of the same class on that basis applies C to its output only.
+    """
     calls = []
     real = control_lab.class_operators
 
@@ -128,14 +138,18 @@ def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
     y = presets.smooth_interior_target(desk_basis.domain)
     ramp = presets.ramp_target(desk_basis.domain)
     for budget in (5, 50):
-        calls.clear()
+        basis = replace(desk_basis)  # a fresh memo
         prob = SynthesisProblem(
             target=y, T=T_DESK, control_class="smooth_vanishing_at_T", budget=budget, tol=0.0
         )
-        assert synthesize_control(prob, desk_basis).iterations == budget
+        calls.clear()
+        assert synthesize_control(prob, basis).iterations == budget
         assert sorted(calls) == ["apply_c", "apply_ct"]
         calls.clear()
-        assert h1_star_experiment(ramp, T_DESK, desk_basis, budget=budget).iterations == budget
+        assert synthesize_control(prob, basis).iterations == budget
+        assert calls == ["apply_c"]
+        calls.clear()
+        assert h1_star_experiment(ramp, T_DESK, basis, budget=budget).iterations == budget
         assert sorted(calls) == ["apply_c", "apply_ct"]
 
 
@@ -258,6 +272,41 @@ def test_residual_curve_rejects_bad_schedules(desk_basis):
         residual_curve(prob, alphas=(1e-3, 1e-2), basis=desk_basis)
     with pytest.raises(ValueError, match="decreasing"):
         residual_curve(prob, alphas=(1e-3, 1e-3), basis=desk_basis)
+
+
+def test_residual_curve_builds_class_operator_once(desk_basis, monkeypatch):
+    """A five-alpha sweep builds the mollifier matrix once, still solves once
+    per alpha, and matches solves on fresh bases bit for bit; the matrix is
+    held by the basis's memo and freed with the basis."""
+    y = presets.smooth_interior_target(desk_basis.domain)
+    prob = SynthesisProblem(target=y, T=T_DESK, s=1.0, control_class="smooth_vanishing_at_T")
+    real_matrix, real_solve = regularizer.mollifier_matrix, control_lab.synthesize_control
+    expect = [real_solve(replace(prob, alpha=a), replace(desk_basis)) for a in DEFAULT_ALPHA_SCHEDULE]
+    built, solved = [], []
+
+    def counting_matrix(*args, **kwargs):
+        matrix = real_matrix(*args, **kwargs)
+        built.append(weakref.ref(matrix))
+        return matrix
+
+    def counting_solve(problem, basis):
+        solved.append(problem.alpha)
+        return real_solve(problem, basis)
+
+    monkeypatch.setattr(regularizer, "mollifier_matrix", counting_matrix)
+    monkeypatch.setattr(control_lab, "synthesize_control", counting_solve)
+    basis = replace(desk_basis)  # a fresh memo
+    results = residual_curve(prob, DEFAULT_ALPHA_SCHEDULE, basis)
+    assert len(built) == 1
+    assert solved == list(DEFAULT_ALPHA_SCHEDULE)
+    for got, want in zip(results, expect):
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.control.samples, want.control.samples)
+        assert np.array_equal(got.residual_history, want.residual_history)
+    assert built[0]() is not None
+    del basis
+    gc.collect()
+    assert built[0]() is None
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +466,64 @@ def test_axis_diff_weights_match_reference(shape, axis):
         expect = np.array([[h * wj for wj in w]] * (shape[axis] - 1))
         expect = expect if axis == 0 else expect.T
     assert np.array_equal(_axis_diff_weights(dom, axis), expect)
+
+
+def _h1_inner_reference(u, v, basis):
+    """h1_inner's arithmetic in its order, every difference taken per call."""
+    dom = basis.domain
+    dim = dom.dimension
+    total = np.tensordot(u, basis.mass_weights * v, axes=dim)
+    for axis, h in enumerate(dom.spacings):
+        dv = _axis_diff_weights(dom, axis) * np.diff(v, axis=axis) / h**2
+        total = total + np.tensordot(np.diff(u, axis=axis - dim), dv, axes=dim)
+    return total
+
+
+@pytest.mark.parametrize("which", ["desk", "square_17", "rectangle_17x13"])
+def test_h1_star_pairing_matches_h1_inner(which, desk_basis, rng):
+    """The H1 pairings h1star builds once per solve are bit-identical to h1_inner.
+
+    The desk and the square have dyadic spacings, on which dividing by h^2
+    is exact; the rectangle's are not, so it also pins the operation order.
+    """
+    if which == "desk":
+        basis = desk_basis
+    elif which == "square_17":
+        basis = spectral.eigensolve(geometry.rectangle(shape=(17, 17)), 20)
+    else:
+        dom = geometry.rectangle(shape=(17, 13), extents=((0.0, 1.3), (0.0, 0.7)))
+        basis = spectral.eigensolve(dom, 20)
+    K = basis.n_modes
+    lift_cols, lift_modal, _ = _lifted_state(basis)
+    rows = np.concatenate([basis.modes, lift_cols.T.reshape((-1,) + basis.modes.shape[1:])])
+    z = rng.standard_normal(basis.domain.shape)
+    expect = _h1_inner_reference(rows, z, basis)
+    assert np.array_equal(h1_inner(rows, z, basis), expect)
+    expect[K:] -= lift_modal.T @ expect[:K]
+    _, from_data, inner_data = _h1_data_maps(basis)
+    for _ in range(2):  # the stack's differences are reused, not consumed
+        assert np.array_equal(from_data(z), expect)
+    u = rng.standard_normal(basis.domain.shape)
+    assert inner_data(u, z) == h1_inner(u, z, basis) == float(_h1_inner_reference(u, z, basis))
+
+
+def test_boundary_lift_built_once_per_basis(monkeypatch):
+    """Rescoring twice and an h1star solve share one sparse-LU lift per basis."""
+    basis = spectral.eigensolve(geometry.rectangle(shape=(17, 17)), 20)
+    built = []
+    real = control_lab._boundary_lift
+
+    def counting(domain):
+        built.append(domain.shape)
+        return real(domain)
+
+    monkeypatch.setattr(control_lab, "_boundary_lift", counting)
+    f = waveop.random_control(basis, T_DESK, np.random.default_rng(3), n_steps=64)
+    first = lifted_final_state(f, basis)
+    assert np.array_equal(lifted_final_state(f, basis).values, first.values)
+    y = presets.smooth_interior_target(basis.domain)
+    assert h1_star_experiment(y, T_DESK, basis, budget=5, n_steps=64).iterations == 5
+    assert built == [(17, 17)]
 
 
 def test_lifted_final_state_rescores_h1_star_result(desk_basis):

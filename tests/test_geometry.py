@@ -557,3 +557,27 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     assert (tmp_path / "region.csv").read_bytes() == (
         tmp_path / "region_ref.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [geometry.interval(n=17, x0=-0.5, x1=2.0), _variable_rectangle((37, 23))],
+    ids=["1d", "2d_37x23"],
+)
+def test_eikonal_csvs_match_csv_writer(tmp_path, domain):
+    """One pass writes tau.csv and region.csv as csv.writer renders each."""
+    dist = geometry.eikonal_distance(domain)
+    region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
+    assert 0 < region.indicator.sum() < region.indicator.size
+    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, dist, region)
+    _csv_writer_rendering(
+        tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in dist.tau.reshape(-1)]
+    )
+    _csv_writer_rendering(
+        tmp_path / "region_ref.csv", domain, "inside",
+        [int(v) for v in region.indicator.reshape(-1)],
+    )
+    for name in ("tau", "region"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}_ref.csv"
+        ).read_bytes()
