@@ -535,36 +535,25 @@ def _suite_smoothing_identity(cfg, domain, basis, rng):
     # with the smoothed control, per the kernel antisymmetrization
     trials = 10
     bvals = beta_table(cfg.epsilon, basis.lambdas)
-    # trials stacked row-wise share one mollifier matrix; a pass stacks no
-    # more rows than the matrix has, so all ten on the interval's two nodes
-    per_pass = max(1, (cfg.n_steps + 1) // len(basis.boundary_weights))
-    worst = max(
-        _smoothing_pass(cfg, basis, rng, bvals, min(per_pass, trials - first))
-        for first in range(0, trials, per_pass)
-    )
-    return [_item("mollified_control_vs_regularized_state_pairing", worst, 1e-8)]
-
-
-def _smoothing_pass(cfg, basis, rng, bvals, n):
-    """Worst relative pairing discrepancy of n trials smoothed in one call."""
     raw, states = [], []
     support = (cfg.delta, cfg.T)
-    for _ in range(n):  # the generator draws f, then y, per trial
+    for _ in range(trials):  # the generator draws f, then y, per trial
         raw.append(random_smooth_control(basis, cfg.T, rng, cfg.n_steps, support).samples)
         states.append(random_state(basis, rng))
+    # the trials, stacked row-wise, are smoothed in one call
     raw = np.vstack(raw)
     smoothed = smooth_control(BoundaryControl(raw, cfg.T), cfg.epsilon, cfg.delta).samples
     # one factor object serves the forward map, the observation and the norms
     fac = modal_factors(basis, cfg.T, cfg.n_steps)
     worst = 0.0
-    for y, f, f_eps in zip(states, np.split(raw, n), np.split(smoothed, n)):
+    for y, f, f_eps in zip(states, np.split(raw, trials), np.split(smoothed, trials)):
         alphas = project(y.values, basis)
         lhs = float(fac.pair(f_eps) @ alphas)
         rhs = float(fac.pair(f) @ (bvals * alphas))
         g = fac.expand(alphas)
         scale = math.sqrt(fac.inner(f, f)) * math.sqrt(fac.inner(g, g))
         worst = max(worst, abs(lhs - rhs) / scale if scale > 0 else 0.0)
-    return worst
+    return [_item("mollified_control_vs_regularized_state_pairing", worst, 1e-8)]
 
 
 _OBSERVABILITY_WINDOW = 0.05  # the observation window's onset; verify needs T beyond it

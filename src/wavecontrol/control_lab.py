@@ -11,7 +11,8 @@ Restricted control classes are realized structurally by the class operator
 of ``regularizer.class_operators``: candidates are masked to [delta, T] and
 post-composed with time mollification, antisymmetrized about the horizon when
 the class requires the final snapshot data and its even time derivatives to
-vanish at t = T.
+vanish at t = T.  C* is folded into the sine time factors once per basis and
+class, and C acts on the synthesized control once, never per iteration.
 
 The H1 experiment reconstructs reachable states as a boundary lifting plus a
 modal correction.  Truncated modal sums vanish on the boundary, so without
@@ -55,7 +56,6 @@ __all__ = [
     "h1_star_experiment",
     "lifted_final_state",
     "h1_inner",
-    "h1_norm",
 ]
 
 DEFAULT_ALPHA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -193,7 +193,7 @@ def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
     """The class operator C and C* folded into the sine time factors.
 
     Built once per basis, horizon, step count and class, and kept in the
-    basis's memo: an alpha sweep builds the mollifier matrix and the fold
+    basis's memo: an alpha sweep builds the class operator and the fold
     once, and both are freed with the basis.
     """
     key = (problem.T, problem.n_steps, problem.control_class, problem.delta, problem.epsilon)
@@ -351,12 +351,16 @@ def _h1_pairing(basis: SpectralBasis):
     dim = dom.dimension
     weights = [_axis_diff_weights(dom, axis) for axis in range(dim)]
 
+    def contract(a, b):
+        # the dot np.tensordot(a, b, axes=dim) runs, on the same operands
+        return np.dot(a.reshape(-1, b.size), b.reshape(b.size, 1)).reshape(a.shape[:-dim])
+
     def pair(u, v, du):
         # weights go on v, so a stack u costs one temporary per axis
-        total = np.tensordot(u, basis.mass_weights * v, axes=dim)
+        total = contract(u, basis.mass_weights * v)
         for axis, (h, w, du_axis) in enumerate(zip(dom.spacings, weights, du)):
             dv = w * np.diff(v, axis=axis) / h**2
-            total = total + np.tensordot(du_axis, dv, axes=dim)
+            total = total + contract(du_axis, dv)
         return float(total) if np.ndim(total) == 0 else total
 
     return pair
@@ -370,10 +374,6 @@ def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.n
     stack of grid functions along a leading axis, paired with v one by one.
     """
     return _h1_pairing(basis)(u, v, _h1_diffs(u, basis.domain.dimension))
-
-
-def h1_norm(u: np.ndarray, basis: SpectralBasis) -> float:
-    return float(np.sqrt(max(h1_inner(u, u, basis), 0.0)))
 
 
 def _boundary_lift(domain: DomainSpec) -> np.ndarray:

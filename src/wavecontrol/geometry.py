@@ -33,8 +33,6 @@ __all__ = [
     "filling_time",
     "grid_trapezoid_weights",
     "trapezoid_weights",
-    "write_distance_csv",
-    "write_region_csv",
     "write_eikonal_csvs",
 ]
 
@@ -494,24 +492,9 @@ def _write_node_csvs(domain: DomainSpec, tables) -> None:
                 fh.write("".join(map(row, prefixes, grid[i].tolist())))
 
 
-def _distance_table(path, dist: DistanceField):
-    return path, "tau", dist.tau, ".17g"
-
-
-def _region_table(path, region: FilledRegion):
-    return path, "inside", region.indicator.astype(int), "d"
-
-
-def write_distance_csv(path, domain: DomainSpec, dist: DistanceField) -> None:
-    _write_node_csvs(domain, [_distance_table(path, dist)])
-
-
-def write_region_csv(path, domain: DomainSpec, region: FilledRegion) -> None:
-    _write_node_csvs(domain, [_region_table(path, region)])
-
-
 def write_eikonal_csvs(
     tau_path, region_path, domain: DomainSpec, dist: DistanceField, region: FilledRegion
 ) -> None:
-    """write_distance_csv and write_region_csv in one pass over the nodes."""
-    _write_node_csvs(domain, [_distance_table(tau_path, dist), _region_table(region_path, region)])
+    """The distance table (tau) and the region table (inside) in one pass over the nodes."""
+    inside = region.indicator.astype(int)
+    _write_node_csvs(domain, [(tau_path, "tau", dist.tau, ".17g"), (region_path, "inside", inside, "d")])

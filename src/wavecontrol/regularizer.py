@@ -9,7 +9,8 @@ induces diagonal spectral multipliers
 which damp a velocity perturbation mode by mode.  The control classes are
 defined once, by ``class_operators``: support in [delta, T] and phi_eps in
 time, combined with its reflection about t = T when the result and all its
-even time derivatives must vanish at the horizon.
+even time derivatives must vanish at the horizon.  phi_eps spans m = eps/dt
+samples, so the smoothing is a banded Toeplitz correlation, never n_t x n_t.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import SpectralBasis, project, reconstruct
 from .waveop import BoundaryControl, StateField, time_weights
@@ -33,7 +33,6 @@ __all__ = [
     "beta",
     "beta_table",
     "regularize_state",
-    "mollifier_matrix",
     "CONTROL_CLASSES",
     "class_operators",
     "smooth_control",
@@ -149,26 +148,47 @@ def regularize_state(y: StateField, epsilon: float, basis: SpectralBasis) -> Sta
     return StateField(values=reconstruct(alphas * betas, basis), role=y.role)
 
 
-def mollifier_matrix(epsilon: float, T: float, n_t: int, antisymmetric: bool) -> np.ndarray:
-    """Trapezoid discretization of time mollification on n_t samples of [0, T].
+def _toeplitz_blocks(epsilon: float, dt: float) -> np.ndarray:
+    """The three B x B blocks of time correlation with phi_eps at step dt.
 
-    Entry (i, j) is phi_eps(t_i - s_j) w_j, minus phi_eps(2T - t_i - s_j) w_j
-    when antisymmetric (the reflection about the horizon); a control's
-    samples map to samples @ matrix.T.  The first term depends on i - j and
-    the reflection on i + j only, so 2 n_t - 1 kernel samples fill both as
-    windows over the samples, and the matrix is the one allocation.
+    phi_eps(k dt) vanishes past the half-width m = eps/dt, so with blocks of
+    B = m samples an output block reads its own block of samples and the two
+    next to it: blocks[d + 1][j, i] = phi_eps((d B + j - i) dt), d = -1, 0, 1.
     """
-    dt = T / (n_t - 1)
-    kern = MollifierKernel(epsilon)(np.arange(2 * n_t - 1) * dt)
-    lags = np.concatenate([kern[n_t - 1 : 0 : -1], kern[:n_t]])  # phi_eps(|m - n_t + 1| dt)
-    near = sliding_window_view(lags, n_t)[::-1]  # phi_eps(t_i - s_j)
-    if antisymmetric:
-        far = sliding_window_view(kern[::-1], n_t)  # phi_eps(2T - t_i - s_j) at index i + j
-        K = np.subtract(near, far)
-    else:
-        K = near.copy()
-    K *= time_weights(n_t, dt)[None, :]
-    return K
+    B = max(1, int(epsilon / dt))
+    kern = MollifierKernel(epsilon)(np.arange(2 * B) * dt)
+    lags = np.arange(B)[:, None] - np.arange(B)[None, :]
+    return kern[np.abs(np.array([-B, 0, B])[:, None, None] + lags)]
+
+
+def _smooth(x, pre, post, blocks, odd):
+    """post * sum_j phi_eps(t_i - s_j) (x pre)_j for each row of the 2-D x.
+
+    The samples sit in zero-padded blocks laid end to end over all rows, so
+    the correlation is three GEMMs of the stack against the three blocks; an
+    output block that straddles two rows is dropped.  With odd, each row is
+    extended past t = T as -h(2T - t), which is the kernel's reflection
+    about the horizon, and the output at t = T is its structural zero.
+    """
+    B = len(blocks[0])
+    n_t = x.shape[-1]
+    n_blocks = -(-n_t // B) + 2  # a zero block each side of the samples
+    flat = np.zeros((len(x), n_blocks * B))
+    h = flat[:, B : B + n_t]
+    np.multiply(x, pre, out=h)
+    if odd:
+        r = min(B, n_t - 1)
+        flat[:, B + n_t : B + n_t + r] = -h[:, -2 : -2 - r : -1]
+        h[:, -1] = 0.0
+    X = flat.reshape(-1, B)
+    out = np.empty_like(X)
+    np.matmul(X[:-2], blocks[0], out=out[:-2])
+    out[:-2] += X[1:-1] @ blocks[1]
+    out[:-2] += X[2:] @ blocks[2]
+    y = np.multiply(out.reshape(len(x), -1)[:, :n_t], post)
+    if odd:
+        y[:, -1] = 0.0
+    return y
 
 
 CONTROL_CLASSES = ("all_of_F", "smooth", "smooth_vanishing_at_T")
@@ -182,22 +202,26 @@ def class_operators(control_class: str, T: float, delta: float, epsilon: float, 
     """Pair (C, C*) realizing a control class on n_t samples of [0, T].
 
     "all_of_F" is the identity; "smooth" masks samples to [delta, T] and
-    mollifies in time; "smooth_vanishing_at_T" antisymmetrizes the mollifier
-    about the horizon.  C acts on (n_bnd, n_t) samples as (g * mask) @ KW.T.
+    mollifies in time, C g = smooth((g * mask) * w) and C* z = smooth(z * w)
+    * mask with w the trapezoid weights; "smooth_vanishing_at_T" smooths the
+    odd extension about the horizon.
     """
     if control_class not in CONTROL_CLASSES:
         raise ValueError(f"unknown control class {control_class!r}")
     if control_class == "all_of_F":
         return _identity, _identity
+    dt = T / (n_t - 1)
     mask = np.linspace(0.0, T, n_t) >= delta - 1e-12 * T
-    KW = mollifier_matrix(epsilon, T, n_t, antisymmetric=control_class == "smooth_vanishing_at_T")
+    w = time_weights(n_t, dt)
+    blocks = _toeplitz_blocks(epsilon, dt)
+    odd = control_class == "smooth_vanishing_at_T"
 
     def apply_c(g):
-        return (g * mask) @ KW.T
+        return _smooth(g, mask * w, 1.0, blocks, odd)
 
     def apply_ct(z):
         # kernel symmetric, weights shared: the mask and smoothing swap order
-        return (z @ KW.T) * mask
+        return _smooth(z, w, mask, blocks, odd)
 
     return apply_c, apply_ct
 

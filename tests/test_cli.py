@@ -500,44 +500,44 @@ def test_verify_report_items_and_bounds():
 
 
 @pytest.mark.parametrize(
-    "overrides, builds",
-    [({}, 1), ({"preset": "square", "nx": 33, "ny": 33, "n_modes": 40}, 2)],
+    "overrides",
+    [{}, {"preset": "square", "nx": 33, "ny": 33, "n_modes": 40}],
     ids=["desk", "square_33"],
 )
-def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrides, builds):
-    """Trials share a mollifier matrix and a modal factor object, drawn in
-    the per-trial order.
+def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrides):
+    """All ten trials share one class operator, one smoothing pass and one
+    modal factor object, drawn in the per-trial order.
 
-    All ten fit one pass on the interval's two boundary nodes; the 128 rows
-    of a 33^2 square fit eight to a 1025-row matrix, so it takes two.
+    The banded mollifier holds no n_t x n_t matrix, so the stack's row count
+    is not capped: the 128 boundary rows of a 33^2 square take one pass too.
     """
     cfg = ExperimentConfig(**overrides)
     domain = cli.build_domain(cfg)
     basis = cli.build_basis(cfg, domain)
     built, passes, factors = [], [], []
-    real_matrix, real_smooth = regularizer.mollifier_matrix, cli.smooth_control
+    real_blocks, real_smooth = regularizer._toeplitz_blocks, cli.smooth_control
     real_factors = cli.modal_factors
 
     def counting_factors(*args):
         factors.append(args)
         return real_factors(*args)
 
-    def counting_matrix(*args, **kwargs):
+    def counting_blocks(*args, **kwargs):
         built.append(args)
-        return real_matrix(*args, **kwargs)
+        return real_blocks(*args, **kwargs)
 
     def recording_smooth(f, *args):
         out = real_smooth(f, *args)
         passes.append(out.samples)
         return out
 
-    monkeypatch.setattr(regularizer, "mollifier_matrix", counting_matrix)
+    monkeypatch.setattr(regularizer, "_toeplitz_blocks", counting_blocks)
     monkeypatch.setattr(cli, "smooth_control", recording_smooth)
     monkeypatch.setattr(cli, "modal_factors", counting_factors)
     rng = np.random.default_rng(cfg.seed)
     (item,) = cli._suite_smoothing_identity(cfg, domain, basis, rng)
     assert item["passed"]
-    assert len(built) == len(passes) == len(factors) == builds
+    assert len(built) == len(passes) == len(factors) == 1
     # the same draws in the interleaved order: f, then y, per trial
     redraw = np.random.default_rng(cfg.seed)
     controls = []
@@ -552,7 +552,7 @@ def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrid
     for f, rows in zip(controls, np.split(np.vstack(passes), 10)):
         expect = real_smooth(f, cfg.epsilon, cfg.delta).samples
         assert np.abs(rows - expect).max() <= 1e-14 * np.abs(expect).max()
-    assert len(built) == builds + 10  # the patch sees every build: one per trial above
+    assert len(built) == 1 + 10  # the patch sees every build: one per trial above
 
 
 def test_verify_catches_broken_quadrature(tmp_path):

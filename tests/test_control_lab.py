@@ -14,7 +14,6 @@ from wavecontrol.control_lab import (
     _h1_data_maps,
     _lifted_state,
     h1_inner,
-    h1_norm,
     h1_star_experiment,
     lifted_final_state,
     observability_test,
@@ -275,25 +274,25 @@ def test_residual_curve_rejects_bad_schedules(desk_basis):
 
 
 def test_residual_curve_builds_class_operator_once(desk_basis, monkeypatch):
-    """A five-alpha sweep builds the mollifier matrix once, still solves once
-    per alpha, and matches solves on fresh bases bit for bit; the matrix is
-    held by the basis's memo and freed with the basis."""
+    """A five-alpha sweep builds the mollifier's Toeplitz blocks once, still
+    solves once per alpha, and matches solves on fresh bases bit for bit; the
+    blocks are held by the basis's memo and freed with the basis."""
     y = presets.smooth_interior_target(desk_basis.domain)
     prob = SynthesisProblem(target=y, T=T_DESK, s=1.0, control_class="smooth_vanishing_at_T")
-    real_matrix, real_solve = regularizer.mollifier_matrix, control_lab.synthesize_control
+    real_blocks, real_solve = regularizer._toeplitz_blocks, control_lab.synthesize_control
     expect = [real_solve(replace(prob, alpha=a), replace(desk_basis)) for a in DEFAULT_ALPHA_SCHEDULE]
     built, solved = [], []
 
-    def counting_matrix(*args, **kwargs):
-        matrix = real_matrix(*args, **kwargs)
-        built.append(weakref.ref(matrix))
-        return matrix
+    def counting_blocks(*args, **kwargs):
+        blocks = real_blocks(*args, **kwargs)
+        built.append(weakref.ref(blocks))
+        return blocks
 
     def counting_solve(problem, basis):
         solved.append(problem.alpha)
         return real_solve(problem, basis)
 
-    monkeypatch.setattr(regularizer, "mollifier_matrix", counting_matrix)
+    monkeypatch.setattr(regularizer, "_toeplitz_blocks", counting_blocks)
     monkeypatch.setattr(control_lab, "synthesize_control", counting_solve)
     basis = replace(desk_basis)  # a fresh memo
     results = residual_curve(prob, DEFAULT_ALPHA_SCHEDULE, basis)
@@ -435,7 +434,6 @@ def test_h1_inner_linear_function(desk_basis):
     # mass term integrates x^2 (trapezoid), gradient term is exact for a ramp
     val = h1_inner(u, u, desk_basis)
     assert val == pytest.approx(1.0 / 3.0 + 1.0, rel=1e-5)
-    assert h1_norm(u, desk_basis) == pytest.approx(np.sqrt(val))
 
 
 def test_h1_inner_symmetric(desk_basis, rng):
@@ -449,7 +447,7 @@ def test_h1_inner_symmetric(desk_basis, rng):
 
 def test_h1_dominates_mass_norm(desk_basis, rng):
     u = rng.standard_normal(desk_basis.domain.shape[0])
-    assert h1_norm(u, desk_basis) >= desk_basis.h_norm(u)
+    assert np.sqrt(h1_inner(u, u, desk_basis)) >= desk_basis.h_norm(u)
 
 
 @pytest.mark.parametrize("shape, axis", [((17,), 0), ((7, 5), 0), ((7, 5), 1)])
@@ -531,7 +529,8 @@ def test_lifted_final_state_rescores_h1_star_result(desk_basis):
     y = presets.ramp_target(desk_basis.domain)
     res = h1_star_experiment(y, T_DESK, desk_basis, budget=15)
     state = lifted_final_state(res.control, desk_basis)
-    rescored = h1_norm(state.values - y.values, desk_basis)
+    misfit = state.values - y.values
+    rescored = np.sqrt(h1_inner(misfit, misfit, desk_basis))
     assert rescored == pytest.approx(res.final_residual, rel=1e-9)
 
 
@@ -613,9 +612,8 @@ def test_h1_star_not_worse_than_weighted_modal_solution(desk_basis):
         ),
         desk_basis,
     )
-    rescored = h1_norm(
-        lifted_final_state(modal.control, desk_basis).values - y.values, desk_basis
-    )
+    misfit = lifted_final_state(modal.control, desk_basis).values - y.values
+    rescored = np.sqrt(h1_inner(misfit, misfit, desk_basis))
     direct = h1_star_experiment(y, T_DESK, desk_basis)
     assert direct.final_residual <= rescored + 1e-6
 

@@ -186,7 +186,10 @@ def test_coefficient_csv_missing_node(tmp_path):
 
 def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
     path = tmp_path / "tau.csv"
-    geometry.write_distance_csv(path, interval_domain, interval_distance)
+    region = geometry.filled_subdomain(interval_distance, 0.2)
+    geometry.write_eikonal_csvs(
+        path, tmp_path / "region.csv", interval_domain, interval_distance, region
+    )
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,tau"
     assert len(lines) == 1 + 513
@@ -198,7 +201,9 @@ def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
 def test_region_csv_format(tmp_path, interval_domain, interval_distance):
     region = geometry.filled_subdomain(interval_distance, 0.2)
     path = tmp_path / "region.csv"
-    geometry.write_region_csv(path, interval_domain, region)
+    geometry.write_eikonal_csvs(
+        tmp_path / "tau.csv", path, interval_domain, interval_distance, region
+    )
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,inside"
     assert set(line.split(",")[4] for line in lines[1:]) <= {"0", "1"}
@@ -536,8 +541,7 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
     assert 0 < region.indicator.sum() < region.indicator.size
 
-    geometry.write_distance_csv(tmp_path / "tau.csv", domain, dist)
-    geometry.write_region_csv(tmp_path / "region.csv", domain, region)
+    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, dist, region)
     _csv_writer_rendering(
         tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in flat]
     )

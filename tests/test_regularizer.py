@@ -163,6 +163,21 @@ def test_regularize_state_is_modal_multiplier(interval_basis, rng):
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+def _assert_class_operators_match(dense, rows, epsilon, T, n_t, antisymmetric, rng):
+    """C and C* of the class against the given rows of its dense mollifier
+    matrix (entry (i, j) the kernel at t_i - s_j times the weight w_j)."""
+    delta = T / 10
+    control_class = "smooth_vanishing_at_T" if antisymmetric else "smooth"
+    apply_c, apply_ct = regularizer.class_operators(control_class, T, delta, epsilon, n_t)
+    mask = np.linspace(0.0, T, n_t) >= delta - 1e-12 * T
+    x = rng.standard_normal((3, n_t))
+    for got, expect in (
+        (apply_c(x)[:, rows], (x * mask) @ dense.T),
+        (apply_ct(x)[:, rows], (x @ dense.T) * mask[rows]),
+    ):
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 @pytest.mark.parametrize(
     "epsilon, T, n_t, antisymmetric",
     [
@@ -171,9 +186,10 @@ def test_regularize_state_is_modal_multiplier(interval_basis, rng):
         (0.3, 0.75, 129, True),
         (0.0123, 0.3, 1025, True),
         (0.05, 0.7, 257, False),
+        (0.0005, 0.75, 1025, True),  # eps < dt: the kernel is one tap
     ],
 )
-def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric):
+def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric, rng):
     # every third row keeps the 4097-sample case small; a Toeplitz or Hankel
     # indexing slip shows on any row
     rows = np.r_[0:n_t:3, n_t - 1]
@@ -183,8 +199,7 @@ def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric)
     if antisymmetric:
         expect = expect - kern((2 * T - t[rows])[:, None] - t[None, :])
     expect = expect * waveop.time_weights(n_t, T / (n_t - 1))[None, :]
-    got = regularizer.mollifier_matrix(epsilon, T, n_t, antisymmetric)[rows]
-    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    _assert_class_operators_match(expect, rows, epsilon, T, n_t, antisymmetric, rng)
 
 
 @pytest.mark.parametrize(
@@ -196,29 +211,35 @@ def test_mollifier_matrix_matches_direct_formula(epsilon, T, n_t, antisymmetric)
         (0.0123, 0.3, 1025, True),
         (0.05, 0.7, 257, False),
         (0.0375, 0.75, 1025, False),
+        (0.0005, 0.75, 1025, False),  # eps < dt: the kernel is one tap
     ],
 )
-def test_mollifier_matrix_equals_toeplitz_minus_hankel(epsilon, T, n_t, antisymmetric):
+def test_mollifier_matrix_equals_toeplitz_minus_hankel(epsilon, T, n_t, antisymmetric, rng):
     dt = T / (n_t - 1)
     kern = regularizer.MollifierKernel(epsilon)(np.arange(2 * n_t - 1) * dt)
     expect = toeplitz(kern[:n_t])
     if antisymmetric:
         rev = kern[::-1]
-        expect = expect - hankel(rev[:n_t], rev[n_t - 1 :])
-    expect = expect * waveop.time_weights(n_t, dt)[None, :]
-    assert np.array_equal(regularizer.mollifier_matrix(epsilon, T, n_t, antisymmetric), expect)
+        expect -= hankel(rev[:n_t], rev[n_t - 1 :])
+    expect *= waveop.time_weights(n_t, dt)[None, :]
+    _assert_class_operators_match(expect, np.arange(n_t), epsilon, T, n_t, antisymmetric, rng)
 
 
-def test_mollifier_matrix_peak_memory_is_one_matrix():
-    n_t = 1025
-    regularizer.mollifier_matrix(0.0375, 0.75, n_t, True)  # warm the bump constants
+def test_class_operator_peak_memory_is_linear_in_samples():
+    """Building the class operator and applying C* to a (66, 8193) stack
+    holds a few copies of the stack, never an n_t x n_t matrix (537 MB)."""
+    rows, n_t = 66, 8193
+    z = np.ones((rows, n_t))
+    regularizer.class_operators("smooth_vanishing_at_T", 0.75, 0.075, 0.0375, 33)  # warm caches
     tracemalloc.start()
     try:
-        regularizer.mollifier_matrix(0.0375, 0.75, n_t, True)
+        apply_ct = regularizer.class_operators("smooth_vanishing_at_T", 0.75, 0.075, 0.0375, n_t)[1]
+        out = apply_ct(z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n_t * n_t * 8
+    assert out.shape == (rows, n_t)
+    assert peak < 8 * rows * n_t * 8
 
 
 def test_smooth_control_validation(interval_basis, rng):
