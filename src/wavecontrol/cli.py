@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 config or usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -21,7 +20,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # noqa: F401  verify seeds a generator; load it with the module
 
 from . import __version__
 from . import geometry, presets
@@ -628,7 +626,9 @@ def verify_suite(cfg: ExperimentConfig) -> dict:
         raise ConfigError(
             f"verify needs T > {_OBSERVABILITY_WINDOW}, the observability window, got {cfg.T}"
         )
-    rng = np.random.default_rng(cfg.seed)
+    from numpy.random import default_rng  # only verify draws; the import costs about 6 MB
+
+    rng = default_rng(cfg.seed)
     domain = build_domain(cfg)
     basis = build_basis(cfg, domain)
     suites = {}
@@ -699,6 +699,8 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None) -> i
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wavecontrol",
         description="Boundary-control experiments for the wave equation.",

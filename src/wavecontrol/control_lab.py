@@ -23,6 +23,7 @@ values, which is what the continuous solution does.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -124,8 +125,8 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
     s_vec = apply_adj(r)  # gradient direction, minus alpha * g (g = 0)
     p = s_vec.copy()
     gamma = inner_ctrl(s_vec, s_vec)
-    norm0 = np.sqrt(max(gamma, 0.0))
-    history = [np.sqrt(max(inner_data(r, r), 0.0))]
+    norm0 = math.sqrt(max(gamma, 0.0))
+    history = [math.sqrt(max(inner_data(r, r), 0.0))]
     converged = norm0 == 0.0
     its = 0
     for its in range(1, budget + 1):
@@ -138,14 +139,16 @@ def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, 
             its -= 1
             break
         step = gamma / denom
-        g = g + step * p
-        r = r - step * q
-        s_vec = apply_adj(r) - alpha * g
+        g += step * p
+        r -= step * q
+        s_vec = apply_adj(r)
+        s_vec -= alpha * g
         gamma_new = inner_ctrl(s_vec, s_vec)
-        history.append(np.sqrt(max(inner_data(r, r) + alpha * inner_ctrl(g, g), 0.0)))
-        if np.sqrt(max(gamma_new, 0.0)) <= tol * norm0:
+        history.append(math.sqrt(max(inner_data(r, r) + alpha * inner_ctrl(g, g), 0.0)))
+        if math.sqrt(max(gamma_new, 0.0)) <= tol * norm0:
             converged = True
-        p = s_vec + (gamma_new / gamma) * p
+        p *= gamma_new / gamma
+        p += s_vec
         gamma = gamma_new
     return g, np.array(history), its, bool(converged)
 

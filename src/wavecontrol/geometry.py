@@ -475,21 +475,23 @@ def _write_node_csvs(domain: DomainSpec, tables) -> None:
 
     tables holds (path, name, values, fmt) per file.  Each row's ``i,j,x,y,``
     prefix is rendered once for all of them.  Rows end in CRLF, as
-    csv.writer writes them; each grid line goes out in one write per file,
-    so no whole file is ever held as one string.
+    csv.writer writes them; about 1024 nodes (whole grid lines) go out in
+    one write per file, so no whole file is ever held as one string.
     """
     xs = [f"{x:.17g}" for x in domain.axes[0]]
     ys = [f"{y:.17g}" for y in domain.axes[1]] if domain.dimension == 2 else ["0"]
     grids = [np.asarray(values).reshape(len(xs), len(ys)) for _, _, values, _ in tables]
     rows = [("{}{:" + fmt + "}\r\n").format for _, _, _, fmt in tables]
+    lines = -(-1024 // len(ys))  # grid lines per write
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", newline="")) for path, *_ in tables]
         for fh, (_, name, _, _) in zip(files, tables):
             fh.write(f"i,j,x,y,{name}\r\n")
-        for i, x in enumerate(xs):
-            prefixes = [f"{i},{j},{x},{y}," for j, y in enumerate(ys)]
+        for i0 in range(0, len(xs), lines):
+            block = enumerate(xs[i0 : i0 + lines], i0)
+            prefixes = [f"{i},{j},{x},{y}," for i, x in block for j, y in enumerate(ys)]
             for fh, grid, row in zip(files, grids, rows):
-                fh.write("".join(map(row, prefixes, grid[i].tolist())))
+                fh.write("".join(map(row, prefixes, grid[i0 : i0 + lines].ravel().tolist())))
 
 
 def write_eikonal_csvs(

@@ -42,18 +42,37 @@ __all__ = [
 # Base rule of the composite Gauss-Legendre quadrature on (-1, 1).  The bump
 # is smooth and its cosine transform decays like exp(-sqrt(w)) (S. G. Johnson,
 # arXiv:1508.04376), so 32 nodes per panel, with a panel per 25 radians of
-# phase, integrate phi(t) cos(w t) to roundoff.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# phase, integrate phi(t) cos(w t) to roundoff.  The rule is
+# numpy.polynomial.legendre.leggauss(32), written out so that no run pays the
+# numpy.polynomial import: its output is exactly symmetric, so its
+# nonnegative half, mirrored, reproduces it bit for bit.
+_GL_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
-def _composite_rule(max_phase: float) -> tuple:
-    """Nodes and weights on (-1, 1) for cosine phases up to max_phase."""
-    m = max(16, math.ceil(max_phase / 25.0))
+def _composite_rule(m: int) -> tuple:
+    """Nodes and weights of the m-panel rule on (-1, 1).
+
+    The nodes are the mirror of their nonnegative half, so x[::-1] == -x
+    exactly.  At 16 panels the panels' own nodes are already that exact mirror.
+    """
     edges = np.linspace(-1.0, 1.0, m + 1)
     half = (edges[1] - edges[0]) / 2
     mids = (edges[:-1] + edges[1:]) / 2
-    x = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-    return x, np.tile(half * _GL_WEIGHTS, m)
+    upper = (mids[:, None] + half * _GL_NODES[None, :]).ravel()[16 * m :]
+    return np.concatenate((-upper[::-1], upper)), np.tile(half * _GL_WEIGHTS, m)
 
 
 def _raw_bump(t):
@@ -68,7 +87,7 @@ def _raw_bump(t):
 @lru_cache(maxsize=1)
 def bump_normalization() -> float:
     """Constant c with integral of c exp(-1/(1-t^2)) over (-1, 1) equal to 1."""
-    x, w = _composite_rule(0.0)
+    x, w = _composite_rule(16)
     return 1.0 / float(w @ _raw_bump(x))
 
 
@@ -80,7 +99,7 @@ def bump_profile(t):
 @lru_cache(maxsize=1)
 def second_moment() -> float:
     """integral t^2 phi(t) dt, the constant of the small-eps expansion."""
-    x, w = _composite_rule(0.0)
+    x, w = _composite_rule(16)
     return float((w * x * x) @ bump_profile(x))
 
 
@@ -104,12 +123,22 @@ class MollifierKernel:
 _ZERO_PHASE = 1e4
 
 
+@lru_cache(maxsize=4)
+def _cosine_rule(m: int) -> tuple:
+    """Nonnegative nodes of the m-panel rule, and w * phi over all its nodes."""
+    x, w = _composite_rule(m)
+    return x[16 * m :], w * bump_profile(x)
+
+
 def _cosine_transform(phases: np.ndarray) -> np.ndarray:
     """integral phi(t) cos(w t) dt at each phase w, exactly 1 at w = 0."""
     live = phases < _ZERO_PHASE
-    x, w = _composite_rule(float(phases[live].max(initial=0.0)))
+    max_phase = float(phases[live].max(initial=0.0))
+    upper, weights = _cosine_rule(max(16, math.ceil(max_phase / 25.0)))
+    # cos is even and the nodes mirror: cos on the nonnegative half, mirrored
+    c = np.cos(np.outer(phases[live], upper))
     out = np.zeros(len(phases))
-    out[live] = np.cos(np.outer(phases[live], x)) @ (w * bump_profile(x))
+    out[live] = np.hstack((c[:, ::-1], c)) @ weights
     out[phases == 0.0] = 1.0
     return out
 
@@ -161,31 +190,45 @@ def _toeplitz_blocks(epsilon: float, dt: float) -> np.ndarray:
     return kern[np.abs(np.array([-B, 0, B])[:, None, None] + lags)]
 
 
+# samples, padding included, smoothed per pass: the passes take whole rows,
+# so no temporary spans a tall stack.  A pass holds about 900 rows of 1025
+# samples, so every stack of the experiment set (at most 512 rows) is one
+# GEMM, as before passes; only verify's 2D smoothing suite (5120 rows) is
+# split.  The split moves C and C* by the GEMM's rounding, which depends on
+# the rows per call.
+_PASS_SAMPLES = 1 << 20
+
+
 def _smooth(x, pre, post, blocks, odd):
     """post * sum_j phi_eps(t_i - s_j) (x pre)_j for each row of the 2-D x.
 
-    The samples sit in zero-padded blocks laid end to end over all rows, so
-    the correlation is three GEMMs of the stack against the three blocks; an
-    output block that straddles two rows is dropped.  With odd, each row is
-    extended past t = T as -h(2T - t), which is the kernel's reflection
-    about the horizon, and the output at t = T is its structural zero.
+    The samples sit in zero-padded blocks laid end to end over the rows of
+    a pass, so the correlation is three GEMMs of that stack against the
+    three blocks; an output block that straddles two rows is dropped.  With
+    odd, each row is extended past t = T as -h(2T - t), which is the
+    kernel's reflection about the horizon, and the output at t = T is its
+    structural zero.
     """
     B = len(blocks[0])
     n_t = x.shape[-1]
     n_blocks = -(-n_t // B) + 2  # a zero block each side of the samples
-    flat = np.zeros((len(x), n_blocks * B))
-    h = flat[:, B : B + n_t]
-    np.multiply(x, pre, out=h)
-    if odd:
-        r = min(B, n_t - 1)
-        flat[:, B + n_t : B + n_t + r] = -h[:, -2 : -2 - r : -1]
-        h[:, -1] = 0.0
-    X = flat.reshape(-1, B)
-    out = np.empty_like(X)
-    np.matmul(X[:-2], blocks[0], out=out[:-2])
-    out[:-2] += X[1:-1] @ blocks[1]
-    out[:-2] += X[2:] @ blocks[2]
-    y = np.multiply(out.reshape(len(x), -1)[:, :n_t], post)
+    r = min(B, n_t - 1)  # samples of the odd extension
+    y = np.empty(x.shape)
+    step = max(1, _PASS_SAMPLES // (n_blocks * B))
+    for lo in range(0, len(x), step):
+        rows = x[lo : lo + step]
+        flat = np.zeros((len(rows), n_blocks * B))
+        h = flat[:, B : B + n_t]
+        np.multiply(rows, pre, out=h)
+        if odd:
+            flat[:, B + n_t : B + n_t + r] = -h[:, -2 : -2 - r : -1]
+            h[:, -1] = 0.0
+        X = flat.reshape(-1, B)
+        out = np.empty_like(X)
+        np.matmul(X[:-2], blocks[0], out=out[:-2])
+        out[:-2] += X[1:-1] @ blocks[1]
+        out[:-2] += X[2:] @ blocks[2]
+        np.multiply(out.reshape(len(rows), -1)[:, :n_t], post, out=y[lo : lo + step])
     if odd:
         y[:, -1] = 0.0
     return y

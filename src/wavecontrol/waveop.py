@@ -17,7 +17,6 @@ oracle for the forward map.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -391,11 +390,10 @@ def write_state_csv(path, domain: DomainSpec, state: StateField) -> None:
     if domain.dimension == 2:
         _write_node_csvs(domain, [(path, "u", state.values, ".17g")])
         return
+    # one join, rows ending in the \r\n terminator csv.writer emits
+    rows = zip(domain.axes[0].tolist(), np.asarray(state.values).tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u"])
-        for x, v in zip(domain.axes[0], state.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+        fh.write("x,u\r\n" + "".join(f"{x:.17g},{v:.17g}\r\n" for x, v in rows))
 
 
 def write_trace_csv(path, trace: BoundaryTrace) -> None:

@@ -686,6 +686,44 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_defers_random_polynomial_argparse(tmp_path):
+    # numpy.random (which loads OpenSSL through secrets) is for verify alone,
+    # the Gauss-Legendre rule is written out and argparse is for main alone,
+    # so no other run pays their import; verify's draws do not depend on
+    # whether the generator module was loaded before the package
+    src = str(Path(wavecontrol.__file__).resolve().parents[1])
+    code = """if True:
+        import json, sys
+        if sys.argv[2] == "preload":
+            import numpy.random
+        def deferred():
+            names = ("numpy.random", "numpy.polynomial", "argparse")
+            return sorted(m for m in sys.modules if m in names or m.split(".")[0] == "scipy")
+        import wavecontrol.cli as cli
+        seen = {"import": deferred()}
+        out = sys.argv[1]
+        desk = cli.ExperimentConfig()
+        seen["status"] = [cli.run(desk, "eikonal", out_dir=f"{out}/eikonal")]
+        seen["eikonal"] = deferred()
+        seen["status"].append(cli.run(desk, "verify", out_dir=f"{out}/verify"))
+        print(json.dumps(seen))
+    """
+    seen = {}
+    for mode in ("fresh", "preload"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / mode), mode],
+            cwd=src,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        seen[mode] = json.loads(out.stdout.strip().splitlines()[-1])
+    assert seen["fresh"]["import"] == [] and seen["fresh"]["eikonal"] == []
+    assert seen["fresh"]["status"] == seen["preload"]["status"] == [0, 0]
+    reports = [(tmp_path / mode / "verify" / "report.json").read_bytes() for mode in seen]
+    assert reports[0] == reports[1]
+
+
 def test_scipy_loads_only_where_an_operator_is_factored(tmp_path):
     # the desk interval runs on analytic modes and a 1D lift by elimination,
     # so neither the import nor h1star nor verify should pay for scipy, nor

@@ -553,11 +553,20 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     assert b",-0\r\n" in tau_bytes and b",4.9406564584124654e-324\r\n" in tau_bytes
     assert b",1.0000000000000001e+300\r\n" in tau_bytes
     assert tau_bytes == (tmp_path / "tau_ref.csv").read_bytes()
-    if domain.dimension == 2:  # the 1D state table is x,u
-        waveop.write_state_csv(tmp_path / "state.csv", domain, waveop.StateField(tau))
+    waveop.write_state_csv(tmp_path / "state.csv", domain, waveop.StateField(tau))
+    if domain.dimension == 2:
         assert (tmp_path / "state.csv").read_bytes() == tau_bytes.replace(
             b",tau\r\n", b",u\r\n", 1
         )
+    else:  # the 1D state table is x,u
+        with open(tmp_path / "state_ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "u"])
+            for x, v in zip(domain.axes[0], flat):
+                writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+        state_bytes = (tmp_path / "state.csv").read_bytes()
+        assert b",-0\r\n" in state_bytes and b",1.0000000000000001e+300\r\n" in state_bytes
+        assert state_bytes == (tmp_path / "state_ref.csv").read_bytes()
     assert (tmp_path / "region.csv").read_bytes() == (
         tmp_path / "region_ref.csv"
     ).read_bytes()

@@ -101,6 +101,33 @@ def test_beta_matches_gauss_legendre_at_tail_phases(desk_basis):
         assert np.abs(got - oracle).max() <= 1e-14
 
 
+def test_gauss_legendre_literals_match_leggauss():
+    x, w = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(regularizer._GL_NODES, x)
+    assert np.array_equal(regularizer._GL_WEIGHTS, w)
+
+
+def test_cosine_transform_matches_full_rule():
+    # cos on the nonnegative half nodes, mirrored, against cos on every node;
+    # below phase 400 the rule has 16 panels, whose nodes mirror exactly
+    phases = np.concatenate([np.linspace(0.0, 399.9, 257), [1e-9, 0.3]])
+    x, w = regularizer._composite_rule(16)
+    assert np.array_equal(x, -x[::-1])
+    # the 16-panel nodes are those of the unmirrored composite rule, so beta
+    # at phases below 400 is the same as before the mirroring
+    edges = np.linspace(-1.0, 1.0, 17)
+    half = (edges[1] - edges[0]) / 2
+    mids = (edges[:-1] + edges[1:]) / 2
+    assert np.array_equal(x, (mids[:, None] + half * regularizer._GL_NODES[None, :]).ravel())
+    full = np.cos(np.outer(phases, x)) @ (w * regularizer.bump_profile(x))
+    full[0] = 1.0
+    assert np.array_equal(regularizer.beta_table(1.0, phases**2), full)
+    far = np.array([450.0, 1234.5, 9000.0])
+    x, w = regularizer._composite_rule(360)
+    full = np.cos(np.outer(far, x)) @ (w * regularizer.bump_profile(x))
+    assert np.abs(regularizer.beta_table(1.0, far**2) - full).max() <= 1e-14
+
+
 QAWO_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
@@ -240,6 +267,38 @@ def test_class_operator_peak_memory_is_linear_in_samples():
         tracemalloc.stop()
     assert out.shape == (rows, n_t)
     assert peak < 8 * rows * n_t * 8
+
+
+def test_smooth_peak_memory_is_bounded_by_passes():
+    """C* on verify's 2D smoothing stack, (5120, 1025), holds its output and
+    one pass of whole rows (the padded pass, its GEMM output and one GEMM
+    temporary: 1.6 stacks), not the padded stack and two GEMM outputs (4.4)."""
+    rows, n_t = 5120, 1025
+    z = np.ones((rows, n_t))
+    apply_ct = regularizer.class_operators("smooth_vanishing_at_T", 0.75, 0.075, 0.0375, n_t)[1]
+    apply_ct(z[:2])  # warm caches
+    tracemalloc.start()
+    try:
+        out = apply_ct(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, n_t)
+    assert peak < 2 * z.nbytes
+
+
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_smooth_passes_match_one_pass(antisymmetric, monkeypatch, rng):
+    # a pass takes whole rows, so the split moves an output only by the
+    # GEMM's rounding, which depends on the stack's height: each entry is a
+    # sum of about 2m = 102 terms, within 1e-14 of the largest output entry
+    cls = "smooth_vanishing_at_T" if antisymmetric else "smooth"
+    C, Ct = regularizer.class_operators(cls, 0.75, 0.075, 0.0375, 1025)
+    x = rng.standard_normal((37, 1025))
+    whole = C(x), Ct(x)
+    monkeypatch.setattr(regularizer, "_PASS_SAMPLES", 3 * 1173)  # 3 rows per pass
+    for got, expect in zip((C(x), Ct(x)), whole):
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_smooth_control_validation(interval_basis, rng):
