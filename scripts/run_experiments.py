@@ -2,8 +2,10 @@
 """Drive the showcase experiment set through the CLI.
 
 Writes one artifact directory per experiment under --out-root (default
-./out) and prints a one-line summary for each.  Every run is seeded and
-reproducible; see the manifest.json in each directory for the exact config.
+./out) and prints a one-line summary for each, with the run's total seconds
+and the seconds its CSV writers took (the manifest's ``total`` and
+``artifacts`` timings).  Every run is seeded and reproducible; see the
+manifest.json in each directory for the exact config.
 The coefficient tables that ``eikonal_mixed_65`` and ``eikonal_jump_65``
 read are written into the out root first.
 """
@@ -146,7 +148,9 @@ def main():
                 if k in summary
             ]
             note = ", ".join(f"{k}={summary[k]:.6g}" for k in keys)
-        print(f"[{'ok' if status == 0 else 'FAIL'}] {name}: {note}")
+        timings = json.loads((out_dir / "manifest.json").read_text())["timings"]
+        seconds = f"total {timings['total']:.3f} s, artifacts {timings.get('artifacts', 0.0):.3f} s"
+        print(f"[{'ok' if status == 0 else 'FAIL'}] {name}: {note} ({seconds})")
     return worst
 
 

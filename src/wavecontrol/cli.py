@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -242,7 +243,15 @@ def build_basis(cfg: ExperimentConfig, domain=None):
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="")
+
+
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Add the seconds the block takes to timings[stage]."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def _target_state(cfg: ExperimentConfig, domain, basis):
@@ -255,11 +264,11 @@ def _target_state(cfg: ExperimentConfig, domain, basis):
 
 
 def _run_eikonal(cfg, out, domain, timings):
-    t0 = time.perf_counter()
-    dist = geometry.eikonal_distance(domain)
-    region = geometry.filled_subdomain(dist, cfg.T)
-    timings["eikonal"] = time.perf_counter() - t0
-    geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, dist, region)
+    with _timed(timings, "eikonal"):
+        dist = geometry.eikonal_distance(domain)
+        region = geometry.filled_subdomain(dist, cfg.T)
+    with _timed(timings, "artifacts"):
+        geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, dist, region)
     return {
         "T": cfg.T,
         "T_fill": geometry.filling_time(dist),
@@ -269,10 +278,10 @@ def _run_eikonal(cfg, out, domain, timings):
 
 
 def _run_eigen(cfg, out, domain, timings):
-    t0 = time.perf_counter()
-    basis = build_basis(cfg, domain)
-    timings["eigensolve"] = time.perf_counter() - t0
-    write_spectrum_csv(out / "spectrum.csv", basis)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
+    with _timed(timings, "artifacts"):
+        write_spectrum_csv(out / "spectrum.csv", basis)
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
     return {
@@ -288,13 +297,13 @@ def _run_forward(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
     n_bnd = len(basis.boundary_weights)
     f = presets.stored_reference_control(cfg.T, n_bnd, n_steps=cfg.n_steps)
-    t0 = time.perf_counter()
-    u = control_to_state(f, basis)
-    timings["forward"] = time.perf_counter() - t0
+    with _timed(timings, "forward"):
+        u = control_to_state(f, basis)
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, cfg.T)
     band = 2 * dist.h + 2 * cfg.T / cfg.n_steps
-    write_state_csv(out / "state.csv", domain, u)
+    with _timed(timings, "artifacts"):
+        write_state_csv(out / "state.csv", domain, u)
     return {
         "T": cfg.T,
         "state_norm_H": basis.h_norm(u.values),
@@ -306,11 +315,10 @@ def _run_forward(cfg, out, domain, timings):
 def _run_dual(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
     y = _target_state(cfg, domain, basis)
-    t0 = time.perf_counter()
-    snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
-    timings["dual"] = time.perf_counter() - t0
-
-    write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0], role="dual_snapshot"))
+    with _timed(timings, "dual"):
+        snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
+    with _timed(timings, "artifacts"):
+        write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0], role="dual_snapshot"))
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -322,10 +330,10 @@ def _run_dual(cfg, out, domain, timings):
 def _run_observe(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
     y = _target_state(cfg, domain, basis)
-    t0 = time.perf_counter()
-    g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)
-    timings["observe"] = time.perf_counter() - t0
-    write_trace_csv(out / "trace.csv", g)
+    with _timed(timings, "observe"):
+        g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)
+    with _timed(timings, "artifacts"):
+        write_trace_csv(out / "trace.csv", g)
     tr = f_norm(g.samples, basis.boundary_weights, g.dt)
     yn = basis.h_norm(y.values)
     return {
@@ -339,10 +347,10 @@ def _run_observe(cfg, out, domain, timings):
 
 def _run_beta(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
-    t0 = time.perf_counter()
-    values = beta_table(cfg.epsilon, basis.lambdas)
-    timings["beta"] = time.perf_counter() - t0
-    write_beta_csv(out / "beta.csv", basis, cfg.epsilon)
+    with _timed(timings, "beta"):
+        values = beta_table(cfg.epsilon, basis.lambdas)
+    with _timed(timings, "artifacts"):
+        write_beta_csv(out / "beta.csv", basis, cfg.epsilon)
     return {
         "epsilon": cfg.epsilon,
         "max_abs_beta": float(np.abs(values).max()),
@@ -352,7 +360,7 @@ def _run_beta(cfg, out, domain, timings):
 
 
 def _write_residuals_csv(path: Path, history):
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("iter,residual\n")
         for i, r in enumerate(history):
             fh.write(f"{i},{r:.17g}\n")
@@ -378,22 +386,22 @@ def _run_control(cfg, out, domain, timings):
         epsilon=cfg.epsilon,
         n_steps=cfg.n_steps,
     )
-    t0 = time.perf_counter()
-    results = residual_curve(problem, cfg.alphas, basis)
+    with _timed(timings, "synthesis"):
+        results = residual_curve(problem, cfg.alphas, basis)
     res = results[-1]
-    timings["synthesis"] = time.perf_counter() - t0
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, cfg.T)
     bound = unreachability_bound(y, region, band=2 * dist.h)
-    _write_residuals_csv(out / "residuals.csv", res.residual_history)
-    with open(out / "curve.csv", "w") as fh:
-        fh.write("alpha,final_residual,relative_residual,iterations,converged\n")
-        for a, r in zip(cfg.alphas, results):
-            fh.write(
-                f"{a:.17g},{r.final_residual:.17g},{r.relative_residual:.17g},"
-                f"{r.iterations},{int(r.converged)}\n"
-            )
-    write_trace_csv(out / "control.csv", res.control)
+    with _timed(timings, "artifacts"):
+        _write_residuals_csv(out / "residuals.csv", res.residual_history)
+        with open(out / "curve.csv", "w", newline="") as fh:
+            fh.write("alpha,final_residual,relative_residual,iterations,converged\n")
+            for a, r in zip(cfg.alphas, results):
+                fh.write(
+                    f"{a:.17g},{r.final_residual:.17g},{r.relative_residual:.17g},"
+                    f"{r.iterations},{int(r.converged)}\n"
+                )
+        write_trace_csv(out / "control.csv", res.control)
     return {
         "T": cfg.T,
         "s": cfg.s,
@@ -414,19 +422,19 @@ def _run_control(cfg, out, domain, timings):
 def _run_h1star(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
     y = _target_state(cfg, domain, basis)
-    t0 = time.perf_counter()
-    res = h1_star_experiment(
-        y,
-        cfg.T,
-        basis,
-        budget=cfg.budget,
-        delta=cfg.delta,
-        epsilon=cfg.epsilon,
-        n_steps=cfg.n_steps,
-    )
-    timings["h1star"] = time.perf_counter() - t0
-    _write_residuals_csv(out / "residuals.csv", res.residual_history)
-    write_trace_csv(out / "control.csv", res.control)
+    with _timed(timings, "h1star"):
+        res = h1_star_experiment(
+            y,
+            cfg.T,
+            basis,
+            budget=cfg.budget,
+            delta=cfg.delta,
+            epsilon=cfg.epsilon,
+            n_steps=cfg.n_steps,
+        )
+    with _timed(timings, "artifacts"):
+        _write_residuals_csv(out / "residuals.csv", res.residual_history)
+        write_trace_csv(out / "control.csv", res.control)
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -634,9 +642,8 @@ def verify_suite(cfg: ExperimentConfig) -> dict:
     suites = {}
     timings = {}
     for name, suite in _SUITES:
-        t0 = time.perf_counter()
-        suites[name] = suite(cfg, domain, basis, rng)
-        timings[name] = time.perf_counter() - t0
+        with _timed(timings, name):
+            suites[name] = suite(cfg, domain, basis, rng)
     all_passed = all(item["passed"] for items in suites.values() for item in items)
     return {
         "version": __version__,
@@ -679,12 +686,11 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None) -> i
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
-    t0 = time.perf_counter()
-    domain = build_domain(cfg)
-    # each runner writes its artifacts and returns its summary; verify's is the report
-    payload = _RUNNERS[subcommand](cfg, out, domain, timings)
-    _write_json(out / ("report.json" if subcommand == "verify" else "summary.json"), payload)
-    timings["total"] = time.perf_counter() - t0
+    with _timed(timings, "total"):
+        domain = build_domain(cfg)
+        # each runner writes its artifacts and returns its summary; verify's is the report
+        payload = _RUNNERS[subcommand](cfg, out, domain, timings)
+        _write_json(out / ("report.json" if subcommand == "verify" else "summary.json"), payload)
     _write_json(
         out / "manifest.json",
         {

@@ -473,25 +473,31 @@ def filling_time(dist: DistanceField) -> float:
 def _write_node_csvs(domain: DomainSpec, tables) -> None:
     """Tables ``i,j,x,y,<name>`` with one row per node (1D: j = 0, y = 0).
 
-    tables holds (path, name, values, fmt) per file.  Each row's ``i,j,x,y,``
-    prefix is rendered once for all of them.  Rows end in CRLF, as
-    csv.writer writes them; about 1024 nodes (whole grid lines) go out in
-    one write per file, so no whole file is ever held as one string.
+    tables holds (path, name, values, fmt) per file.  Rows end in CRLF, as
+    csv.writer writes them.  About 1024 nodes (whole grid lines) go out in
+    one write per file, so no whole file is ever held as one string.  A
+    grid line's ``j`` and ``y`` columns are rendered once per call, with
+    ``\\0`` and ``\\1`` standing for ``i,`` and ``,x,`` and ``\\2`` for the
+    value; a block's rows are spliced once for all tables, and each table
+    renders the block with one ``%`` over its values.
     """
     xs = [f"{x:.17g}" for x in domain.axes[0]]
     ys = [f"{y:.17g}" for y in domain.axes[1]] if domain.dimension == 2 else ["0"]
+    line = "".join(f"\0{j}\1{y},\2" for j, y in enumerate(ys))
     grids = [np.asarray(values).reshape(len(xs), len(ys)) for _, _, values, _ in tables]
-    rows = [("{}{:" + fmt + "}\r\n").format for _, _, _, fmt in tables]
+    cells = [f"%{fmt}\r\n" for _, _, _, fmt in tables]
     lines = -(-1024 // len(ys))  # grid lines per write
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", newline="")) for path, *_ in tables]
         for fh, (_, name, _, _) in zip(files, tables):
             fh.write(f"i,j,x,y,{name}\r\n")
         for i0 in range(0, len(xs), lines):
-            block = enumerate(xs[i0 : i0 + lines], i0)
-            prefixes = [f"{i},{j},{x},{y}," for i, x in block for j, y in enumerate(ys)]
-            for fh, grid, row in zip(files, grids, rows):
-                fh.write("".join(map(row, prefixes, grid[i0 : i0 + lines].ravel().tolist())))
+            block = "".join(
+                line.replace("\0", f"{i},").replace("\1", f",{x},")
+                for i, x in enumerate(xs[i0 : i0 + lines], i0)
+            )
+            for fh, grid, cell in zip(files, grids, cells):
+                fh.write(block.replace("\2", cell) % tuple(grid[i0 : i0 + lines].ravel().tolist()))
 
 
 def write_eikonal_csvs(

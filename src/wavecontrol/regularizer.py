@@ -15,7 +15,6 @@ samples, so the smoothing is a banded Toeplitz correlation, never n_t x n_t.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -300,8 +299,8 @@ def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> Boundary
 
 def write_beta_csv(path, basis: SpectralBasis, epsilon: float) -> None:
     betas = beta_table(epsilon, basis.lambdas)
+    # one % over the table, rows ending in the \r\n terminator csv.writer emits
+    rows = "".join(f"{k},%.17g,%.17g\r\n" for k in range(1, basis.n_modes + 1))
+    values = np.column_stack([basis.lambdas, betas]).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda", "beta"])
-        for k, (lam, b) in enumerate(zip(basis.lambdas, betas), start=1):
-            writer.writerow([k, f"{lam:.17g}", f"{b:.17g}"])
+        fh.write("k,lambda,beta\r\n" + rows % tuple(values))

@@ -15,7 +15,6 @@ accuracy of the observation operator built on top of them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -307,8 +306,7 @@ def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 
 
 def write_spectrum_csv(path, basis: SpectralBasis) -> None:
+    # one % over the table, rows ending in the \r\n terminator csv.writer emits
+    rows = "".join(f"{k},%.17g\r\n" for k in range(1, basis.n_modes + 1))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda"])
-        for k, lam in enumerate(basis.lambdas, start=1):
-            writer.writerow([k, f"{lam:.17g}"])
+        fh.write("k,lambda\r\n" + rows % tuple(basis.lambdas.tolist()))

@@ -331,6 +331,13 @@ def test_eikonal_artifacts(tmp_path):
     assert manifest["config"]["nx"] == 129
 
 
+@pytest.mark.parametrize("subcommand", ["eikonal", "control"])
+def test_manifest_times_the_csv_writers(tmp_path, subcommand):
+    assert cli.run(fast_config(), subcommand, out_dir=str(tmp_path)) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert 0.0 <= timings["artifacts"] <= timings["total"]
+
+
 def test_eigen_artifacts(tmp_path):
     status = cli.run(fast_config(), "eigen", out_dir=str(tmp_path))
     assert status == 0

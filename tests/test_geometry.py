@@ -528,15 +528,24 @@ def _csv_writer_rendering(path, domain, name, cells):
             writer.writerow([i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}", cell])
 
 
-@pytest.mark.parametrize(
+# 19 x 130 spans three 1024-node writes of 8 + 8 + 3 grid lines
+_NODE_TABLE_DOMAINS = pytest.mark.parametrize(
     "domain",
-    [geometry.interval(n=17, x0=-0.5, x1=2.0), _variable_rectangle((37, 23))],
-    ids=["1d", "2d_37x23"],
+    [
+        geometry.interval(n=17, x0=-0.5, x1=2.0),
+        _variable_rectangle((37, 23)),
+        _variable_rectangle((19, 130)),
+    ],
+    ids=["1d", "2d_37x23", "2d_19x130"],
 )
+
+
+@_NODE_TABLE_DOMAINS
 def test_node_csv_matches_csv_writer(tmp_path, domain):
     tau = geometry.eikonal_distance(domain).tau.copy()
     flat = tau.reshape(-1)
     flat[1], flat[2], flat[3] = -0.0, 5e-324, 1e300
+    flat[-4], flat[-3], flat[-2] = -0.0, 5e-324, 1e300  # the same cells in the last block
     dist = geometry.DistanceField(tau=tau, spacings=domain.spacings)
     region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
     assert 0 < region.indicator.sum() < region.indicator.size
@@ -572,11 +581,7 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     ).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "domain",
-    [geometry.interval(n=17, x0=-0.5, x1=2.0), _variable_rectangle((37, 23))],
-    ids=["1d", "2d_37x23"],
-)
+@_NODE_TABLE_DOMAINS
 def test_eikonal_csvs_match_csv_writer(tmp_path, domain):
     """One pass writes tau.csv and region.csv as csv.writer renders each."""
     dist = geometry.eikonal_distance(domain)

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -365,3 +366,11 @@ def test_beta_csv(tmp_path, interval_basis):
     k, lam, b = lines[1].split(",")
     assert k == "1"
     assert abs(float(b)) <= 1.0
+    betas = regularizer.beta_table(0.05, interval_basis.lambdas)
+    expect = tmp_path / "expect.csv"
+    with open(expect, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "lambda", "beta"])
+        for k, (lam, b) in enumerate(zip(interval_basis.lambdas, betas), start=1):
+            writer.writerow([k, f"{lam:.17g}", f"{b:.17g}"])
+    assert path.read_bytes() == expect.read_bytes()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,10 @@ def test_spectrum_csv(tmp_path, interval_basis):
     k, lam = lines[1].split(",")
     assert k == "1"
     assert float(lam) == pytest.approx(np.pi**2, rel=1e-3)
+    expect = tmp_path / "expect.csv"
+    with open(expect, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "lambda"])
+        for k, lam in enumerate(interval_basis.lambdas, start=1):
+            writer.writerow([k, f"{lam:.17g}"])
+    assert path.read_bytes() == expect.read_bytes()

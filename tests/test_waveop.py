@@ -356,22 +356,32 @@ def test_trace_csv(tmp_path, interval_basis):
     assert len(lines) == 1 + 2 * 5
 
 
+_EDGE_ROWS = np.array(
+    [
+        [0.0, -0.0, 5e-324, 1e-300, -1.5],
+        [1.5e300, np.pi, -1.0 / 3.0, 12345678901234567.0, 1e-7],
+        [0.1, 0.2, 0.30000000000000004, -2.0, 7.0],
+    ]
+)
+
+
+def _twelve_rows():
+    # two-digit gamma_ids, with the edge values in rows 10 and 11
+    samples = np.random.default_rng(3).standard_normal((12, 5))
+    samples[10:] = _EDGE_ROWS[:2]
+    return samples
+
+
 def test_trace_csv_matches_csv_writer(tmp_path):
-    samples = np.array(
-        [
-            [0.0, -0.0, 5e-324, 1e-300, -1.5],
-            [1.5e300, np.pi, -1.0 / 3.0, 12345678901234567.0, 1e-7],
-            [0.1, 0.2, 0.30000000000000004, -2.0, 7.0],
-        ]
-    )
-    trace = waveop.BoundaryTrace(samples=samples, T=0.7)
-    expect = tmp_path / "expect.csv"
-    with open(expect, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma_id", "t", "g"])
-        for g_id in range(samples.shape[0]):
-            for i, t in enumerate(trace.times):
-                writer.writerow([g_id, f"{t:.17g}", f"{samples[g_id, i]:.17g}"])
-    got = tmp_path / "got.csv"
-    waveop.write_trace_csv(got, trace)
-    assert got.read_bytes() == expect.read_bytes()
+    for samples in (_EDGE_ROWS, _twelve_rows()):
+        trace = waveop.BoundaryTrace(samples=samples, T=0.7)
+        expect = tmp_path / "expect.csv"
+        with open(expect, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["gamma_id", "t", "g"])
+            for g_id in range(samples.shape[0]):
+                for i, t in enumerate(trace.times):
+                    writer.writerow([g_id, f"{t:.17g}", f"{samples[g_id, i]:.17g}"])
+        got = tmp_path / "got.csv"
+        waveop.write_trace_csv(got, trace)
+        assert got.read_bytes() == expect.read_bytes()
