@@ -107,7 +107,7 @@ def write_coefficient_table(path, coefficients, n=65):
     """Node table ``i,j,a11,a12,a22`` of the medium on the n x n unit grid."""
     x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
     a11, a12, a22 = coefficients(x, y)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:  # "\n" on every platform
         fh.write("i,j,a11,a12,a22\n")
         for (i, j), *values in zip(np.ndindex(n, n), a11.flat, a12.flat, a22.flat):
             fh.write(f"{i},{j}," + ",".join(f"{v:.17g}" for v in values) + "\n")

@@ -68,9 +68,12 @@ class DomainSpec:
         expected = tuple(self.shape) + (d, d)
         if self.coeff.shape != expected:
             raise ValueError(f"coeff shape {self.coeff.shape}, expected {expected}")
-        asym = np.max(np.abs(self.coeff - np.swapaxes(self.coeff, -1, -2)))
-        if asym > 0:
-            raise ValueError(f"coefficient matrix not symmetric (max dev {asym:g})")
+        if d == 2:  # a 1x1 matrix is symmetric by shape
+            asym = np.max(np.abs(self.coeff[..., 0, 1] - self.coeff[..., 1, 0]))
+            # a tensor with a non-finite diagonal entry is refused below as
+            # not positive definite, whatever its off-diagonal planes hold
+            if asym > 0 and np.isfinite(self.coeff[..., [0, 1], [0, 1]]).all():
+                raise ValueError(f"coefficient matrix not symmetric (max dev {asym:g})")
         if self.potential is not None:
             if self.potential.shape != tuple(self.shape):
                 raise ValueError("potential shape does not match grid")

@@ -106,7 +106,7 @@ def eigensolve(domain: DomainSpec, n_modes: int, backend: str = "auto") -> Spect
             raise ValueError("analytic backend needs constant isotropic coefficients")
         lambdas, modes = _analytic_modes(domain, n_modes)
     elif backend == "fd":
-        lambdas, modes = _fd_modes(domain, n_modes)
+        lambdas, modes = _fd_modes(domain, n_modes, constant)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -131,9 +131,14 @@ def eigensolve(domain: DomainSpec, n_modes: int, backend: str = "auto") -> Spect
 
 
 def _is_constant_isotropic(domain: DomainSpec) -> bool:
+    """Whether coeff == coeff.flat[0] * I at every node and q is constant."""
     c, q = domain.coeff, domain.potential
-    isotropic = np.all(c == c.flat[0] * np.eye(domain.dimension))
-    return bool(isotropic) and (q is None or np.ptp(q) == 0)
+    d = domain.dimension
+    # entry by entry on the coefficient planes, stopping at the first that differs
+    isotropic = all(
+        np.all(c[..., i, j] == c.flat[0] * (i == j)) for i in range(d) for j in range(d)
+    )
+    return isotropic and (q is None or np.ptp(q) == 0)
 
 
 def _mode_order(lams_1d: list) -> list:
@@ -207,10 +212,11 @@ def fd_operator(domain: DomainSpec) -> csr_matrix:
     return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(diag.size, diag.size))
 
 
-def _fd_modes(domain: DomainSpec, n_modes: int):
+def _fd_modes(domain: DomainSpec, n_modes: int, constant: bool):
+    """``constant`` is _is_constant_isotropic(domain), which eigensolve has evaluated."""
     if domain.dimension == 1:
         return _fd_modes_1d(domain, n_modes)
-    if _is_constant_isotropic(domain):
+    if constant:
         return _fd_modes_2d_separable(domain, n_modes)
     return _fd_modes_2d_general(domain, n_modes)
 

@@ -338,6 +338,17 @@ def test_manifest_times_the_csv_writers(tmp_path, subcommand):
     assert 0.0 <= timings["artifacts"] <= timings["total"]
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [ExperimentConfig(), ExperimentConfig(preset="square_bump", nx=33, ny=33)],
+    ids=["desk", "square_bump_33"],
+)
+def test_manifest_times_the_domain_build(tmp_path, cfg):
+    assert cli.run(cfg, "eikonal", out_dir=str(tmp_path)) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert 0.0 <= timings["domain"] <= timings["total"]
+
+
 def test_eigen_artifacts(tmp_path):
     status = cli.run(fast_config(), "eigen", out_dir=str(tmp_path))
     assert status == 0
@@ -476,6 +487,14 @@ def test_verify_suite_passes_at_desk_scale(tmp_path):
         for item in items:
             assert {"item", "measured", "passed"} <= set(item)
             assert item["passed"] is True
+
+
+def test_verify_builds_its_domain_once(tmp_path, monkeypatch):
+    built = []
+    real_build = cli.build_domain
+    monkeypatch.setattr(cli, "build_domain", lambda cfg: built.append(cfg) or real_build(cfg))
+    cli.run(fast_config(), "verify", out_dir=str(tmp_path))
+    assert len(built) == 1
 
 
 def test_verify_report_items_and_bounds():

@@ -51,6 +51,34 @@ def test_coefficient_validation_rejects_indefinite():
     assert np.linalg.eigvalsh(bad)[0] < 0  # sanity on the example itself
 
 
+def _tensor(shape, a11=1.0, a12=0.0, a22=1.0):
+    coeff = np.zeros(shape + (2, 2))
+    coeff[..., 0, 0], coeff[..., 0, 1], coeff[..., 1, 0], coeff[..., 1, 1] = a11, a12, a12, a22
+    return coeff
+
+
+def test_coefficient_validation_rejects_asymmetric():
+    coeff = _tensor((5, 4), a12=0.1)
+    coeff[3, 2, 1, 0] = 0.1 + 3e-7
+    old_dev = np.max(np.abs(coeff - np.swapaxes(coeff, -1, -2)))  # whole-tensor formula
+    with pytest.raises(ValueError, match="not symmetric") as err:
+        geometry.DomainSpec(_UNIT, (5, 4), coeff)
+    assert str(err.value) == f"coefficient matrix not symmetric (max dev {old_dev:g})"
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_diagonal_is_not_positive_definite(bad, asymmetric):
+    # an asymmetric node elsewhere does not turn the refusal into a symmetry
+    # one: the whole-tensor deviation of the reference formula is NaN here
+    coeff = _tensor((5, 4))
+    coeff[2, 1, 1, 1] = bad
+    if asymmetric:
+        coeff[3, 2, 0, 1] = 0.25
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not positive definite"):
+        geometry.DomainSpec(_UNIT, (5, 4), coeff)
+
+
 def test_coefficient_validation_rejects_negative_potential():
     with pytest.raises(ValueError, match="potential"):
         geometry.interval(n=9, q=lambda x: -np.ones_like(x))
@@ -367,6 +395,34 @@ def test_fast_march_peak_memory_per_node():
     finally:
         tracemalloc.stop()
     assert peak < 80 * np.prod(dom.shape)
+
+
+def test_square_bump_build_peak_memory_per_node():
+    # the (n, n, 2, 2) tensor is 32 bytes a node; a symmetry check on
+    # whole-tensor temporaries reads about 120
+    cfg = cli.ExperimentConfig(preset="square_bump")
+    tracemalloc.start()
+    try:
+        dom = cli.build_domain(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.shape == (129, 129)
+    assert peak < 104 * np.prod(dom.shape)
+
+
+def test_square_bump_samples_its_bump_once(monkeypatch):
+    calls = []
+    real_bump = geometry.radial_bump_coefficient
+
+    def counting_bump(*args):
+        profile = real_bump(*args)
+        return lambda *coords: calls.append(coords) or profile(*coords)
+
+    monkeypatch.setattr(geometry, "radial_bump_coefficient", counting_bump)
+    dom = cli.build_domain(cli.ExperimentConfig(preset="square_bump", nx=33, ny=33))
+    assert len(calls) == 1
+    assert np.array_equal(dom.coeff[..., 1, 1], dom.coeff[..., 0, 0])
 
 
 def test_dijkstra_matches_reference_loop():

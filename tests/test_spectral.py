@@ -106,6 +106,28 @@ def test_analytic_modes_match_full_table(domain, n_modes):
         assert np.any(np.diff(lam) == 0)  # degenerate pairs are in the cut
 
 
+_ISOTROPY_CASES = [
+    ("1d_constant", lambda: geometry.interval(n=9, a=2.0), True),
+    ("1d_variable", lambda: geometry.interval(n=9, a=lambda x: 1.0 + x), False),
+    ("2d_constant", lambda: geometry.rectangle(shape=(7, 5), a11=2.0), True),
+    ("2d_constant_q", lambda: geometry.rectangle(shape=(7, 5), a11=2.0, q=0.5), True),
+    ("a11_ne_a22", lambda: geometry.rectangle(shape=(7, 5), a11=1.0, a22=2.5), False),
+    ("constant_a12", lambda: geometry.rectangle(shape=(7, 5), a12=0.1), False),
+    ("variable_a11", lambda: geometry.rectangle(shape=(7, 5), a11=lambda x, y: 1.0 + x * y), False),
+    ("variable_q", lambda: geometry.rectangle(shape=(7, 5), q=lambda x, y: x + y), False),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected", [case[1:] for case in _ISOTROPY_CASES], ids=[case[0] for case in _ISOTROPY_CASES]
+)
+def test_is_constant_isotropic_matches_broadcast_formula(build, expected):
+    dom = build()
+    c, q = dom.coeff, dom.potential
+    broadcast = bool(np.all(c == c.flat[0] * np.eye(dom.dimension))) and (q is None or np.ptp(q) == 0)
+    assert spectral._is_constant_isotropic(dom) == broadcast == expected
+
+
 def test_variable_coefficient_2d_dense_path():
     a = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
     dom = geometry.rectangle(shape=(21, 21), a11=a, a22=a)
