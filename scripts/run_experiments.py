@@ -62,6 +62,11 @@ EXPERIMENTS = (
     ),
     ("control_square", "control", {"preset": "square"}),
     (
+        "control_in_range_square_33",
+        "control",
+        {"preset": "square", "nx": 33, "ny": 33, "n_modes": 40, "target": "in_range"},
+    ),
+    (
         "control_square_smooth",
         "control",
         {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -628,6 +629,32 @@ _SUITES = (
 )
 
 
+class _Draws:
+    """Seeded draws for the suites from the stdlib Mersenne Twister.
+
+    It offers the two ``numpy.random.Generator`` methods the suites call.
+    ``random`` is loaded with numpy already; ``numpy.random`` would load
+    OpenSSL through ``secrets`` and cost about 6 MB resident.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        """Box-Muller over 53-bit uniforms, u1 in (0, 1] so its log is finite."""
+        n = math.prod(shape)
+        half = (n + 1) // 2
+        bits = np.frombuffer(self._random.randbytes(16 * half), dtype="<u8") >> 11
+        u = bits * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+        angle = 2.0 * np.pi * u[half:]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
+
+    def integers(self, low: int, high: int) -> int:
+        """One integer drawn uniformly from [low, high)."""
+        return self._random.randrange(low, high)
+
+
 def verify_suite(cfg: ExperimentConfig, domain=None) -> dict:
     """Run every invariant suite on ``domain`` (built from cfg when None);
     returns the machine-readable report."""
@@ -635,9 +662,7 @@ def verify_suite(cfg: ExperimentConfig, domain=None) -> dict:
         raise ConfigError(
             f"verify needs T > {_OBSERVABILITY_WINDOW}, the observability window, got {cfg.T}"
         )
-    from numpy.random import default_rng  # only verify draws; the import costs about 6 MB
-
-    rng = default_rng(cfg.seed)
+    rng = _Draws(cfg.seed)
     domain = domain if domain is not None else build_domain(cfg)
     basis = build_basis(cfg, domain)
     suites = {}

@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+def _node(flat_index, shape) -> tuple:
+    """Multi-index of a flat node index, as plain ints for messages."""
+    return tuple(int(i) for i in np.unravel_index(int(flat_index), shape))
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Axis-aligned box domain with node-sampled operator coefficients.
@@ -69,10 +74,18 @@ class DomainSpec:
         if self.coeff.shape != expected:
             raise ValueError(f"coeff shape {self.coeff.shape}, expected {expected}")
         if d == 2:  # a 1x1 matrix is symmetric by shape
-            asym = np.max(np.abs(self.coeff[..., 0, 1] - self.coeff[..., 1, 0]))
-            # a tensor with a non-finite diagonal entry is refused below as
-            # not positive definite, whatever its off-diagonal planes hold
-            if asym > 0 and np.isfinite(self.coeff[..., [0, 1], [0, 1]]).all():
+            a12, a21 = self.coeff[..., 0, 1], self.coeff[..., 1, 0]
+            asym = np.max(np.abs(a12 - a21))
+            # NaN where an off-diagonal entry is not finite; a tensor with a
+            # non-finite diagonal entry is refused below as not positive
+            # definite, whatever its off-diagonal planes hold
+            if not asym <= 0 and np.isfinite(self.coeff[..., [0, 1], [0, 1]]).all():
+                bad = ~(np.isfinite(a12) & np.isfinite(a21))
+                if bad.any():  # the eigenvalue check below reads a12 alone
+                    raise ValueError(
+                        f"coefficient matrix has a non-finite off-diagonal entry at node "
+                        f"{_node(np.argmax(bad), self.shape)}"
+                    )
                 raise ValueError(f"coefficient matrix not symmetric (max dev {asym:g})")
         if self.potential is not None:
             if self.potential.shape != tuple(self.shape):
@@ -82,9 +95,9 @@ class DomainSpec:
         smallest = self._node_eigenvalues()[0]
         mu = float(np.min(smallest))
         if not (mu > 0) or not np.isfinite(mu):
-            loc = np.unravel_index(int(np.argmin(smallest)), self.shape)
             raise ValueError(
-                f"coefficient matrix not positive definite at node {loc} "
+                f"coefficient matrix not positive definite at node "
+                f"{_node(np.argmin(smallest), self.shape)} "
                 f"(smallest eigenvalue {mu:g})"
             )
 
@@ -128,6 +141,17 @@ class DomainSpec:
     def boundary_nodes(self) -> np.ndarray:
         """Boundary node multi-indices, lexicographic, each node once."""
         return np.argwhere(self.boundary_mask)
+
+    def face_midpoint_rows(self) -> tuple:
+        """Boundary rows of the middle nodes of the low and high x faces.
+
+        In 1D those faces are the two endpoints, rows 0 and 1.  In 2D they
+        are the nodes (0, m) and (nx - 1, m), m = (ny - 1) // 2, away from
+        the corners, where the conormal traces vanish.
+        """
+        middle = [(n - 1) // 2 for n in self.shape[1:]]
+        nodes = [np.ravel_multi_index([end, *middle], self.shape) for end in (0, self.shape[0] - 1)]
+        return tuple(int(r) for r in np.flatnonzero(self.boundary_mask).searchsorted(nodes))
 
     def boundary_weights(self) -> np.ndarray:
         """Quadrature weights of the boundary measure, aligned with boundary_nodes.

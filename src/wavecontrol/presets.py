@@ -108,21 +108,24 @@ def two_sided_pulse_control(
 
 
 def stored_reference_control(
-    T: float, n_boundary: int, n_steps: int = DEFAULT_TIME_STEPS
+    T: float, n_boundary: int, n_steps: int = DEFAULT_TIME_STEPS, rows: tuple = (0, -1)
 ) -> BoundaryControl:
-    """Fixed smooth control used to manufacture in-range targets."""
+    """Fixed smooth control on two boundary rows, used to manufacture in-range targets."""
     times = np.linspace(0.0, T, n_steps + 1)
     s = times / T
     profile = np.sin(np.pi * s) ** 3 * (1.0 + 0.4 * np.cos(3 * np.pi * s))
     samples = np.zeros((n_boundary, n_steps + 1))
-    samples[0] = profile
-    samples[-1] = -0.6 * profile
+    samples[rows[0]] = profile
+    samples[rows[1]] = -0.6 * profile
     return BoundaryControl(samples=samples, T=T)
 
 
 def in_range_target(basis: SpectralBasis, T: float) -> StateField:
     """Final snapshot of the stored reference control: in range by construction."""
-    g = stored_reference_control(T, len(basis.boundary_weights))
+    # the middles of two opposite faces: rows 0 and -1 are the 2D corners,
+    # whose conormal traces vanish, so a control there reaches nothing
+    rows = basis.domain.face_midpoint_rows()
+    g = stored_reference_control(T, len(basis.boundary_weights), rows=rows)
     state = control_to_state(g, basis)
     return StateField(values=state.values, role="target")
 

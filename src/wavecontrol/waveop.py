@@ -336,17 +336,24 @@ def support_violation(
 def random_control(
     basis: SpectralBasis,
     T: float,
-    rng: np.random.Generator,
+    rng,
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> BoundaryControl:
-    """Seeded random control, white in space and time."""
+    """Seeded random control, white in space and time.
+
+    ``rng`` is any source with a ``standard_normal(shape)`` method, such as
+    a ``numpy.random.Generator``.
+    """
     n_bnd = len(basis.boundary_weights)
     samples = rng.standard_normal((n_bnd, n_steps + 1))
     return BoundaryControl(samples=samples, T=T)
 
 
-def random_state(basis: SpectralBasis, rng: np.random.Generator) -> StateField:
-    """Seeded random velocity perturbation over the grid, zero on the boundary."""
+def random_state(basis: SpectralBasis, rng) -> StateField:
+    """Seeded random velocity perturbation over the grid, zero on the boundary.
+
+    ``rng`` is any source with a ``standard_normal(shape)`` method.
+    """
     values = rng.standard_normal(tuple(basis.domain.shape))
     values[basis.domain.boundary_mask] = 0.0
     return StateField(values=values, role="velocity_perturbation")
@@ -355,7 +362,7 @@ def random_state(basis: SpectralBasis, rng: np.random.Generator) -> StateField:
 def random_smooth_control(
     basis: SpectralBasis,
     T: float,
-    rng: np.random.Generator,
+    rng,
     n_steps: int = DEFAULT_TIME_STEPS,
     support: tuple | None = None,
     n_harmonics: int = 16,
@@ -365,7 +372,8 @@ def random_smooth_control(
     Random harmonics on the support window, shaped by a bump so every time
     derivative vanishes at the window ends.  Sample-pointwise rough controls
     defeat trapezoid quadrature; identities stated at tight tolerances are
-    exercised with these instead.
+    exercised with these instead.  ``rng`` is any source with a
+    ``standard_normal(shape)`` method.
     """
     a, b = support if support is not None else (0.0, T)
     if not 0.0 <= a < b <= T:

@@ -713,17 +713,17 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_cli_import_defers_random_polynomial_argparse(tmp_path):
-    # numpy.random (which loads OpenSSL through secrets) is for verify alone,
-    # the Gauss-Legendre rule is written out and argparse is for main alone,
-    # so no other run pays their import; verify's draws do not depend on
-    # whether the generator module was loaded before the package
+    # verify draws from the stdlib Mersenne Twister, so no run loads
+    # numpy.random (nor OpenSSL, which it loads through secrets); the
+    # Gauss-Legendre rule is written out and argparse is for main alone;
+    # verify's draws do not depend on whether numpy.random was loaded before
     src = str(Path(wavecontrol.__file__).resolve().parents[1])
     code = """if True:
         import json, sys
         if sys.argv[2] == "preload":
             import numpy.random
         def deferred():
-            names = ("numpy.random", "numpy.polynomial", "argparse")
+            names = ("numpy.random", "numpy.polynomial", "argparse", "secrets", "_hashlib")
             return sorted(m for m in sys.modules if m in names or m.split(".")[0] == "scipy")
         import wavecontrol.cli as cli
         seen = {"import": deferred()}
@@ -731,7 +731,9 @@ def test_cli_import_defers_random_polynomial_argparse(tmp_path):
         desk = cli.ExperimentConfig()
         seen["status"] = [cli.run(desk, "eikonal", out_dir=f"{out}/eikonal")]
         seen["eikonal"] = deferred()
-        seen["status"].append(cli.run(desk, "verify", out_dir=f"{out}/verify"))
+        for sub in cli.SUBCOMMANDS[1:]:  # verify last
+            seen["status"].append(cli.run(desk, sub, out_dir=f"{out}/{sub}"))
+        seen["all"] = deferred()
         print(json.dumps(seen))
     """
     seen = {}
@@ -744,17 +746,39 @@ def test_cli_import_defers_random_polynomial_argparse(tmp_path):
             check=True,
         )
         seen[mode] = json.loads(out.stdout.strip().splitlines()[-1])
-    assert seen["fresh"]["import"] == [] and seen["fresh"]["eikonal"] == []
-    assert seen["fresh"]["status"] == seen["preload"]["status"] == [0, 0]
+    assert seen["fresh"]["import"] == seen["fresh"]["eikonal"] == seen["fresh"]["all"] == []
+    assert seen["fresh"]["status"] == seen["preload"]["status"] == [0] * len(cli.SUBCOMMANDS)
     reports = [(tmp_path / mode / "verify" / "report.json").read_bytes() for mode in seen]
     assert reports[0] == reports[1]
+
+
+def test_verify_draw_source():
+    # the stdlib-backed source that verify draws from: seeded, standard
+    # normal within 5 sigma over 4e5 draws, integers in [low, high), and
+    # accepted by the waveop helpers in place of a numpy Generator
+    draws = cli._Draws(7)
+    z = draws.standard_normal((400, 1000))
+    assert z.shape == (400, 1000)
+    assert np.array_equal(z, cli._Draws(7).standard_normal((400, 1000)))
+    assert not np.array_equal(z[:2, :5], cli._Draws(8).standard_normal((2, 5)))
+    n = z.size
+    assert abs(z.mean()) <= 5 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5 * np.sqrt(2.0 / n)
+    assert cli._Draws(3).standard_normal((3,)).shape == (3,)  # odd counts too
+    ks = [draws.integers(2, 9) for _ in range(500)]
+    assert min(ks) == 2 and max(ks) == 8
+    basis = cli.build_basis(ExperimentConfig(nx=33, n_modes=8))
+    f = waveop.random_control(basis, 0.75, cli._Draws(0), n_steps=64)
+    assert f.samples.shape == (2, 65) and np.isfinite(f.samples).all()
+    assert np.array_equal(f.samples, cli._Draws(0).standard_normal((2, 65)))
 
 
 def test_scipy_loads_only_where_an_operator_is_factored(tmp_path):
     # the desk interval runs on analytic modes and a 1D lift by elimination,
     # so neither the import nor h1star nor verify should pay for scipy, nor
     # the square_bump eikonal and eigensolve refusal; an fd eigensolve on
-    # variable coefficients does load scipy.linalg
+    # variable coefficients does load scipy.linalg (and with it numpy.random,
+    # which scipy's array-API layer imports)
     src = str(Path(wavecontrol.__file__).resolve().parents[1])
     code = """if True:
         import json, sys
@@ -772,7 +796,7 @@ def test_scipy_loads_only_where_an_operator_is_factored(tmp_path):
             cli.run(cli.ExperimentConfig(**bump2d, nx=73, ny=73), "eigen", out_dir=f"{out}/cap")
         except ValueError as exc:
             seen["refusal"] = str(exc)
-        seen["unfactored"] = scipy_modules()
+        seen["unfactored"] = scipy_modules() + [m for m in ("numpy.random",) if m in sys.modules]
         bump = cli.ExperimentConfig(preset="interval_bump", nx=65, n_modes=16)
         seen["status"].append(cli.run(bump, "eigen", out_dir=f"{out}/eigen"))
         seen["bump_linalg"] = "scipy.linalg" in sys.modules

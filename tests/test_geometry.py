@@ -79,6 +79,17 @@ def test_nonfinite_diagonal_is_not_positive_definite(bad, asymmetric):
         geometry.DomainSpec(_UNIT, (5, 4), coeff)
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["a12", "a21"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_off_diagonal_is_refused_at_its_node(bad, entry):
+    # a NaN a21 beside a finite a12 once passed both checks, and the graph
+    # fallback then returned tau = inf at that node
+    coeff = _tensor((5, 5), a12=0.1)
+    coeff[(2, 1) + entry] = bad
+    with pytest.raises(ValueError, match=r"non-finite off-diagonal entry at node \(2, 1\)$"):
+        geometry.DomainSpec(_UNIT, (5, 5), coeff)
+
+
 def test_coefficient_validation_rejects_negative_potential():
     with pytest.raises(ValueError, match="potential"):
         geometry.interval(n=9, q=lambda x: -np.ones_like(x))

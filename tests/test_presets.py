@@ -75,6 +75,21 @@ def test_in_range_target_matches_forward_map(desk_basis):
     assert y.role == "target"
 
 
+def test_in_range_target_2d_is_reached(square_basis):
+    # the reference control drives the middles of the x faces: at the corner
+    # rows the conormal traces vanish and the target was the zero state
+    from wavecontrol.control_lab import SynthesisProblem, synthesize_control
+
+    nodes = square_basis.domain.boundary_nodes()
+    assert nodes[list(square_basis.domain.face_midpoint_rows())].tolist() == [[0, 64], [128, 64]]
+    y = presets.in_range_target(square_basis, 0.75)
+    assert square_basis.h_norm(y.values) > 1e-3
+    res = synthesize_control(SynthesisProblem(target=y, T=0.75), square_basis)
+    assert res.relative_residual <= 1e-6
+    hist = res.residual_history
+    assert np.all(np.diff(hist) <= 1e-12 * hist[0])  # verify's reading
+
+
 def test_registry_builds_every_target(desk_basis):
     domain = desk_basis.domain
     for name, maker in presets.TARGET_PRESETS.items():
