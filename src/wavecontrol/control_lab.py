@@ -11,8 +11,10 @@ Restricted control classes are realized structurally by the class operator
 of ``regularizer.class_operators``: candidates are masked to [delta, T] and
 post-composed with time mollification, antisymmetrized about the horizon when
 the class requires the final snapshot data and its even time derivatives to
-vanish at t = T.  C* is folded into the sine time factors once per basis and
-class, and C acts on the synthesized control once, never per iteration.
+vanish at t = T.  C* is folded into the sine time factors of the boundary
+cylinder (``waveop.modal_factors``) once per class, delta and epsilon, and
+kept on that object, which the alpha sweep and the H1 experiment share; C
+acts on the synthesized control once, never per iteration.
 
 The H1 experiment reconstructs reachable states as a boundary lifting plus a
 modal correction.  Truncated modal sums vanish on the boundary, so without
@@ -37,7 +39,6 @@ from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
     StateField,
-    _grid_sin_factors,
     control_to_modal,
     f_norm,
     modal_factors,
@@ -114,15 +115,15 @@ class SynthesisResult:
     wall_time: float
 
 
-def _cgls(apply_fwd, apply_adj, rhs, shape_ctrl, inner_data, inner_ctrl, alpha, budget, tol):
-    """CGLS for min |A g - rhs|_data^2 + alpha |g|_ctrl^2.
+def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol):
+    """CGLS for min |A g - rhs|_data^2 + alpha |g|_ctrl^2, from g = 0.
 
     Returns (g, history, iterations, converged); history holds the augmented
     objective norm per iteration, which CGLS keeps nonincreasing.
     """
-    g = np.zeros(shape_ctrl)
     r = rhs.copy()  # data-space residual rhs - A g
     s_vec = apply_adj(r)  # gradient direction, minus alpha * g (g = 0)
+    g = np.zeros_like(s_vec)
     p = s_vec.copy()
     gamma = inner_ctrl(s_vec, s_vec)
     norm0 = math.sqrt(max(gamma, 0.0))
@@ -167,15 +168,7 @@ def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> Synthe
     fwd = lambda g: to_data(fac.pair(g))
     adj = lambda z: fac.expand(from_data(z))
     g, history, its, converged = _cgls(
-        fwd,
-        adj,
-        rhs,
-        (len(fac.bw), len(fac.wt)),
-        inner_data,
-        fac.inner,
-        problem.alpha,
-        problem.budget,
-        problem.tol,
+        fwd, adj, rhs, inner_data, fac.inner, problem.alpha, problem.budget, problem.tol
     )
     norm = lambda u: float(np.sqrt(max(inner_data(u, u), 0.0)))
     final = norm(fwd(g) - rhs)
@@ -193,23 +186,23 @@ def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> Synthe
 
 
 def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
-    """The class operator C and C* folded into the sine time factors.
+    """The class operator (C, C*) and C* folded into the cylinder's sines.
 
-    Built once per basis, horizon, step count and class, and kept in the
-    basis's memo: an alpha sweep builds the class operator and the fold
-    once, and both are freed with the basis.
+    Built once per class, delta and epsilon and kept, the fold read-only, in
+    the ``folds`` of the problem's boundary cylinder, modal_factors(basis, T,
+    n_steps): an alpha sweep and the H1 experiment build the class operator
+    and the fold once, and all of it is freed with the basis.
     """
-    key = (problem.T, problem.n_steps, problem.control_class, problem.delta, problem.epsilon)
-
-    def build():
+    fac = modal_factors(basis, problem.T, problem.n_steps)
+    key = (problem.control_class, problem.delta, problem.epsilon)
+    if key not in fac.folds:
         apply_c, apply_ct = class_operators(
             problem.control_class, problem.T, problem.delta, problem.epsilon, problem.n_steps + 1
         )
-        V = apply_ct(_grid_sin_factors(basis, problem.T, problem.n_steps))
+        V = apply_ct(fac.V)
         V.setflags(write=False)
-        return apply_c, V
-
-    return basis.memo(key, build)
+        fac.folds[key] = apply_c, apply_ct, V
+    return fac.folds[key]
 
 
 def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
@@ -221,7 +214,7 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target.values, basis)
-    apply_c, V = _class_fold(problem, basis)
+    apply_c, _, V = _class_fold(problem, basis)
     fac = modal_factors(basis, problem.T, problem.n_steps)
     # the weighted forward map W: s-weighted traces x class-folded sines
     fac = replace(fac, U=weights_s[:, None] * fac.U, V=V)
@@ -235,8 +228,8 @@ def residual_curve(
 
     One synthesize_control per alpha, so each result carries its own CGLS
     iteration count; the results in schedule order.  The class operator and
-    its fold into the time factors are built by the first solve and kept in
-    the basis's memo, so the sweep builds them once.
+    its fold into the time factors are built by the first solve and kept on
+    the boundary cylinder's factor object, so the sweep builds them once.
     """
     alphas = list(alphas)
     if any(a <= 0 for a in alphas):
@@ -479,16 +472,14 @@ def h1_star_experiment(
         n_steps=n_steps,
     )
     n_bnd = len(basis.boundary_weights)
-    apply_c, apply_ct = class_operators(
-        problem.control_class, T, problem.delta, problem.epsilon, n_steps + 1
-    )
-    # K mode rows (traces x sines) and n_bnd terminal-spike rows, whose
-    # pairing reads (C g)[m, -1]
+    apply_c, apply_ct, V = _class_fold(problem, basis)
+    # K mode rows (traces x folded sines) and n_bnd terminal-spike rows,
+    # whose pairing reads (C g)[m, -1]
     fac = modal_factors(basis, T, n_steps)
     spikes = np.zeros((n_bnd, n_steps + 1))
     spikes[:, -1] = 1.0 / fac.wt[-1]
     U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
-    fac = replace(fac, U=U, V=apply_ct(np.vstack([fac.V, spikes])))
+    fac = replace(fac, U=U, V=np.vstack([V, apply_ct(spikes)]))
     return _solve(problem, fac, apply_c, target.values, *_h1_data_maps(basis))
 
 

@@ -48,10 +48,10 @@ class SpectralBasis:
     mass_weights     : trapezoid quadrature weights of the H = L2 inner product
     boundary_weights : quadrature weights of the boundary measure
     sines            : the basis's memo, filled on first use through ``memo``:
-                       read-only sine time factors by (T, n_steps) (waveop),
-                       class-folded ones by (T, n_steps, class, delta,
-                       epsilon) and the boundary lift (control_lab); it lives
-                       exactly as long as the basis
+                       the modal factor object of each boundary cylinder by
+                       (T, n_steps), with its read-only sines and class folds
+                       (waveop, control_lab), and the boundary lift
+                       (control_lab); it lives exactly as long as the basis
     """
 
     domain: DomainSpec

@@ -17,7 +17,7 @@ oracle for the forward map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -139,17 +139,6 @@ def _sin_factors(lambdas: np.ndarray, times: np.ndarray, T: float) -> np.ndarray
     return np.sin(np.outer(roots, times - T)) / roots[:, None]
 
 
-def _grid_sin_factors(basis: SpectralBasis, T: float, n_steps: int) -> np.ndarray:
-    """_sin_factors on time_grid(T, n_steps), built once per basis and read-only."""
-
-    def build():
-        S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
-        S.setflags(write=False)
-        return S
-
-    return basis.memo((T, n_steps), build)
-
-
 @dataclass(frozen=True, eq=False)
 class Factors:
     """A boundary-cylinder map of rank at most J, held as its factors.
@@ -159,13 +148,16 @@ class Factors:
     the trapezoid time weights wt.  ``pair`` maps g to <g, U_j x V_j>_F for
     every j, ``expand`` is its adjoint and ``inner`` the F inner product.
     The weighted factors are built on first use, once per object, so a
-    solver that builds its object once pays for them once.
+    solver that builds its object once pays for them once.  ``folds`` holds
+    what control_lab derives from the time factors, by control class; an
+    object made by ``replace`` starts with none.
     """
 
     U: np.ndarray
     V: np.ndarray
     bw: np.ndarray
     wt: np.ndarray
+    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _weighted(self):
@@ -185,10 +177,20 @@ class Factors:
 
 
 def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
-    """Conormal traces x sine time factors on time_grid(T, n_steps)."""
-    S = _grid_sin_factors(basis, T, n_steps)
-    wt = time_weights(n_steps + 1, T / n_steps)
-    return Factors(basis.conormal_traces, S, basis.boundary_weights, wt)
+    """Conormal traces x read-only sine time factors on time_grid(T, n_steps).
+
+    The boundary cylinder, built once per basis, horizon and step count and
+    kept in the basis's memo, so every operator on it shares one object.  It
+    holds the basis's arrays, never the basis: no cycle keeps a basis alive.
+    """
+
+    def build():
+        S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
+        S.setflags(write=False)
+        wt = time_weights(n_steps + 1, T / n_steps)
+        return Factors(basis.conormal_traces, S, basis.boundary_weights, wt)
+
+    return basis.memo((T, n_steps), build)
 
 
 def solve_dual(

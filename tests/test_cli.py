@@ -525,6 +525,30 @@ def test_verify_report_items_and_bounds():
             assert isinstance(item["passed"], bool)
 
 
+def test_finite_speed_suite_drives_a_face_midpoint(monkeypatch):
+    """On a 33^2 square the pulse sits on a face midpoint, not on the corner
+    (boundary row 0) where every conormal trace vanishes, so the item
+    measures a nonzero state; a zero state fails it instead of passing."""
+    cfg = ExperimentConfig(preset="square", nx=33, ny=33, n_modes=40)
+    domain = cli.build_domain(cfg)
+    basis = cli.build_basis(cfg, domain)
+    states = []
+    real = cli.control_to_state
+
+    def recording(f, b):
+        states.append(real(f, b))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "control_to_state", recording)
+    (item,) = cli._suite_finite_speed(cfg, domain, basis, None)
+    assert basis.h_norm(states[0].values) > 1e-3
+    assert item["measured"] > 0
+    zero = waveop.StateField(np.zeros(domain.shape))
+    monkeypatch.setattr(cli, "control_to_state", lambda f, b: zero)
+    (item,) = cli._suite_finite_speed(cfg, domain, basis, None)
+    assert item["measured"] == 0.0 and item["passed"] is False
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"preset": "square", "nx": 33, "ny": 33, "n_modes": 40}],
@@ -579,6 +603,40 @@ def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrid
         expect = real_smooth(f, cfg.epsilon, cfg.delta).samples
         assert np.abs(rows - expect).max() <= 1e-14 * np.abs(expect).max()
     assert len(built) == 1 + 10  # the patch sees every build: one per trial above
+
+
+def test_operators_on_one_basis_share_one_cylinder(monkeypatch):
+    """observe, the forward map, the duality check, the smoothing suite and a
+    synthesis on one basis, horizon and step count read one modal factor
+    object: its sines and time weights are built once, and every pairing and
+    expansion runs on its time weights."""
+    cfg = ExperimentConfig()
+    domain = cli.build_domain(cfg)
+    basis = cli.build_basis(cfg, domain)
+    sines, weights, seen = [], [], []
+
+    def spy(owner, name, log):
+        # log each call's first argument: the Factors object for its methods
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: log.append(args[0]) or real(*args))
+
+    spy(waveop, "_sin_factors", sines)
+    spy(waveop, "time_weights", weights)
+    spy(waveop.Factors, "pair", seen)
+    spy(waveop.Factors, "expand", seen)
+    rng = np.random.default_rng(cfg.seed)
+    y = presets.center_bump_target(domain)
+    f = waveop.random_control(basis, cfg.T, rng, n_steps=cfg.n_steps)
+    waveop.observe(y, cfg.T, basis, n_steps=cfg.n_steps)
+    waveop.control_to_state(f, basis)
+    waveop.verify_duality(f, y, basis)
+    cli._suite_smoothing_identity(cfg, domain, basis, rng)
+    prob = control_lab.SynthesisProblem(target=y, T=cfg.T, budget=5, n_steps=cfg.n_steps)
+    control_lab.synthesize_control(prob, basis)
+    assert len(sines) == len(weights) == 1
+    cylinder = waveop.modal_factors(basis, cfg.T, cfg.n_steps)
+    assert len(seen) > 10 and all(fac.wt is cylinder.wt for fac in seen)
+    assert [v for v in basis.sines.values() if isinstance(v, waveop.Factors)] == [cylinder]
 
 
 def test_verify_catches_broken_quadrature(tmp_path):

@@ -114,13 +114,16 @@ def test_class_operator_folds_into_time_factors(small_basis, rng, control_class)
 def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
     """The class operator acts on the factors and the output, never per iteration.
 
-    The fold into the time factors is kept in the basis's memo, so a second
-    synthesis of the same class on that basis applies C to its output only.
+    The fold into the time factors is kept on the boundary cylinder, so a
+    second synthesis of the same class on that basis applies C to its output
+    only, and the H1 experiment, which runs the "smooth" class, reads that
+    class's entry: C* acts on its terminal-spike rows alone.
     """
-    calls = []
+    calls, built = [], []
     real = control_lab.class_operators
 
     def counting(*args):
+        built.append(args[0])
         apply_c, apply_ct = real(*args)
 
         def c(g):
@@ -128,7 +131,7 @@ def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
             return apply_c(g)
 
         def ct(z):
-            calls.append("apply_ct")
+            calls.append(("apply_ct", len(z)))
             return apply_ct(z)
 
         return c, ct
@@ -136,24 +139,30 @@ def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
     monkeypatch.setattr(control_lab, "class_operators", counting)
     y = presets.smooth_interior_target(desk_basis.domain)
     ramp = presets.ramp_target(desk_basis.domain)
+    K, n_bnd = desk_basis.n_modes, len(desk_basis.boundary_weights)
     for budget in (5, 50):
         basis = replace(desk_basis)  # a fresh memo
-        prob = SynthesisProblem(
-            target=y, T=T_DESK, control_class="smooth_vanishing_at_T", budget=budget, tol=0.0
-        )
-        calls.clear()
-        assert synthesize_control(prob, basis).iterations == budget
-        assert sorted(calls) == ["apply_c", "apply_ct"]
-        calls.clear()
-        assert synthesize_control(prob, basis).iterations == budget
-        assert calls == ["apply_c"]
+        built.clear()
+        for control_class in ("smooth_vanishing_at_T", "smooth"):
+            prob = SynthesisProblem(
+                target=y, T=T_DESK, control_class=control_class, budget=budget, tol=0.0
+            )
+            calls.clear()
+            assert synthesize_control(prob, basis).iterations == budget
+            assert calls == [("apply_ct", K), "apply_c"]
+            calls.clear()
+            assert synthesize_control(prob, basis).iterations == budget
+            assert calls == ["apply_c"]
         calls.clear()
         assert h1_star_experiment(ramp, T_DESK, basis, budget=budget).iterations == budget
-        assert sorted(calls) == ["apply_c", "apply_ct"]
+        assert calls == [("apply_ct", n_bnd), "apply_c"]
+        assert built == ["smooth_vanishing_at_T", "smooth"]
 
 
-def test_time_weights_built_once_per_synthesis(desk_basis, monkeypatch):
-    """Each synthesis builds the weights of its boundary-cylinder product once."""
+def test_time_weights_built_once_per_cylinder(desk_basis, monkeypatch):
+    """Every synthesis on one basis, horizon and step count, of every class
+    and the H1 experiment alike, reads the time weights of one boundary
+    cylinder, built once."""
     built = []
     real = waveop.time_weights
 
@@ -165,14 +174,12 @@ def test_time_weights_built_once_per_synthesis(desk_basis, monkeypatch):
     for module in (waveop, control_lab):
         if hasattr(module, "time_weights"):
             monkeypatch.setattr(module, "time_weights", counting)
-    y = presets.smooth_interior_target(desk_basis.domain)
+    basis = replace(desk_basis)  # a fresh memo
+    y = presets.smooth_interior_target(basis.domain)
     for control_class in CONTROL_CLASSES:
-        built.clear()
         prob = SynthesisProblem(target=y, T=T_DESK, control_class=control_class, budget=5)
-        synthesize_control(prob, desk_basis)
-        assert built == [prob.n_steps + 1]
-    built.clear()
-    h1_star_experiment(presets.ramp_target(desk_basis.domain), T_DESK, desk_basis, budget=5)
+        synthesize_control(prob, basis)
+    h1_star_experiment(presets.ramp_target(basis.domain), T_DESK, basis, budget=5)
     assert built == [DEFAULT_TIME_STEPS + 1]
 
 
@@ -306,6 +313,38 @@ def test_residual_curve_builds_class_operator_once(desk_basis, monkeypatch):
     del basis
     gc.collect()
     assert built[0]() is None
+
+
+def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeypatch):
+    """An alpha sweep and the H1 experiment on one basis build the "smooth"
+    class operator once, and with the cyclic collector off, the mollifier
+    blocks and the sines die with the basis: the memo holds no reference
+    back to the basis, so nothing in it outlives a run."""
+    real_blocks = regularizer._toeplitz_blocks
+    built = []
+
+    def counting_blocks(*args, **kwargs):
+        blocks = real_blocks(*args, **kwargs)
+        built.append(weakref.ref(blocks))
+        return blocks
+
+    monkeypatch.setattr(regularizer, "_toeplitz_blocks", counting_blocks)
+    y = presets.smooth_interior_target(desk_basis.domain)
+    ramp = presets.ramp_target(desk_basis.domain)
+    prob = SynthesisProblem(target=y, T=T_DESK, control_class="smooth", budget=20)
+    gc.collect()
+    gc.disable()
+    try:
+        basis = replace(desk_basis)  # a fresh memo
+        residual_curve(prob, DEFAULT_ALPHA_SCHEDULE, basis)
+        h1_star_experiment(ramp, T_DESK, basis, budget=20)
+        sines = weakref.ref(waveop.modal_factors(basis, T_DESK, DEFAULT_TIME_STEPS).V)
+        assert len(built) == 1
+        assert built[0]() is not None and sines() is not None
+        del basis
+        assert built[0]() is None and sines() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

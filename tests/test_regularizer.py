@@ -374,3 +374,17 @@ def test_beta_csv(tmp_path, interval_basis):
         for k, (lam, b) in enumerate(zip(interval_basis.lambdas, betas), start=1):
             writer.writerow([k, f"{lam:.17g}", f"{b:.17g}"])
     assert path.read_bytes() == expect.read_bytes()
+
+
+def test_beta_cache_keeps_its_statistics():
+    """_beta_cached stays an lru_cache with cache_info().
+
+    The benchmark's traced run reads its hits and misses for the per-layer
+    metric regularizer.beta_cache_hit_ratio (perfbench/child.py).  Without
+    cache_info() that metric is dropped and the traced run reports 47 of
+    its 48 per-layer metrics, so the cache goes only together with the
+    metric, in a change to the benchmark.
+    """
+    regularizer.beta(0.05, 10.0)
+    info = regularizer._beta_cached.cache_info()
+    assert info.hits + info.misses >= 1

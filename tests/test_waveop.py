@@ -22,17 +22,25 @@ def test_boundary_control_validation():
     assert f.dt == pytest.approx(1.0 / 8)
 
 
-def test_grid_sin_factors_memoized_read_only():
+def test_modal_factors_memoized_read_only():
+    """One factor object per basis, horizon and step count, holding the
+    basis's arrays and read-only sines."""
     basis = spectral.eigensolve(geometry.interval(n=65), 12)
-    S = waveop._grid_sin_factors(basis, 0.75, 256)
+    fac = waveop.modal_factors(basis, 0.75, 256)
     direct = waveop._sin_factors(basis.lambdas, waveop.time_grid(0.75, 256), 0.75)
-    assert np.array_equal(S, direct)
-    assert waveop._grid_sin_factors(basis, 0.75, 256) is S
-    assert not S.flags.writeable
+    assert np.array_equal(fac.V, direct)
+    assert np.array_equal(fac.wt, waveop.time_weights(257, 0.75 / 256))
+    assert fac.U is basis.conormal_traces and fac.bw is basis.boundary_weights
+    assert waveop.modal_factors(basis, 0.75, 256) is fac
+    assert waveop.modal_factors(basis, 0.75, 128) is not fac
+    assert not fac.V.flags.writeable
     with pytest.raises(ValueError):
-        S[0, 0] = 1.0
-    # a basis derived by replace starts with no factors of its own
+        fac.V[0, 0] = 1.0
+    # a basis derived by replace starts with no factors of its own, and a
+    # factor object derived by replace with no folds
     assert replace(basis, lambdas=2 * basis.lambdas).sines == {}
+    fac.folds["key"] = "fold"
+    assert replace(fac, U=2.0 * fac.U).folds == {}
 
 
 def test_time_weights_sum():
