@@ -269,7 +269,7 @@ def _run_eikonal(cfg, out, domain, timings):
         dist = geometry.eikonal_distance(domain)
         region = geometry.filled_subdomain(dist, cfg.T)
     with _timed(timings, "artifacts"):
-        geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, dist, region)
+        geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, region)
     return {
         "T": cfg.T,
         "T_fill": geometry.filling_time(dist),
@@ -308,7 +308,7 @@ def _run_forward(cfg, out, domain, timings):
     return {
         "T": cfg.T,
         "state_norm_H": basis.h_norm(u.values),
-        "support_violation": support_violation(u, region, band, basis.mass_weights),
+        "support_violation": support_violation(u, region, band),
         "dilation_band": band,
     }
 
@@ -535,7 +535,7 @@ def _suite_finite_speed(cfg, domain, basis, rng):
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, T)
     band = 2 * dist.h + 2 * T / cfg.n_steps
-    viol = support_violation(u, region, band, basis.mass_weights)
+    viol = support_violation(u, region, band)
     # a zero state has no mass outside the region, and shows nothing
     passed = viol <= 1e-3 and basis.h_norm(u.values) > 0
     return [_item("pulse_mass_outside_filled_region", viol, 1e-3, passed)]
@@ -576,10 +576,10 @@ def _suite_observability(cfg, domain, basis, rng):
     w = _OBSERVABILITY_WINDOW
     y = presets.center_bump_target(domain)
     verdict = observability_test(
-        y, T, w, 1e-3, basis, dist.tau, band=2 * dist.h, n_steps=cfg.n_steps
+        y, T, w, 1e-3, basis, dist, band=2 * dist.h, n_steps=cfg.n_steps
     )
     y1 = presets.mode_target(basis, 0)
-    v2 = observability_test(y1, cfg.T, w, 1e-3, basis, dist.tau, n_steps=cfg.n_steps)
+    v2 = observability_test(y1, cfg.T, w, 1e-3, basis, dist, n_steps=cfg.n_steps)
     return [
         _item(
             "center_bump_trace_and_support",

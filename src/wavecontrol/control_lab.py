@@ -32,7 +32,9 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import DomainSpec, FilledRegion, grid_trapezoid_weights
+from .geometry import (
+    DistanceField, DomainSpec, FilledRegion, filled_subdomain, grid_trapezoid_weights
+)
 from .regularizer import CONTROL_CLASSES, _identity, class_operators
 from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
@@ -245,7 +247,6 @@ class UnreachabilityReport:
 
     value: float  # H-norm of the target outside the region
     dilated_value: float  # same outside the band-dilated region
-    band: float
 
 
 def unreachability_bound(
@@ -257,12 +258,10 @@ def unreachability_bound(
     mass outside bounds the misfit from below; the band-dilated figure
     discounts the discrete smearing layer and is the honest certificate.
     """
-    weights = grid_trapezoid_weights(region.indicator.shape, region.spacings)
-    outside = ~region.indicator
-    value = float(np.sqrt(np.sum(weights[outside] * target.values[outside] ** 2)))
-    outside_d = ~region.dilated(band)
-    dilated = float(np.sqrt(np.sum(weights[outside_d] * target.values[outside_d] ** 2)))
-    return UnreachabilityReport(value=value, dilated_value=dilated, band=band)
+    return UnreachabilityReport(
+        value=math.sqrt(region.mass_outside(target.values)),
+        dilated_value=math.sqrt(region.mass_outside(target.values, band)),
+    )
 
 
 @dataclass(frozen=True)
@@ -286,12 +285,12 @@ def observability_test(
     delta: float,
     tol: float,
     basis: SpectralBasis,
-    region_tau: np.ndarray,
+    dist: DistanceField,
     band: float = 0.0,
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> ObservabilityVerdict:
     """Near-zero observation on [delta, T] should force the perturbation
-    to live outside the region filled within time T - delta."""
+    to live outside the region filled within time T - delta, shrunk by band."""
     if not 0 < delta < T:
         raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
     g = observe(y, T, basis, n_steps=n_steps)
@@ -301,7 +300,7 @@ def observability_test(
     tr = f_norm(g.samples[:, sel], basis.boundary_weights, dt)
     y_norm = basis.h_norm(y.values)
     trace_ratio = tr / y_norm if y_norm > 0 else 0.0
-    inside = region_tau < (T - delta) - band
+    inside = filled_subdomain(dist, T - delta).dilated(-band)
     w = basis.mass_weights
     inside_ratio = float(
         np.sqrt(np.sum(w[inside] * y.values[inside] ** 2)) / y_norm if y_norm > 0 else 0.0

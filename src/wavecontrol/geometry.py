@@ -3,8 +3,9 @@
 The symmetric coefficient field a^{ij}(x) of the elliptic operator induces the
 travel-time metric a_{ij} = (a^{ij})^{-1}.  ``eikonal_distance`` computes the
 metric distance tau(x) from every node to the boundary; the region filled by
-boundary-launched waves within time T is {tau < T}, and the filling time of
-the whole domain is max tau.
+boundary-launched waves within time T is Omega^T = {tau < T}, and the filling
+time of the whole domain is max tau.  ``FilledRegion`` holds Omega^T (T, tau
+and the trapezoid mass weights); every mass off it is its ``mass_outside``.
 """
 
 from __future__ import annotations
@@ -201,17 +202,24 @@ class DistanceField:
 
 @dataclass(frozen=True)
 class FilledRegion:
-    """Sublevel set {tau < T} with its frontier band."""
+    """Sublevel set {tau < T} with the trapezoid mass weights of its grid."""
 
     T: float
-    indicator: np.ndarray  # bool per node
-    frontier: np.ndarray  # bool per node, |tau - T| <= h
     tau: np.ndarray
-    spacings: tuple
+    weights: np.ndarray
+
+    @property
+    def indicator(self) -> np.ndarray:
+        return self.tau < self.T
 
     def dilated(self, band: float) -> np.ndarray:
         """Indicator of the region thickened by a metric margin."""
         return self.tau < self.T + band
+
+    def mass_outside(self, u: np.ndarray, band: float = 0.0) -> float:
+        """Squared trapezoid mass of the node values ``u`` off the dilated region."""
+        out = ~self.dilated(band)
+        return float(np.sum(self.weights[out] * u[out] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +312,11 @@ def domain_from_coefficient_csv(
             raise ValueError(f"{path}: missing i or j column")
         has_q = "q" in reader.fieldnames
         for row in reader:
+            if None in row.values():  # DictReader pads a short row with None
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields, "
+                    f"got {sum(v is not None for v in row.values())}"
+                )
             i, j = int(row["i"]), int(row["j"])
             if i < 0 or j < 0:  # numpy would wrap a negative index to the far end
                 raise ValueError(f"{path}: negative node index ({i}, {j})")
@@ -475,17 +488,11 @@ def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:
 
 
 def filled_subdomain(dist: DistanceField, T: float) -> FilledRegion:
-    """Region reachable from the boundary within time T, with frontier band."""
+    """Region reachable from the boundary within time T, with its mass weights."""
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    h = dist.h
-    return FilledRegion(
-        T=T,
-        indicator=dist.tau < T,
-        frontier=np.abs(dist.tau - T) <= h,
-        tau=dist.tau,
-        spacings=dist.spacings,
-    )
+    weights = grid_trapezoid_weights(dist.tau.shape, dist.spacings)
+    return FilledRegion(T=T, tau=dist.tau, weights=weights)
 
 
 def filling_time(dist: DistanceField) -> float:
@@ -527,9 +534,7 @@ def _write_node_csvs(domain: DomainSpec, tables) -> None:
                 fh.write(block.replace("\2", cell) % tuple(grid[i0 : i0 + lines].ravel().tolist()))
 
 
-def write_eikonal_csvs(
-    tau_path, region_path, domain: DomainSpec, dist: DistanceField, region: FilledRegion
-) -> None:
+def write_eikonal_csvs(tau_path, region_path, domain: DomainSpec, region: FilledRegion) -> None:
     """The distance table (tau) and the region table (inside) in one pass over the nodes."""
     inside = region.indicator.astype(int)
-    _write_node_csvs(domain, [(tau_path, "tau", dist.tau, ".17g"), (region_path, "inside", inside, "d")])
+    _write_node_csvs(domain, [(tau_path, "tau", region.tau, ".17g"), (region_path, "inside", inside, "d")])

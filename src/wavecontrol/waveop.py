@@ -318,17 +318,12 @@ def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
     return StateField(values=curr.reshape(domain.shape), role="wave_snapshot")
 
 
-def support_violation(
-    u: StateField, region: FilledRegion, band: float, mass_weights: np.ndarray | None = None
-) -> float:
+def support_violation(u: StateField, region: FilledRegion, band: float) -> float:
     """Fraction of squared mass outside the region dilated by ``band``."""
-    if mass_weights is None:
-        mass_weights = grid_trapezoid_weights(region.indicator.shape, region.spacings)
-    total = float(np.sum(mass_weights * u.values**2))
+    total = float(np.sum(region.weights * u.values**2))
     if total == 0:
         return 0.0
-    outside = ~region.dilated(band)
-    return float(np.sum(mass_weights[outside] * u.values[outside] ** 2) / total)
+    return region.mass_outside(u.values, band) / total
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,7 @@ def finite_speed_violations():
             presets.two_sided_pulse_control(T, 2, support=(0.05, 0.25), n_steps=n_steps),
         ]
         results[scale] = [
-            waveop.support_violation(
-                waveop.control_to_state(f, basis), region, band, basis.mass_weights
-            )
+            waveop.support_violation(waveop.control_to_state(f, basis), region, band)
             for f in pulses
         ]
     return results

@@ -1,0 +1,55 @@
+"""Every call of the benchmark's workloads, run in-process at seed 0 and
+classified by the benchmark's own output check against its reference file,
+so a change that moves a benchmarked summary fails here first."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from wavecontrol import cli
+
+ROOT = Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    return _load("checks"), _load("workloads")
+
+
+def _benchmarked_workloads():
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize(
+    "workload, expected",
+    [("interval_lab", {"ok": 12}), ("square_bump", {"ok": 1, "refused": 4})],
+)
+def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workload, expected):
+    assert workload in _benchmarked_workloads()
+    checks, workloads = perfbench
+    reference = checks.load_reference()[workload]
+    outcomes, failures = {}, []
+    for name, sub, overrides in workloads.WORKLOADS[workload]:
+        out = tmp_path / name
+        call = {"name": name, "sub": sub, "status": None, "error": None}
+        try:
+            call["status"] = cli.run(cli.ExperimentConfig(seed=0, **overrides), sub, out_dir=str(out))
+        except Exception as exc:  # the harness records the type and first line
+            lines = str(exc).splitlines()
+            call["error"] = f"{type(exc).__name__}: {lines[0] if lines else ''}"
+        outcome, detail = checks.check_call(call, overrides, reference.get(name, {}), out)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcome == "failed":
+            failures.append(f"{name}: {detail}")
+    assert failures == []
+    assert outcomes == expected

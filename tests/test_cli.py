@@ -206,6 +206,12 @@ def test_config_grammar_parses_or_raises_config_error(lines):
             {"coefficient_csv": "table:i,j,a11\n" + "".join(f"{i},0,1\n" for i in [*range(65), 1])},
             "listed twice",
         ),
+        ("eikonal", {"coefficient_csv": "table:i,j,a11\n1\n"}, "line 2: expected 3 fields, got 1"),
+        (
+            "eikonal",
+            {"coefficient_csv": "table:i,j,a11\n0,0,1\n1,0\n"},
+            "line 3: expected 3 fields, got 2",
+        ),
     ],
 )
 def test_main_refuses_configs_that_used_to_end_in_a_traceback(

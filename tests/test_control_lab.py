@@ -405,7 +405,7 @@ def test_frontier_straddling_bump_regression(desk_basis, interval_distance, base
 def test_first_mode_is_observable(desk_basis, interval_distance):
     y = presets.mode_target(desk_basis, 0)
     verdict = observability_test(
-        y, T=0.3, delta=0.03, tol=0.1, basis=desk_basis, region_tau=interval_distance.tau
+        y, T=0.3, delta=0.03, tol=0.1, basis=desk_basis, dist=interval_distance
     )
     assert verdict.observable
     assert verdict.passed
@@ -421,7 +421,7 @@ def test_silent_bump_sits_outside_filled_region(desk_basis, interval_distance):
         delta=0.03,
         tol=1e-3,
         basis=desk_basis,
-        region_tau=interval_distance.tau,
+        dist=interval_distance,
         band=2 * interval_distance.h,
     )
     assert not verdict.observable
@@ -434,10 +434,10 @@ def test_silent_bump_sits_outside_filled_region(desk_basis, interval_distance):
 def test_silent_target_with_interior_mass_fails(desk_basis):
     # claiming the whole domain fills instantly must trip the verdict
     y = presets.center_bump_target(desk_basis.domain)
-    fake_tau = np.zeros(desk_basis.domain.shape[0])
-    verdict = observability_test(
-        y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, region_tau=fake_tau
+    fake = geometry.DistanceField(
+        tau=np.zeros(desk_basis.domain.shape[0]), spacings=desk_basis.domain.spacings
     )
+    verdict = observability_test(y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=fake)
     assert not verdict.observable
     assert verdict.inside_ratio > 0.95
     assert verdict.support_ok is False
@@ -447,7 +447,7 @@ def test_silent_target_with_interior_mass_fails(desk_basis):
 def test_zero_target_passes_vacuously(desk_basis, interval_distance):
     y = StateField(values=np.zeros(desk_basis.domain.shape[0]), role="target")
     verdict = observability_test(
-        y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, region_tau=interval_distance.tau
+        y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=interval_distance
     )
     assert verdict.trace_ratio == 0.0
     assert verdict.passed
@@ -459,7 +459,7 @@ def test_observability_rejects_bad_window(desk_basis, interval_distance):
         with pytest.raises(ValueError, match="delta"):
             observability_test(
                 y, T=0.3, delta=delta, tol=0.1, basis=desk_basis,
-                region_tau=interval_distance.tau,
+                dist=interval_distance,
             )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import cli, geometry, waveop
+from wavecontrol import cli, geometry, spectral, waveop
 
 
 def test_interval_defaults(interval_domain):
@@ -164,20 +164,51 @@ def test_filled_region_requires_positive_horizon(interval_distance):
         geometry.filled_subdomain(interval_distance, 0.0)
 
 
-def test_frontier_is_a_thin_band(interval_distance):
-    region = geometry.filled_subdomain(interval_distance, 0.2)
-    x = np.linspace(0, 1, 513)
-    front = np.flatnonzero(region.frontier)
-    assert len(front) > 0
-    for i in front:
-        assert min(abs(x[i] - 0.2), abs(x[i] - 0.8)) <= interval_distance.h + 1e-12
-
-
 def test_dilated_region_monotone(interval_distance):
     region = geometry.filled_subdomain(interval_distance, 0.2)
     grown = region.dilated(0.05)
     assert np.all(grown[region.indicator])
     assert grown.sum() > region.indicator.sum()
+
+
+def _mass_outside_by_node(dist, T, band, u):
+    """Squared mass of u where tau >= T + band, one node at a time."""
+    total = 0.0
+    for node in np.ndindex(dist.tau.shape):
+        if not dist.tau[node] < T + band:
+            w = 1.0
+            for i, n, h in zip(node, dist.tau.shape, dist.spacings):
+                w *= h / 2 if i in (0, n - 1) else h
+            total += w * u[node] ** 2
+    return total
+
+
+@pytest.mark.parametrize(
+    "domain", [geometry.interval(), geometry.rectangle(shape=(33, 17))], ids=["desk", "33x17"]
+)
+def test_mass_outside_matches_node_loop(domain):
+    dist = geometry.eikonal_distance(domain)
+    T = 0.5 * geometry.filling_time(dist)
+    region = geometry.filled_subdomain(dist, T)
+    u = 1.0 + sum(x**2 for x in domain.grids())
+    total = float(np.sum(region.weights * u**2))
+    masses = []
+    for band in (-2 * dist.h, 0.0, 2 * dist.h):
+        masses.append(region.mass_outside(u, band))
+        assert 0 < masses[-1] < total  # mass on both sides of the frontier
+        assert masses[-1] == pytest.approx(_mass_outside_by_node(dist, T, band, u), rel=1e-13)
+    assert masses[0] > masses[1] > masses[2]  # a wider band leaves less outside
+    assert region.mass_outside(u) == masses[1]
+
+
+@pytest.mark.parametrize("preset", ["interval", "interval_bump", "square", "square_bump"])
+def test_region_weights_are_the_basis_mass_weights(preset):
+    cfg = cli.ExperimentConfig(preset=preset, nx=17, ny=9, n_modes=4)
+    domain = cli.build_domain(cfg)
+    region = geometry.filled_subdomain(geometry.eikonal_distance(domain), cfg.T)
+    weights = spectral.eigensolve(domain, 4).mass_weights
+    assert region.weights.shape == weights.shape
+    assert region.weights.tobytes() == weights.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -216,6 +247,13 @@ def test_coefficient_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.coeff, dom.coeff)
 
 
+def test_coefficient_csv_row_longer_than_header_loads(tmp_path):
+    path = tmp_path / "coeff.csv"
+    path.write_text("i,j,a11\n" + "".join(f"{i},0,2.0,extra\n" for i in range(5)))
+    loaded = geometry.domain_from_coefficient_csv(path, (5,))
+    assert np.all(loaded.coeff == 2.0)
+
+
 def test_coefficient_csv_missing_node(tmp_path):
     path = tmp_path / "coeff.csv"
     path.write_text("i,j,a11,a12,a22\n0,0,1.0,0.0,1.0\n")
@@ -226,9 +264,7 @@ def test_coefficient_csv_missing_node(tmp_path):
 def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
     path = tmp_path / "tau.csv"
     region = geometry.filled_subdomain(interval_distance, 0.2)
-    geometry.write_eikonal_csvs(
-        path, tmp_path / "region.csv", interval_domain, interval_distance, region
-    )
+    geometry.write_eikonal_csvs(path, tmp_path / "region.csv", interval_domain, region)
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,tau"
     assert len(lines) == 1 + 513
@@ -240,9 +276,7 @@ def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
 def test_region_csv_format(tmp_path, interval_domain, interval_distance):
     region = geometry.filled_subdomain(interval_distance, 0.2)
     path = tmp_path / "region.csv"
-    geometry.write_eikonal_csvs(
-        tmp_path / "tau.csv", path, interval_domain, interval_distance, region
-    )
+    geometry.write_eikonal_csvs(tmp_path / "tau.csv", path, interval_domain, region)
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,inside"
     assert set(line.split(",")[4] for line in lines[1:]) <= {"0", "1"}
@@ -617,7 +651,7 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
     assert 0 < region.indicator.sum() < region.indicator.size
 
-    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, dist, region)
+    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, region)
     _csv_writer_rendering(
         tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in flat]
     )
@@ -654,7 +688,7 @@ def test_eikonal_csvs_match_csv_writer(tmp_path, domain):
     dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
     assert 0 < region.indicator.sum() < region.indicator.size
-    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, dist, region)
+    geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, region)
     _csv_writer_rendering(
         tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in dist.tau.reshape(-1)]
     )
