@@ -91,7 +91,6 @@ class ExperimentConfig:
     control_class: str = "all_of_F"
     seed: int = 0
     out_dir: str = "out"
-    debug_break_quadrature: bool = False
 
     def __post_init__(self):
         if self.preset not in _PRESETS:
@@ -169,17 +168,11 @@ class ExperimentConfig:
         return d
 
 
-def _parse_bool(value: str) -> bool:
-    if value not in ("0", "1", "true", "false"):
-        raise ValueError(value)
-    return value in ("1", "true")
-
-
 def _parse_floats(value: str) -> tuple:
     return tuple(float(tok) for tok in value.split(",") if tok.strip())
 
 
-_TYPE_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "tuple": _parse_floats, "str": str}
+_TYPE_PARSERS = {"int": int, "float": float, "tuple": _parse_floats, "str": str}
 # value parser per config key, by the field's declared type
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
@@ -319,7 +312,7 @@ def _run_dual(cfg, out, domain, timings):
     with _timed(timings, "dual"):
         snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
     with _timed(timings, "artifacts"):
-        write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0], role="dual_snapshot"))
+        write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0]))
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -461,13 +454,12 @@ def _item(name, measured, bound, passed=None) -> dict:
     }
 
 
-def _suite_adjointness(cfg, domain, basis, rng):
+def _suite_adjointness(cfg, dist, basis, rng):
     worst = 0.0
     for trial in range(20):
         f = random_control(basis, cfg.T, rng, n_steps=cfg.n_steps)
         y = random_state(basis, rng)
-        d = verify_duality(f, y, basis, _break_weights=cfg.debug_break_quadrature)
-        worst = max(worst, d)
+        worst = max(worst, verify_duality(f, y, basis))
     return [_item("duality_relative_discrepancy_max_20_trials", worst, 1e-12)]
 
 
@@ -475,7 +467,7 @@ def _suite_adjointness(cfg, domain, basis, rng):
 _ANALYTIC_LAMBDA1 = {"interval": (np.pi**2, 1e-3), "square": (2 * np.pi**2, 1e-2)}
 
 
-def _suite_spectral(cfg, domain, basis, rng):
+def _suite_spectral(cfg, dist, basis, rng):
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
     lam = basis.lambdas
@@ -513,7 +505,7 @@ def _beta_sweep(lambdas) -> list:
     ]
 
 
-def _suite_regularizer(cfg, domain, basis, rng):
+def _suite_regularizer(cfg, dist, basis, rng):
     lam = basis.lambdas
     k = int(rng.integers(0, basis.n_modes))
     ek = StateField(basis.modes[k].copy())
@@ -525,14 +517,13 @@ def _suite_regularizer(cfg, domain, basis, rng):
     return _beta_sweep(lam) + [_item("regularizer_diagonal_in_modes", dev, 1e-10)]
 
 
-def _suite_finite_speed(cfg, domain, basis, rng):
+def _suite_finite_speed(cfg, dist, basis, rng):
     n_bnd = len(basis.boundary_weights)
     T = min(cfg.T, 0.3)
     # a face midpoint, not the 2D corner (row 0), where every trace vanishes
-    row = domain.face_midpoint_rows()[0]
+    row = basis.domain.face_midpoint_rows()[0]
     f = presets.pulse_control(T, n_bnd, support=(0.1 * T, 0.6 * T), n_steps=cfg.n_steps, row=row)
     u = control_to_state(f, basis)
-    dist = geometry.eikonal_distance(domain)
     region = geometry.filled_subdomain(dist, T)
     band = 2 * dist.h + 2 * T / cfg.n_steps
     viol = support_violation(u, region, band)
@@ -541,7 +532,7 @@ def _suite_finite_speed(cfg, domain, basis, rng):
     return [_item("pulse_mass_outside_filled_region", viol, 1e-3, passed)]
 
 
-def _suite_smoothing_identity(cfg, domain, basis, rng):
+def _suite_smoothing_identity(cfg, dist, basis, rng):
     # pairing with the raw control equals pairing of the regularized state
     # with the smoothed control, per the kernel antisymmetrization
     trials = 10
@@ -570,11 +561,10 @@ def _suite_smoothing_identity(cfg, domain, basis, rng):
 _OBSERVABILITY_WINDOW = 0.05  # the observation window's onset; verify needs T beyond it
 
 
-def _suite_observability(cfg, domain, basis, rng):
-    dist = geometry.eikonal_distance(domain)
+def _suite_observability(cfg, dist, basis, rng):
     T = 0.3
     w = _OBSERVABILITY_WINDOW
-    y = presets.center_bump_target(domain)
+    y = presets.center_bump_target(basis.domain)
     verdict = observability_test(
         y, T, w, 1e-3, basis, dist, band=2 * dist.h, n_steps=cfg.n_steps
     )
@@ -596,12 +586,12 @@ def _suite_observability(cfg, domain, basis, rng):
     ]
 
 
-def _suite_synthesis(cfg, domain, basis, rng):
+def _suite_synthesis(cfg, dist, basis, rng):
     y_in = presets.in_range_target(basis, cfg.T)
     prob = SynthesisProblem(target=y_in, T=cfg.T, budget=cfg.budget, n_steps=cfg.n_steps)
     res = synthesize_control(prob, basis)
     hist = res.residual_history
-    y_bump = presets.center_bump_target(domain)
+    y_bump = presets.center_bump_target(basis.domain)
     prob2 = SynthesisProblem(
         target=y_bump, T=0.3, alpha=cfg.alphas[-1], budget=cfg.budget, n_steps=cfg.n_steps
     )
@@ -620,8 +610,9 @@ def _suite_synthesis(cfg, domain, basis, rng):
     ]
 
 
-# the invariant registry, in report order; every suite takes
-# (cfg, domain, basis, rng) and returns a list of _item records
+# the invariant registry, in report order; every suite takes (cfg, dist,
+# basis, rng), dist the eikonal distance of basis.domain, marched once per
+# verify, and returns a list of _item records
 _SUITES = (
     ("adjointness", _suite_adjointness),
     ("spectral", _suite_spectral),
@@ -671,9 +662,11 @@ def verify_suite(cfg: ExperimentConfig, domain=None) -> dict:
     basis = build_basis(cfg, domain)
     suites = {}
     timings = {}
+    with _timed(timings, "eikonal"):
+        dist = geometry.eikonal_distance(domain)
     for name, suite in _SUITES:
         with _timed(timings, name):
-            suites[name] = suite(cfg, domain, basis, rng)
+            suites[name] = suite(cfg, dist, basis, rng)
     all_passed = all(item["passed"] for items in suites.values() for item in items)
     return {
         "version": __version__,

@@ -26,7 +26,6 @@ values, which is what the continuous solution does.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -114,7 +113,6 @@ class SynthesisResult:
     relative_residual: float
     iterations: int
     converged: bool
-    wall_time: float
 
 
 def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol):
@@ -166,7 +164,6 @@ def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> Synthe
     once, never per iteration.  inner_data is the data-space inner product;
     the misfit and the target norm are measured in it.
     """
-    start = time.perf_counter()
     fwd = lambda g: to_data(fac.pair(g))
     adj = lambda z: fac.expand(from_data(z))
     g, history, its, converged = _cgls(
@@ -183,7 +180,6 @@ def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> Synthe
         relative_residual=final / target_norm if target_norm > 0 else final,
         iterations=its,
         converged=converged,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -223,9 +219,7 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     return _solve(problem, fac, apply_c, y_hat, _identity, _identity, lambda u, v: float(u @ v))
 
 
-def residual_curve(
-    problem: SynthesisProblem, alphas=DEFAULT_ALPHA_SCHEDULE, basis: SpectralBasis = None
-) -> list:
+def residual_curve(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list:
     """Synthesis sweep over a decreasing positive Tikhonov schedule.
 
     One synthesize_control per alpha, so each result carries its own CGLS
@@ -438,16 +432,14 @@ def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> StateF
     """
     state = _lifted_state(basis)[2]
     values = state(control_to_modal(control, basis), control.samples[:, -1])
-    return StateField(values=values, role="wave_snapshot")
+    return StateField(values=values)
 
 
 def h1_star_experiment(
     target: StateField,
     T: float,
     basis: SpectralBasis,
-    alpha: float = 0.0,
     budget: int = 500,
-    tol: float = 1e-10,
     delta: float | None = None,
     epsilon: float | None = None,
     n_steps: int = DEFAULT_TIME_STEPS,
@@ -457,15 +449,15 @@ def h1_star_experiment(
     The reachable state is reconstructed as the boundary lifting of the
     control's final-time values plus the modal correction, and the misfit is
     minimized in the grid H1 norm, so targets with nonzero boundary values
-    are admissible.  Controls range over the "smooth" class.
+    are admissible.  Controls range over the "smooth" class, with no
+    Tikhonov term, to a relative gradient tolerance of 1e-10.
     """
     problem = SynthesisProblem(
         target=target,
         T=T,
         control_class="smooth",
-        alpha=alpha,
         budget=budget,
-        tol=tol,
+        tol=1e-10,
         delta=delta,
         epsilon=epsilon,
         n_steps=n_steps,

@@ -311,6 +311,12 @@ def domain_from_coefficient_csv(
         if not {"i", "j"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: missing i or j column")
         has_q = "q" in reader.fieldnames
+
+        def cell(row, name):
+            if not row[name].strip():  # float's own message names no line
+                raise ValueError(f"{path}: line {reader.line_num}: column {name} is empty")
+            return float(row[name])
+
         for row in reader:
             if None in row.values():  # DictReader pads a short row with None
                 raise ValueError(
@@ -325,13 +331,13 @@ def domain_from_coefficient_csv(
                 raise ValueError(f"{path}: 1D table must have j=0, got j={j}")
             if seen[node]:
                 raise ValueError(f"{path}: node {node} listed twice")
-            coeff[node + (0, 0)] = float(row["a11"])
+            coeff[node + (0, 0)] = cell(row, "a11")
             if d == 2:
                 a12 = float(row.get("a12", 0.0) or 0.0)
                 coeff[node + (0, 1)] = coeff[node + (1, 0)] = a12
                 coeff[node + (1, 1)] = float(row.get("a22", row["a11"]) or row["a11"])
             if has_q:
-                pot[node] = float(row["q"])
+                pot[node] = cell(row, "q")
             seen[node] = True
     if not seen.all():
         missing = np.argwhere(~seen)[0]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .geometry import DomainSpec
 from .spectral import SpectralBasis
-from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, StateField, control_to_state
+from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, StateField, _bump, control_to_state
 
 __all__ = [
     "bump",
@@ -28,12 +28,8 @@ def bump(s, sharpness: float = 4.0):
     Larger sharpness flattens the bump and pushes its spectral tail down,
     which the near-zero trace checks rely on.
     """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(-sharpness / (1.0 - si * si)) * np.exp(sharpness)
-    return out if out.ndim else float(out)
+    out = _bump(s, sharpness) * np.exp(sharpness)
+    return out if np.ndim(out) else float(out)
 
 
 def center_bump_target(
@@ -41,11 +37,11 @@ def center_bump_target(
 ) -> StateField:
     """Velocity bump centered in the domain, supported in [0.45, 0.55] by default."""
     r = np.sqrt(sum((X - center) ** 2 for X in domain.grids()))
-    return StateField(values=bump(r / halfwidth, sharpness), role="target")
+    return StateField(values=bump(r / halfwidth, sharpness))
 
 
 def mode_target(basis: SpectralBasis, k: int = 0) -> StateField:
-    return StateField(values=basis.modes[k].copy(), role="target")
+    return StateField(values=basis.modes[k].copy())
 
 
 def smooth_interior_target(domain: DomainSpec) -> StateField:
@@ -61,7 +57,7 @@ def smooth_interior_target(domain: DomainSpec) -> StateField:
         sx = (X - lx0) / (lx1 - lx0)
         sy = (Y - ly0) / (ly1 - ly0)
         values = np.sin(np.pi * sx) * np.sin(np.pi * sy) * (1.0 + 0.3 * np.sin(2 * np.pi * sx))
-    return StateField(values=values, role="target")
+    return StateField(values=values)
 
 
 def ramp_target(domain: DomainSpec) -> StateField:
@@ -70,7 +66,7 @@ def ramp_target(domain: DomainSpec) -> StateField:
         raise ValueError("ramp target is a 1D preset")
     x = domain.axes[0]
     lo, hi = domain.extents[0]
-    return StateField(values=1.0 - (x - lo) / (hi - lo), role="target")
+    return StateField(values=1.0 - (x - lo) / (hi - lo))
 
 
 def _pulse_samples(times, support, sharpness):
@@ -127,7 +123,7 @@ def in_range_target(basis: SpectralBasis, T: float) -> StateField:
     rows = basis.domain.face_midpoint_rows()
     g = stored_reference_control(T, len(basis.boundary_weights), rows=rows)
     state = control_to_state(g, basis)
-    return StateField(values=state.values, role="target")
+    return StateField(values=state.values)
 
 
 TARGET_PRESETS = {

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import SpectralBasis, project, reconstruct
-from .waveop import BoundaryControl, StateField, time_weights
+from .waveop import BoundaryControl, StateField, _bump, time_weights
 
 __all__ = [
     "MollifierKernel",
@@ -74,25 +74,16 @@ def _composite_rule(m: int) -> tuple:
     return np.concatenate((-upper[::-1], upper)), np.tile(half * _GL_WEIGHTS, m)
 
 
-def _raw_bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out if out.ndim else float(out)
-
-
 @lru_cache(maxsize=1)
 def bump_normalization() -> float:
     """Constant c with integral of c exp(-1/(1-t^2)) over (-1, 1) equal to 1."""
     x, w = _composite_rule(16)
-    return 1.0 / float(w @ _raw_bump(x))
+    return 1.0 / float(w @ _bump(x, 1.0))
 
 
 def bump_profile(t):
     """Normalized even bump supported on (-1, 1), exact zero outside."""
-    return bump_normalization() * _raw_bump(t)
+    return bump_normalization() * _bump(t, 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -173,7 +164,7 @@ def regularize_state(y: StateField, epsilon: float, basis: SpectralBasis) -> Sta
     """Diagonal action in the eigenbasis: coefficient k scaled by beta_k."""
     alphas = project(y.values, basis)
     betas = beta_table(epsilon, basis.lambdas)
-    return StateField(values=reconstruct(alphas * betas, basis), role=y.role)
+    return StateField(values=reconstruct(alphas * betas, basis))
 
 
 def _toeplitz_blocks(epsilon: float, dt: float) -> np.ndarray:

@@ -17,7 +17,7 @@ oracle for the forward map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -99,10 +99,9 @@ class BoundaryTrace(_TimeSampled):
 
 @dataclass
 class StateField:
-    """Grid function over the domain with a role tag."""
+    """Grid function over the domain."""
 
     values: np.ndarray
-    role: str = "target"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -251,31 +250,20 @@ def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
 def control_to_state(f: BoundaryControl, basis: SpectralBasis) -> StateField:
     """Final snapshot u^f(., T) of the boundary-driven wave."""
     coeffs = control_to_modal(f, basis)
-    return StateField(values=reconstruct(coeffs, basis), role="wave_snapshot")
+    return StateField(values=reconstruct(coeffs, basis))
 
 
-def verify_duality(
-    f: BoundaryControl,
-    y: StateField,
-    basis: SpectralBasis,
-    _break_weights: bool = False,
-) -> float:
+def verify_duality(f: BoundaryControl, y: StateField, basis: SpectralBasis) -> float:
     """Relative discrepancy of the adjoint identity for one (f, y) pair.
 
-    |(u^f(., T), y)_H - (f, observe y)_F| / (|f|_F |y|_H).  The private flag
-    perturbs the time weights on the observation side only; it exists so a
-    deliberately broken quadrature is detectable as a negative control.
-    Both sides come from one factor object: the forward map is its pairing
-    and the observation its expansion.
+    |(u^f(., T), y)_H - (f, observe y)_F| / (|f|_F |y|_H).  Both sides come
+    from one factor object: the forward map is its pairing and the
+    observation its expansion.
     """
     fac = _control_factors(f, basis)
     lhs = basis.h_inner(reconstruct(fac.pair(f.samples), basis), y.values)
     g = fac.expand(project(y.values, basis))
     denom = float(np.sqrt(max(fac.inner(f.samples, f.samples), 0.0))) * basis.h_norm(y.values)
-    if _break_weights:
-        wt = fac.wt.copy()
-        wt[0] = wt[-1] = f.dt  # flat weights at the ends: wrong trapezoid rule
-        fac = replace(fac, wt=wt)
     rhs = fac.inner(f.samples, g)
     if denom == 0:
         return 0.0
@@ -315,7 +303,7 @@ def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
         nxt = 2 * curr - prev - dt**2 * (L @ curr)
         nxt[bnd] = f.samples[:, step + 1]
         prev, curr = curr, nxt
-    return StateField(values=curr.reshape(domain.shape), role="wave_snapshot")
+    return StateField(values=curr.reshape(domain.shape))
 
 
 def support_violation(u: StateField, region: FilledRegion, band: float) -> float:
@@ -353,7 +341,21 @@ def random_state(basis: SpectralBasis, rng) -> StateField:
     """
     values = rng.standard_normal(tuple(basis.domain.shape))
     values[basis.domain.boundary_mask] = 0.0
-    return StateField(values=values, role="velocity_perturbation")
+    return StateField(values=values)
+
+
+def _bump(s, k: float):
+    """exp(-k/(1-s^2)) on (-1, 1), exact zero outside; a float for a scalar.
+
+    The one bump of the package: the time window here, presets.bump and the
+    regularizer's mollifier profile are this core times a constant.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(-k / (1.0 - si * si))
+    return out if out.ndim else float(out)
 
 
 def random_smooth_control(
@@ -378,9 +380,7 @@ def random_smooth_control(
     n_bnd = len(basis.boundary_weights)
     t = np.linspace(0.0, T, n_steps + 1)
     s = (2.0 * (t - a) / (b - a)) - 1.0
-    window = np.zeros_like(t)
-    inside = np.abs(s) < 1.0
-    window[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2)) * np.e
+    window = _bump(s, 1.0) * np.e
     coeffs = rng.standard_normal((n_bnd, n_harmonics)) / np.arange(1, n_harmonics + 1)
     phase = np.pi * (s[None, :] + 1.0) / 2.0
     harmonics = np.sin(np.arange(1, n_harmonics + 1)[:, None] * phase)

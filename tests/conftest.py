@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavecontrol import geometry, spectral
+from wavecontrol import geometry, spectral, waveop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +60,24 @@ def small_domain():
 @pytest.fixture(scope="session")
 def small_basis(small_domain):
     return spectral.eigensolve(small_domain, 12, backend="fd")
+
+
+@pytest.fixture(scope="session")
+def broken_duality():
+    """waveop.verify_duality with a wrong trapezoid rule, flat weights at the
+    ends, on the observation side only: the negative control that the
+    adjoint check must catch."""
+
+    def check(f, y, basis):
+        fac = waveop.modal_factors(basis, f.T, f.n_t - 1)
+        wt = fac.wt.copy()
+        wt[0] = wt[-1] = f.dt
+        lhs = basis.h_inner(spectral.reconstruct(fac.pair(f.samples), basis), y.values)
+        g = fac.expand(spectral.project(y.values, basis))
+        rhs = replace(fac, wt=wt).inner(f.samples, g)
+        return abs(lhs - rhs) / (np.sqrt(fac.inner(f.samples, f.samples)) * basis.h_norm(y.values))
+
+    return check
 
 
 @pytest.fixture

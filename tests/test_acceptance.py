@@ -36,7 +36,7 @@ def test_criterion_01_adjoint_identity(desk_basis, rng, acceptance_log):
     items = [
         item
         for _ in range(5)
-        for item in cli._suite_adjointness(cfg, desk_basis.domain, desk_basis, rng)
+        for item in cli._suite_adjointness(cfg, None, desk_basis, rng)
     ]
     worst = max(item["measured"] for item in items)
     passed = all(item["passed"] for item in items)
@@ -53,7 +53,7 @@ def test_criterion_02_spectral_correctness(interval_basis, square_basis, accepta
         preset: {
             item["item"]: item
             for item in cli._suite_spectral(
-                cli.ExperimentConfig(preset=preset), basis.domain, basis, None
+                cli.ExperimentConfig(preset=preset), None, basis, None
             )
         }
         for preset, basis in (("interval", interval_basis), ("square", square_basis))
@@ -179,7 +179,7 @@ def test_criterion_04_smoothing_identity(desk_basis, rng, acceptance_log):
     items = [
         item
         for _ in range(2)
-        for item in cli._suite_smoothing_identity(cfg, desk_basis.domain, desk_basis, rng)
+        for item in cli._suite_smoothing_identity(cfg, None, desk_basis, rng)
     ]
     worst = max(item["measured"] for item in items)
     passed = all(item["passed"] for item in items)
@@ -286,7 +286,7 @@ def test_criterion_07_reachable_closure(desk_basis, baselines, acceptance_log):
     ref = baselines["d1_smooth_vanishing_relative_residual"]
 
     curve = residual_curve(
-        SynthesisProblem(target=y_in, T=T_DESK), basis=desk_basis
+        SynthesisProblem(target=y_in, T=T_DESK), DEFAULT_ALPHA_SCHEDULE, desk_basis
     )
     finals = [r.final_residual for r in curve]
     monotone = all(b <= a + 1e-12 * finals[0] for a, b in zip(finals, finals[1:]))

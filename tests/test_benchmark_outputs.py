@@ -4,6 +4,8 @@ so a change that moves a benchmarked summary fails here first."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,19 @@ def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workl
             failures.append(f"{name}: {detail}")
     assert failures == []
     assert outcomes == expected
+
+
+def test_traced_run_ends_in_a_result_line_with_every_per_layer_metric():
+    """The last line of a traced interval_lab run is the result the benchmark
+    reads: correct, and with exactly the per-layer metrics BENCHMARK.json
+    declares, so a counter that goes missing fails here first."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "interval_lab",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)

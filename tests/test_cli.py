@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavecontrol
-from wavecontrol import cli, control_lab, presets, regularizer, waveop
+from wavecontrol import cli, control_lab, geometry, presets, regularizer, waveop
 from wavecontrol.cli import ConfigError, ExperimentConfig, parse_config
 
 FAST = """
@@ -44,7 +44,6 @@ def test_parse_config_types_and_comments():
         T = 0.5
         s = 1.0
         alphas = 1e-1,1e-2,1e-3
-        debug_break_quadrature = true
         target = first_mode
         """
     )
@@ -53,7 +52,6 @@ def test_parse_config_types_and_comments():
     assert cfg.nx == 33
     assert cfg.T == 0.5
     assert cfg.alphas == (1e-1, 1e-2, 1e-3)
-    assert cfg.debug_break_quadrature is True
     assert cfg.target == "first_mode"
     # derived windows filled in from T
     assert cfg.delta == pytest.approx(0.05)
@@ -71,7 +69,6 @@ def test_parse_config_empty_gives_defaults():
         ("wavelength = 3", "unknown key"),
         ("T = 0.5\nT = 0.6", "duplicate"),
         ("nx = twelve", "cannot parse"),
-        ("debug_break_quadrature = yes", "cannot parse"),
         ("alphas = 1e-2, fast", "cannot parse"),
         ("just a line without equals", "key=value"),
     ],
@@ -212,6 +209,21 @@ def test_config_grammar_parses_or_raises_config_error(lines):
             {"coefficient_csv": "table:i,j,a11\n0,0,1\n1,0\n"},
             "line 3: expected 3 fields, got 2",
         ),
+        (
+            "eikonal",
+            {"coefficient_csv": "table:i,j,a11\n" + "".join(
+                f"{i},0,{'' if i == 4 else 1}\n" for i in range(65)
+            )},
+            "coefficients.csv: line 6: column a11 is empty",
+        ),
+        (
+            "eikonal",
+            {"coefficient_csv": "table:i,j,a11,q\n" + "".join(
+                f"{i},0,1,{'' if i == 7 else 0}\n" for i in range(65)
+            )},
+            "coefficients.csv: line 9: column q is empty",
+        ),
+        ("verify", {"debug_break_quadrature": "1"}, "unknown key 'debug_break_quadrature'"),
     ],
 )
 def test_main_refuses_configs_that_used_to_end_in_a_traceback(
@@ -284,7 +296,6 @@ _RUN_CONFIGS = st.fixed_dictionaries(
         "alphas": st.lists(_finite_or(1e-8, 1.0), min_size=1, max_size=3, unique=True).map(
             lambda xs: sorted(xs, reverse=True)
         ),
-        "debug_break_quadrature": st.sampled_from(("true", "false")),
     },
 )
 
@@ -503,6 +514,15 @@ def test_verify_builds_its_domain_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_marches_the_eikonal_once(tmp_path, monkeypatch):
+    """The finite-speed and observability suites read one distance field."""
+    marched = []
+    real = geometry.eikonal_distance
+    monkeypatch.setattr(geometry, "eikonal_distance", lambda d: marched.append(d) or real(d))
+    cli.run(fast_config(), "verify", out_dir=str(tmp_path))
+    assert len(marched) == 1
+
+
 def test_verify_report_items_and_bounds():
     report = cli.verify_suite(fast_config())
     listed = [
@@ -546,12 +566,13 @@ def test_finite_speed_suite_drives_a_face_midpoint(monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(cli, "control_to_state", recording)
-    (item,) = cli._suite_finite_speed(cfg, domain, basis, None)
+    dist = geometry.eikonal_distance(domain)
+    (item,) = cli._suite_finite_speed(cfg, dist, basis, None)
     assert basis.h_norm(states[0].values) > 1e-3
     assert item["measured"] > 0
     zero = waveop.StateField(np.zeros(domain.shape))
     monkeypatch.setattr(cli, "control_to_state", lambda f, b: zero)
-    (item,) = cli._suite_finite_speed(cfg, domain, basis, None)
+    (item,) = cli._suite_finite_speed(cfg, dist, basis, None)
     assert item["measured"] == 0.0 and item["passed"] is False
 
 
@@ -591,7 +612,7 @@ def test_smoothing_suite_stacks_trials_per_mollifier_matrix(monkeypatch, overrid
     monkeypatch.setattr(cli, "smooth_control", recording_smooth)
     monkeypatch.setattr(cli, "modal_factors", counting_factors)
     rng = np.random.default_rng(cfg.seed)
-    (item,) = cli._suite_smoothing_identity(cfg, domain, basis, rng)
+    (item,) = cli._suite_smoothing_identity(cfg, None, basis, rng)
     assert item["passed"]
     assert len(built) == len(passes) == len(factors) == 1
     # the same draws in the interleaved order: f, then y, per trial
@@ -636,7 +657,7 @@ def test_operators_on_one_basis_share_one_cylinder(monkeypatch):
     waveop.observe(y, cfg.T, basis, n_steps=cfg.n_steps)
     waveop.control_to_state(f, basis)
     waveop.verify_duality(f, y, basis)
-    cli._suite_smoothing_identity(cfg, domain, basis, rng)
+    cli._suite_smoothing_identity(cfg, None, basis, rng)
     prob = control_lab.SynthesisProblem(target=y, T=cfg.T, budget=5, n_steps=cfg.n_steps)
     control_lab.synthesize_control(prob, basis)
     assert len(sines) == len(weights) == 1
@@ -645,10 +666,11 @@ def test_operators_on_one_basis_share_one_cylinder(monkeypatch):
     assert [v for v in basis.sines.values() if isinstance(v, waveop.Factors)] == [cylinder]
 
 
-def test_verify_catches_broken_quadrature(tmp_path):
-    """The debug hook perturbs the boundary weights; only the adjoint-pair
-    suite may notice, and it must."""
-    cfg = ExperimentConfig(debug_break_quadrature=True)
+def test_verify_catches_broken_quadrature(tmp_path, monkeypatch, broken_duality):
+    """A duality check with a wrong trapezoid rule on the observation side:
+    only the adjoint-pair suite may notice, and it must."""
+    monkeypatch.setattr(cli, "verify_duality", broken_duality)
+    cfg = ExperimentConfig()
     status = cli.run(cfg, "verify", out_dir=str(tmp_path))
     assert status == 1
     report = json.loads((tmp_path / "report.json").read_text())

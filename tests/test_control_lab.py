@@ -41,7 +41,7 @@ T_DESK = 0.75
 
 
 def test_problem_defaults():
-    y = StateField(values=np.zeros(17), role="target")
+    y = StateField(values=np.zeros(17))
     prob = SynthesisProblem(target=y, T=0.5)
     assert prob.delta == pytest.approx(0.05)
     assert prob.epsilon == pytest.approx(0.025)
@@ -60,14 +60,14 @@ def test_problem_defaults():
     ],
 )
 def test_problem_rejects_bad_knobs(kwargs, message):
-    y = StateField(values=np.zeros(17), role="target")
+    y = StateField(values=np.zeros(17))
     with pytest.raises(ValueError, match=message):
         SynthesisProblem(target=y, **kwargs)
 
 
 def test_unrestricted_class_ignores_band_ordering():
     # delta/epsilon only constrain the mollified classes
-    y = StateField(values=np.zeros(17), role="target")
+    y = StateField(values=np.zeros(17))
     SynthesisProblem(target=y, T=0.5, delta=0.3, epsilon=0.3)
 
 
@@ -201,7 +201,6 @@ def test_in_range_target_recovered(desk_basis):
     assert res.converged
     assert res.relative_residual < 1e-6
     assert res.iterations <= prob.budget
-    assert res.wall_time > 0
 
 
 @pytest.mark.parametrize("control_class", ["smooth", "smooth_vanishing_at_T"])
@@ -445,7 +444,7 @@ def test_silent_target_with_interior_mass_fails(desk_basis):
 
 
 def test_zero_target_passes_vacuously(desk_basis, interval_distance):
-    y = StateField(values=np.zeros(desk_basis.domain.shape[0]), role="target")
+    y = StateField(values=np.zeros(desk_basis.domain.shape[0]))
     verdict = observability_test(
         y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=interval_distance
     )
@@ -659,7 +658,7 @@ def test_h1_star_not_worse_than_weighted_modal_solution(desk_basis):
 
 def test_h1_star_respects_support_bound(desk_basis, interval_distance):
     # constant target, horizon too short to fill: certified floor holds
-    y = StateField(values=np.ones(desk_basis.domain.shape[0]), role="target")
+    y = StateField(values=np.ones(desk_basis.domain.shape[0]))
     T = 0.2
     res = h1_star_experiment(y, T, desk_basis, budget=120)
     region = geometry.filled_subdomain(interval_distance, T)

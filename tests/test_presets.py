@@ -72,7 +72,6 @@ def test_in_range_target_matches_forward_map(desk_basis):
     f = presets.stored_reference_control(0.75, 2)
     u = control_to_state(f, desk_basis)
     np.testing.assert_allclose(y.values, u.values, atol=1e-14)
-    assert y.role == "target"
 
 
 def test_in_range_target_2d_is_reached(square_basis):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import geometry, presets, spectral, waveop
+from wavecontrol import geometry, presets, regularizer, spectral, waveop
 
 
 def test_boundary_control_validation():
@@ -186,11 +186,11 @@ def test_duality_random_pairs(interval_basis, rng):
     assert worst <= 1e-12
 
 
-def test_duality_negative_control(interval_basis, rng):
+def test_duality_negative_control(interval_basis, rng, broken_duality):
     f = waveop.random_control(interval_basis, 0.75, rng)
     y = waveop.random_state(interval_basis, rng)
-    broken = waveop.verify_duality(f, y, interval_basis, _break_weights=True)
-    assert broken > 1e-12
+    assert waveop.verify_duality(f, y, interval_basis) <= 1e-12
+    assert broken_duality(f, y, interval_basis) > 1e-12
 
 
 def test_duality_2d(square_basis, rng):
@@ -199,7 +199,7 @@ def test_duality_2d(square_basis, rng):
     assert waveop.verify_duality(f, y, square_basis) <= 1e-12
 
 
-def test_duality_builds_one_factor_object(interval_basis, rng, monkeypatch):
+def test_duality_builds_one_factor_object(interval_basis, rng, monkeypatch, broken_duality):
     """Both sides of the identity come from one modal_factors build per call."""
     built = []
     real = waveop.modal_factors
@@ -211,9 +211,9 @@ def test_duality_builds_one_factor_object(interval_basis, rng, monkeypatch):
     monkeypatch.setattr(waveop, "modal_factors", counting)
     f = waveop.random_control(interval_basis, 0.75, rng, n_steps=256)
     y = waveop.random_state(interval_basis, rng)
-    for broken in (False, True):
+    for check in (waveop.verify_duality, broken_duality):
         built.clear()
-        waveop.verify_duality(f, y, interval_basis, _break_weights=broken)
+        check(f, y, interval_basis)
         assert built == [(0.75, 256)]
     one_row = waveop.BoundaryControl(samples=f.samples[:1], T=0.75)
     with pytest.raises(ValueError, match="boundary rows"):
@@ -330,6 +330,36 @@ def test_random_smooth_control_support_and_regularity(interval_basis, rng):
     d2 = np.diff(f.samples, n=2, axis=1) / f.dt**2
     scale = np.abs(f.samples).max()
     assert np.abs(d2).max() <= 1e4 * scale
+
+
+def test_one_bump_core_reproduces_the_three_profiles_it_replaced():
+    """presets.bump, the mollifier profile and random_smooth_control's window
+    are the one bump core times a constant, equal to the expressions each
+    used to write out, not merely close."""
+    s = np.concatenate([np.random.default_rng(29).uniform(-1.5, 1.5, 200_000), [-1.0, 0.0, 1.0]])
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+
+    def on_support(values):
+        out = np.zeros_like(s)
+        out[inside] = values
+        return out
+
+    for k in (1.0, 4.0, 6.0):
+        old_presets = on_support(np.exp(-k / (1.0 - si * si)) * np.exp(k))
+        assert np.array_equal(waveop._bump(s, k) * np.exp(k), old_presets)
+        assert np.array_equal(presets.bump(s, k), old_presets)
+    old_mollifier = on_support(np.exp(-1.0 / (1.0 - si * si)))
+    assert np.array_equal(waveop._bump(s, 1.0), old_mollifier)
+    assert np.array_equal(
+        regularizer.bump_profile(s), regularizer.bump_normalization() * old_mollifier
+    )
+    old_window = on_support(np.exp(-1.0 / (1.0 - si**2)) * np.e)
+    assert np.array_equal(waveop._bump(s, 1.0) * np.e, old_window)
+    for x in (-1.0, -0.5, 0.0, 0.3, 1.0, 2.0):
+        assert type(waveop._bump(x, 1.0)) is float
+        assert type(presets.bump(x)) is float
+        assert presets.bump(x) == presets.bump(np.array([x]))[0]
 
 
 def test_random_smooth_control_bad_support(interval_basis, rng):
