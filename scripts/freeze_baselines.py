@@ -26,7 +26,7 @@ from wavecontrol.control_lab import (
     unreachability_bound,
 )
 from wavecontrol.regularizer import beta, bump_normalization, second_moment
-from wavecontrol.waveop import f_norm, observe
+from wavecontrol.waveop import DEFAULT_TIME_STEPS, f_norm, observe
 
 DESK = "interval, 513 nodes, 64 modes, T=0.75, dt=T/1024, budget 500"
 
@@ -87,7 +87,7 @@ def main():
     g = observe(y1, T, basis)
     put(
         "first_mode_trace_ratio",
-        f_norm(g.samples, basis.boundary_weights, g.dt) / basis.h_norm(y1.values),
+        f_norm(g, basis.boundary_weights, T / DEFAULT_TIME_STEPS) / basis.h_norm(y1),
         "boundary-cylinder norm of the first mode's observation at T=0.75",
     )
 

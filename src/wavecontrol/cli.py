@@ -47,7 +47,6 @@ from .spectral import eigensolve, project, write_spectrum_csv
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
-    StateField,
     control_to_state,
     f_norm,
     modal_factors,
@@ -248,9 +247,8 @@ def _timed(timings: dict, stage: str):
     timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
-def _target_state(cfg: ExperimentConfig, domain, basis):
-    maker = presets.TARGET_PRESETS[cfg.target]
-    return maker(domain, basis, cfg.T)
+def _target_state(cfg: ExperimentConfig, basis):
+    return presets.TARGET_PRESETS[cfg.target](basis, cfg.T, cfg.n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,7 @@ def _run_forward(cfg, out, domain, timings):
         write_state_csv(out / "state.csv", domain, u)
     return {
         "T": cfg.T,
-        "state_norm_H": basis.h_norm(u.values),
+        "state_norm_H": basis.h_norm(u),
         "support_violation": support_violation(u, region, band),
         "dilation_band": band,
     }
@@ -308,11 +306,11 @@ def _run_forward(cfg, out, domain, timings):
 
 def _run_dual(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
-    y = _target_state(cfg, domain, basis)
+    y = _target_state(cfg, basis)
     with _timed(timings, "dual"):
         snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
     with _timed(timings, "artifacts"):
-        write_state_csv(out / "dual_t0.csv", domain, StateField(snaps[0]))
+        write_state_csv(out / "dual_t0.csv", domain, snaps[0])
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -323,13 +321,13 @@ def _run_dual(cfg, out, domain, timings):
 
 def _run_observe(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
-    y = _target_state(cfg, domain, basis)
+    y = _target_state(cfg, basis)
     with _timed(timings, "observe"):
         g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)
     with _timed(timings, "artifacts"):
-        write_trace_csv(out / "trace.csv", g)
-    tr = f_norm(g.samples, basis.boundary_weights, g.dt)
-    yn = basis.h_norm(y.values)
+        write_trace_csv(out / "trace.csv", g, cfg.T)
+    tr = f_norm(g, basis.boundary_weights, cfg.T / cfg.n_steps)
+    yn = basis.h_norm(y)
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -369,7 +367,7 @@ def _run_control(cfg, out, domain, timings):
             f"s={cfg.s} puts the norm weight lambda^(s/2) past 1e64 "
             f"at lambda={basis.lambdas[-1]:.6g}; the synthesis would overflow"
         )
-    y = _target_state(cfg, domain, basis)
+    y = _target_state(cfg, basis)
     problem = SynthesisProblem(
         target=y,
         T=cfg.T,
@@ -395,7 +393,7 @@ def _run_control(cfg, out, domain, timings):
                     f"{a:.17g},{r.final_residual:.17g},{r.relative_residual:.17g},"
                     f"{r.iterations},{int(r.converged)}\n"
                 )
-        write_trace_csv(out / "control.csv", res.control)
+        write_trace_csv(out / "control.csv", res.control.samples, cfg.T)
     return {
         "T": cfg.T,
         "s": cfg.s,
@@ -404,7 +402,7 @@ def _run_control(cfg, out, domain, timings):
         "alpha": cfg.alphas[-1],
         "final_residual": res.final_residual,
         "target_norm": res.target_norm,
-        "target_norm_H": basis.h_norm(y.values),
+        "target_norm_H": basis.h_norm(y),
         "relative_residual": res.relative_residual,
         "iterations": res.iterations,
         "converged": res.converged,
@@ -415,7 +413,7 @@ def _run_control(cfg, out, domain, timings):
 
 def _run_h1star(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
-    y = _target_state(cfg, domain, basis)
+    y = _target_state(cfg, basis)
     with _timed(timings, "h1star"):
         res = h1_star_experiment(
             y,
@@ -428,7 +426,7 @@ def _run_h1star(cfg, out, domain, timings):
         )
     with _timed(timings, "artifacts"):
         _write_residuals_csv(out / "residuals.csv", res.residual_history)
-        write_trace_csv(out / "control.csv", res.control)
+        write_trace_csv(out / "control.csv", res.control.samples, cfg.T)
     return {
         "T": cfg.T,
         "target": cfg.target,
@@ -508,9 +506,8 @@ def _beta_sweep(lambdas) -> list:
 def _suite_regularizer(cfg, dist, basis, rng):
     lam = basis.lambdas
     k = int(rng.integers(0, basis.n_modes))
-    ek = StateField(basis.modes[k].copy())
-    smoothed = regularize_state(ek, cfg.epsilon, basis)
-    coeffs = project(smoothed.values, basis)
+    smoothed = regularize_state(basis.modes[k], cfg.epsilon, basis)
+    coeffs = project(smoothed, basis)
     expect = np.zeros(basis.n_modes)
     expect[k] = beta(cfg.epsilon, lam[k])
     dev = float(np.abs(coeffs - expect).max())
@@ -528,7 +525,7 @@ def _suite_finite_speed(cfg, dist, basis, rng):
     band = 2 * dist.h + 2 * T / cfg.n_steps
     viol = support_violation(u, region, band)
     # a zero state has no mass outside the region, and shows nothing
-    passed = viol <= 1e-3 and basis.h_norm(u.values) > 0
+    passed = viol <= 1e-3 and basis.h_norm(u) > 0
     return [_item("pulse_mass_outside_filled_region", viol, 1e-3, passed)]
 
 
@@ -549,7 +546,7 @@ def _suite_smoothing_identity(cfg, dist, basis, rng):
     fac = modal_factors(basis, cfg.T, cfg.n_steps)
     worst = 0.0
     for y, f, f_eps in zip(states, np.split(raw, trials), np.split(smoothed, trials)):
-        alphas = project(y.values, basis)
+        alphas = project(y, basis)
         lhs = float(fac.pair(f_eps) @ alphas)
         rhs = float(fac.pair(f) @ (bvals * alphas))
         g = fac.expand(alphas)
@@ -587,7 +584,7 @@ def _suite_observability(cfg, dist, basis, rng):
 
 
 def _suite_synthesis(cfg, dist, basis, rng):
-    y_in = presets.in_range_target(basis, cfg.T)
+    y_in = presets.in_range_target(basis, cfg.T, cfg.n_steps)
     prob = SynthesisProblem(target=y_in, T=cfg.T, budget=cfg.budget, n_steps=cfg.n_steps)
     res = synthesize_control(prob, basis)
     hist = res.residual_history
@@ -596,7 +593,7 @@ def _suite_synthesis(cfg, dist, basis, rng):
         target=y_bump, T=0.3, alpha=cfg.alphas[-1], budget=cfg.budget, n_steps=cfg.n_steps
     )
     res2 = synthesize_control(prob2, basis)
-    bump_norm = basis.h_norm(y_bump.values)  # zero when the grid misses the bump
+    bump_norm = basis.h_norm(y_bump)  # zero when the grid misses the bump
     ratio = res2.final_residual / bump_norm if bump_norm > 0 else 0.0
     return [
         _item("in_range_target_relative_residual", res.relative_residual, 1e-6),

@@ -39,7 +39,7 @@ from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
-    StateField,
+    _window_mask,
     control_to_modal,
     f_norm,
     modal_factors,
@@ -73,7 +73,7 @@ class SynthesisProblem:
     antisymmetrizes the mollifier about the horizon.
     """
 
-    target: StateField
+    target: np.ndarray  # grid values of the domain's shape
     T: float
     s: float = 0.0
     control_class: str = "all_of_F"
@@ -211,7 +211,7 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     is returned with converged = False.
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
-    y_hat = weights_s * project(problem.target.values, basis)
+    y_hat = weights_s * project(problem.target, basis)
     apply_c, _, V = _class_fold(problem, basis)
     fac = modal_factors(basis, problem.T, problem.n_steps)
     # the weighted forward map W: s-weighted traces x class-folded sines
@@ -244,7 +244,7 @@ class UnreachabilityReport:
 
 
 def unreachability_bound(
-    target: StateField, region: FilledRegion, band: float = 0.0
+    target: np.ndarray, region: FilledRegion, band: float = 0.0
 ) -> UnreachabilityReport:
     """Certified lower bound on the best final-snapshot misfit in H.
 
@@ -253,8 +253,8 @@ def unreachability_bound(
     discounts the discrete smearing layer and is the honest certificate.
     """
     return UnreachabilityReport(
-        value=math.sqrt(region.mass_outside(target.values)),
-        dilated_value=math.sqrt(region.mass_outside(target.values, band)),
+        value=math.sqrt(region.mass_outside(target)),
+        dilated_value=math.sqrt(region.mass_outside(target, band)),
     )
 
 
@@ -274,7 +274,7 @@ _COUPLED_TOL = 0.05
 
 
 def observability_test(
-    y: StateField,
+    y: np.ndarray,
     T: float,
     delta: float,
     tol: float,
@@ -288,16 +288,14 @@ def observability_test(
     if not 0 < delta < T:
         raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
     g = observe(y, T, basis, n_steps=n_steps)
-    times = g.times
-    dt = times[1] - times[0]
-    sel = times >= delta - 1e-12 * T
-    tr = f_norm(g.samples[:, sel], basis.boundary_weights, dt)
-    y_norm = basis.h_norm(y.values)
+    sel = _window_mask(T, n_steps, delta)
+    tr = f_norm(g[:, sel], basis.boundary_weights, T / n_steps)
+    y_norm = basis.h_norm(y)
     trace_ratio = tr / y_norm if y_norm > 0 else 0.0
     inside = filled_subdomain(dist, T - delta).dilated(-band)
     w = basis.mass_weights
     inside_ratio = float(
-        np.sqrt(np.sum(w[inside] * y.values[inside] ** 2)) / y_norm if y_norm > 0 else 0.0
+        np.sqrt(np.sum(w[inside] * y[inside] ** 2)) / y_norm if y_norm > 0 else 0.0
     )
     observable = trace_ratio > tol
     support_ok = None if observable else inside_ratio <= _COUPLED_TOL
@@ -424,19 +422,18 @@ def _lifted_state(basis: SpectralBasis):
     return basis.memo("lifted_state", build)
 
 
-def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> StateField:
+def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
     """Final snapshot carrying the control's terminal boundary values.
 
     Boundary lifting of f(., T) plus the modal correction; agrees with the
     plain modal snapshot whenever f(., T) = 0.
     """
     state = _lifted_state(basis)[2]
-    values = state(control_to_modal(control, basis), control.samples[:, -1])
-    return StateField(values=values)
+    return state(control_to_modal(control, basis), control.samples[:, -1])
 
 
 def h1_star_experiment(
-    target: StateField,
+    target: np.ndarray,
     T: float,
     basis: SpectralBasis,
     budget: int = 500,
@@ -471,7 +468,7 @@ def h1_star_experiment(
     spikes[:, -1] = 1.0 / fac.wt[-1]
     U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
     fac = replace(fac, U=U, V=np.vstack([V, apply_ct(spikes)]))
-    return _solve(problem, fac, apply_c, target.values, *_h1_data_maps(basis))
+    return _solve(problem, fac, apply_c, target, *_h1_data_maps(basis))
 
 
 def _h1_data_maps(basis: SpectralBasis):

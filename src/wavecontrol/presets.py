@@ -6,7 +6,7 @@ import numpy as np
 
 from .geometry import DomainSpec
 from .spectral import SpectralBasis
-from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, StateField, _bump, control_to_state
+from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, _bump, control_to_state
 
 __all__ = [
     "bump",
@@ -34,39 +34,37 @@ def bump(s, sharpness: float = 4.0):
 
 def center_bump_target(
     domain: DomainSpec, center: float = 0.5, halfwidth: float = 0.05, sharpness: float = 6.0
-) -> StateField:
+) -> np.ndarray:
     """Velocity bump centered in the domain, supported in [0.45, 0.55] by default."""
     r = np.sqrt(sum((X - center) ** 2 for X in domain.grids()))
-    return StateField(values=bump(r / halfwidth, sharpness))
+    return bump(r / halfwidth, sharpness)
 
 
-def mode_target(basis: SpectralBasis, k: int = 0) -> StateField:
-    return StateField(values=basis.modes[k].copy())
+def mode_target(basis: SpectralBasis, k: int = 0) -> np.ndarray:
+    return basis.modes[k].copy()
 
 
-def smooth_interior_target(domain: DomainSpec) -> StateField:
+def smooth_interior_target(domain: DomainSpec) -> np.ndarray:
     """Smooth target with zero boundary values and mild modal content."""
     if domain.dimension == 1:
         x = domain.axes[0]
         lo, hi = domain.extents[0]
         s = (x - lo) / (hi - lo)
-        values = np.sin(np.pi * s) * (1.0 + 0.5 * np.sin(2 * np.pi * s))
-    else:
-        X, Y = domain.grids()
-        (lx0, lx1), (ly0, ly1) = domain.extents
-        sx = (X - lx0) / (lx1 - lx0)
-        sy = (Y - ly0) / (ly1 - ly0)
-        values = np.sin(np.pi * sx) * np.sin(np.pi * sy) * (1.0 + 0.3 * np.sin(2 * np.pi * sx))
-    return StateField(values=values)
+        return np.sin(np.pi * s) * (1.0 + 0.5 * np.sin(2 * np.pi * s))
+    X, Y = domain.grids()
+    (lx0, lx1), (ly0, ly1) = domain.extents
+    sx = (X - lx0) / (lx1 - lx0)
+    sy = (Y - ly0) / (ly1 - ly0)
+    return np.sin(np.pi * sx) * np.sin(np.pi * sy) * (1.0 + 0.3 * np.sin(2 * np.pi * sx))
 
 
-def ramp_target(domain: DomainSpec) -> StateField:
+def ramp_target(domain: DomainSpec) -> np.ndarray:
     """Linear ramp 1 - x, nonzero on the boundary (1D)."""
     if domain.dimension != 1:
         raise ValueError("ramp target is a 1D preset")
     x = domain.axes[0]
     lo, hi = domain.extents[0]
-    return StateField(values=1.0 - (x - lo) / (hi - lo))
+    return 1.0 - (x - lo) / (hi - lo)
 
 
 def _pulse_samples(times, support, sharpness):
@@ -116,20 +114,22 @@ def stored_reference_control(
     return BoundaryControl(samples=samples, T=T)
 
 
-def in_range_target(basis: SpectralBasis, T: float) -> StateField:
-    """Final snapshot of the stored reference control: in range by construction."""
+def in_range_target(
+    basis: SpectralBasis, T: float, n_steps: int = DEFAULT_TIME_STEPS
+) -> np.ndarray:
+    """Final snapshot of the stored reference control: in range of the n_steps map."""
     # the middles of two opposite faces: rows 0 and -1 are the 2D corners,
     # whose conormal traces vanish, so a control there reaches nothing
     rows = basis.domain.face_midpoint_rows()
-    g = stored_reference_control(T, len(basis.boundary_weights), rows=rows)
-    state = control_to_state(g, basis)
-    return StateField(values=state.values)
+    g = stored_reference_control(T, len(basis.boundary_weights), n_steps=n_steps, rows=rows)
+    return control_to_state(g, basis)
 
 
+# target name -> maker(basis, T, n_steps), the run's basis, horizon and steps
 TARGET_PRESETS = {
-    "center_bump": lambda domain, basis, T: center_bump_target(domain),
-    "first_mode": lambda domain, basis, T: mode_target(basis, 0),
-    "smooth_interior": lambda domain, basis, T: smooth_interior_target(domain),
-    "ramp": lambda domain, basis, T: ramp_target(domain),
-    "in_range": lambda domain, basis, T: in_range_target(basis, T),
+    "center_bump": lambda basis, T, n_steps: center_bump_target(basis.domain),
+    "first_mode": lambda basis, T, n_steps: mode_target(basis, 0),
+    "smooth_interior": lambda basis, T, n_steps: smooth_interior_target(basis.domain),
+    "ramp": lambda basis, T, n_steps: ramp_target(basis.domain),
+    "in_range": in_range_target,
 }

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import SpectralBasis, project, reconstruct
-from .waveop import BoundaryControl, StateField, _bump, time_weights
+from .waveop import BoundaryControl, _bump, _window_mask, time_weights
 
 __all__ = [
     "MollifierKernel",
@@ -160,11 +160,11 @@ def beta_table(epsilon: float, lambdas: np.ndarray) -> np.ndarray:
     return _cosine_transform(_phases(epsilon, np.asarray(lambdas, dtype=float)))
 
 
-def regularize_state(y: StateField, epsilon: float, basis: SpectralBasis) -> StateField:
+def regularize_state(y: np.ndarray, epsilon: float, basis: SpectralBasis) -> np.ndarray:
     """Diagonal action in the eigenbasis: coefficient k scaled by beta_k."""
-    alphas = project(y.values, basis)
+    alphas = project(y, basis)
     betas = beta_table(epsilon, basis.lambdas)
-    return StateField(values=reconstruct(alphas * betas, basis))
+    return reconstruct(alphas * betas, basis)
 
 
 def _toeplitz_blocks(epsilon: float, dt: float) -> np.ndarray:
@@ -244,7 +244,7 @@ def class_operators(control_class: str, T: float, delta: float, epsilon: float, 
     if control_class == "all_of_F":
         return _identity, _identity
     dt = T / (n_t - 1)
-    mask = np.linspace(0.0, T, n_t) >= delta - 1e-12 * T
+    mask = _window_mask(T, n_t - 1, delta)
     w = time_weights(n_t, dt)
     blocks = _toeplitz_blocks(epsilon, dt)
     odd = control_class == "smooth_vanishing_at_T"
@@ -276,13 +276,12 @@ def smooth_control(f: BoundaryControl, epsilon: float, delta: float) -> Boundary
         )
     if delta >= f.T:
         raise ValueError(f"support onset delta={delta} must lie inside (0, T={f.T})")
-    t = f.times
-    early = t < delta - 1e-12 * f.T
+    early = ~_window_mask(f.T, f.n_t - 1, delta)
     if np.any(f.samples[:, early] != 0):
         bad = np.argwhere(f.samples[:, early] != 0)[0]
         raise ValueError(
             f"control must vanish before t=delta={delta}; "
-            f"nonzero sample at boundary row {bad[0]}, t={t[early][bad[1]]:g}"
+            f"nonzero sample at boundary row {bad[0]}, t={f.times[early][bad[1]]:g}"
         )
     apply_c = class_operators("smooth_vanishing_at_T", f.T, delta, epsilon, f.n_t)[0]
     return BoundaryControl(samples=apply_c(f.samples), T=f.T)

@@ -27,8 +27,6 @@ from .spectral import SpectralBasis, fd_operator, project, reconstruct
 
 __all__ = [
     "BoundaryControl",
-    "BoundaryTrace",
-    "StateField",
     "DEFAULT_TIME_STEPS",
     "time_grid",
     "time_weights",
@@ -50,27 +48,8 @@ __all__ = [
 DEFAULT_TIME_STEPS = 1024  # trapezoid grid has DEFAULT_TIME_STEPS + 1 samples
 
 
-class _TimeSampled:
-    """Samples of shape (n_boundary, n_t) on the uniform grid of [0, T]."""
-
-    samples: np.ndarray
-    T: float
-
-    @property
-    def n_t(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def dt(self) -> float:
-        return self.T / (self.n_t - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
-
-
 @dataclass
-class BoundaryControl(_TimeSampled):
+class BoundaryControl:
     """Dirichlet data on the boundary cylinder, sampled on a uniform time grid.
 
     samples : (n_boundary, n_t) values; column i is time i*T/(n_t-1)
@@ -88,29 +67,26 @@ class BoundaryControl(_TimeSampled):
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite control samples")
 
+    @property
+    def n_t(self) -> int:
+        return self.samples.shape[1]
 
-@dataclass
-class BoundaryTrace(_TimeSampled):
-    """Conormal derivative samples on the boundary cylinder."""
+    @property
+    def dt(self) -> float:
+        return self.T / (self.n_t - 1)
 
-    samples: np.ndarray
-    T: float
-
-
-@dataclass
-class StateField:
-    """Grid function over the domain."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite state values")
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.n_t)
 
 
 def time_grid(T: float, n_steps: int = DEFAULT_TIME_STEPS) -> np.ndarray:
     return np.linspace(0.0, T, n_steps + 1)
+
+
+def _window_mask(T: float, n_steps: int, delta: float) -> np.ndarray:
+    """The samples of time_grid(T, n_steps) in [delta, T], with a 1e-12 T slack."""
+    return time_grid(T, n_steps) >= delta - 1e-12 * T
 
 
 def time_weights(n_t: int, dt: float) -> np.ndarray:
@@ -193,7 +169,7 @@ def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
 
 
 def solve_dual(
-    y: StateField,
+    y: np.ndarray,
     T: float,
     basis: SpectralBasis,
     times: np.ndarray,
@@ -207,23 +183,24 @@ def solve_dual(
         raise ValueError(f"horizon must be positive, got {T}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     S = _sin_factors(basis.lambdas, times, T)
-    alphas = project(y.values, basis)
+    alphas = project(y, basis)
     flat = basis.modes.reshape(basis.n_modes, -1)
     hist = (alphas[:, None] * S).T @ flat
     return hist.reshape((len(times),) + tuple(basis.domain.shape))
 
 
 def observe(
-    y: StateField,
+    y: np.ndarray,
     T: float,
     basis: SpectralBasis,
     n_steps: int = DEFAULT_TIME_STEPS,
-) -> BoundaryTrace:
-    """Conormal trace of the dual wave on the boundary cylinder."""
+) -> np.ndarray:
+    """Conormal trace of the dual wave on the boundary cylinder, as
+    (n_boundary, n_steps + 1) samples on time_grid(T, n_steps)."""
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    alphas = project(y.values, basis)
-    return BoundaryTrace(samples=modal_factors(basis, T, n_steps).expand(alphas), T=T)
+    alphas = project(y, basis)
+    return modal_factors(basis, T, n_steps).expand(alphas)
 
 
 def _control_factors(f: BoundaryControl, basis: SpectralBasis) -> Factors:
@@ -247,13 +224,12 @@ def control_to_modal(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
     return _control_factors(f, basis).pair(f.samples)
 
 
-def control_to_state(f: BoundaryControl, basis: SpectralBasis) -> StateField:
+def control_to_state(f: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
     """Final snapshot u^f(., T) of the boundary-driven wave."""
-    coeffs = control_to_modal(f, basis)
-    return StateField(values=reconstruct(coeffs, basis))
+    return reconstruct(control_to_modal(f, basis), basis)
 
 
-def verify_duality(f: BoundaryControl, y: StateField, basis: SpectralBasis) -> float:
+def verify_duality(f: BoundaryControl, y: np.ndarray, basis: SpectralBasis) -> float:
     """Relative discrepancy of the adjoint identity for one (f, y) pair.
 
     |(u^f(., T), y)_H - (f, observe y)_F| / (|f|_F |y|_H).  Both sides come
@@ -261,9 +237,9 @@ def verify_duality(f: BoundaryControl, y: StateField, basis: SpectralBasis) -> f
     observation its expansion.
     """
     fac = _control_factors(f, basis)
-    lhs = basis.h_inner(reconstruct(fac.pair(f.samples), basis), y.values)
-    g = fac.expand(project(y.values, basis))
-    denom = float(np.sqrt(max(fac.inner(f.samples, f.samples), 0.0))) * basis.h_norm(y.values)
+    lhs = basis.h_inner(reconstruct(fac.pair(f.samples), basis), y)
+    g = fac.expand(project(y, basis))
+    denom = float(np.sqrt(max(fac.inner(f.samples, f.samples), 0.0))) * basis.h_norm(y)
     rhs = fac.inner(f.samples, g)
     if denom == 0:
         return 0.0
@@ -274,7 +250,7 @@ def verify_duality(f: BoundaryControl, y: StateField, basis: SpectralBasis) -> f
 # independent finite-difference oracle
 
 
-def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
+def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> np.ndarray:
     """Leapfrog time stepping of the boundary-driven wave, u^f(., T).
 
     Independent of the modal pipeline: explicit second-order stepping of the
@@ -303,15 +279,15 @@ def fd_oracle_forward(f: BoundaryControl, domain: DomainSpec) -> StateField:
         nxt = 2 * curr - prev - dt**2 * (L @ curr)
         nxt[bnd] = f.samples[:, step + 1]
         prev, curr = curr, nxt
-    return StateField(values=curr.reshape(domain.shape))
+    return curr.reshape(domain.shape)
 
 
-def support_violation(u: StateField, region: FilledRegion, band: float) -> float:
+def support_violation(u: np.ndarray, region: FilledRegion, band: float) -> float:
     """Fraction of squared mass outside the region dilated by ``band``."""
-    total = float(np.sum(region.weights * u.values**2))
+    total = float(np.sum(region.weights * u**2))
     if total == 0:
         return 0.0
-    return region.mass_outside(u.values, band) / total
+    return region.mass_outside(u, band) / total
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +310,14 @@ def random_control(
     return BoundaryControl(samples=samples, T=T)
 
 
-def random_state(basis: SpectralBasis, rng) -> StateField:
+def random_state(basis: SpectralBasis, rng) -> np.ndarray:
     """Seeded random velocity perturbation over the grid, zero on the boundary.
 
     ``rng`` is any source with a ``standard_normal(shape)`` method.
     """
     values = rng.standard_normal(tuple(basis.domain.shape))
     values[basis.domain.boundary_mask] = 0.0
-    return StateField(values=values)
+    return values
 
 
 def _bump(s, k: float):
@@ -391,22 +367,24 @@ def random_smooth_control(
 # CSV artifacts
 
 
-def write_state_csv(path, domain: DomainSpec, state: StateField) -> None:
+def write_state_csv(path, domain: DomainSpec, state: np.ndarray) -> None:
     if domain.dimension == 2:
-        _write_node_csvs(domain, [(path, "u", state.values, ".17g")])
+        _write_node_csvs(domain, [(path, "u", state, ".17g")])
         return
     # one join, rows ending in the \r\n terminator csv.writer emits
-    rows = zip(domain.axes[0].tolist(), np.asarray(state.values).tolist())
+    rows = zip(domain.axes[0].tolist(), np.asarray(state).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("x,u\r\n" + "".join(f"{x:.17g},{v:.17g}\r\n" for x, v in rows))
 
 
-def write_trace_csv(path, trace: BoundaryTrace) -> None:
+def write_trace_csv(path, samples: np.ndarray, T: float) -> None:
+    """(n_boundary, n_t) samples on time_grid(T, n_t - 1), one line per sample."""
     # One boundary row is one % over a template of its time stamps, \0
     # standing for "gamma_id,", with the \r\n terminator csv.writer emits, so
     # the bytes match a csv.writer rendering at a fraction of its cost.
-    row = "".join(f"\0{t:.17g},%.17g\r\n" for t in trace.times.tolist())
+    times = time_grid(T, samples.shape[1] - 1).tolist()
+    row = "".join(f"\0{t:.17g},%.17g\r\n" for t in times)
     with open(path, "w", newline="") as fh:
         fh.write("gamma_id,t,g\r\n")
-        for g_id, values in enumerate(trace.samples.tolist()):
+        for g_id, values in enumerate(samples.tolist()):
             fh.write(row.replace("\0", f"{g_id},") % tuple(values))

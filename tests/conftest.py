@@ -72,10 +72,10 @@ def broken_duality():
         fac = waveop.modal_factors(basis, f.T, f.n_t - 1)
         wt = fac.wt.copy()
         wt[0] = wt[-1] = f.dt
-        lhs = basis.h_inner(spectral.reconstruct(fac.pair(f.samples), basis), y.values)
-        g = fac.expand(spectral.project(y.values, basis))
+        lhs = basis.h_inner(spectral.reconstruct(fac.pair(f.samples), basis), y)
+        g = fac.expand(spectral.project(y, basis))
         rhs = replace(fac, wt=wt).inner(f.samples, g)
-        return abs(lhs - rhs) / (np.sqrt(fac.inner(f.samples, f.samples)) * basis.h_norm(y.values))
+        return abs(lhs - rhs) / (np.sqrt(fac.inner(f.samples, f.samples)) * basis.h_norm(y))
 
     return check
 

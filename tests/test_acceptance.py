@@ -76,7 +76,7 @@ def test_criterion_03_regularizer_identities(desk_basis, acceptance_log):
     diag_dev = 0.0
     for k in (0, 5, 31):
         y = presets.mode_target(desk_basis, k)
-        coeffs = spectral.project(regularize_state(y, eps, desk_basis).values, desk_basis)
+        coeffs = spectral.project(regularize_state(y, eps, desk_basis), desk_basis)
         expect = np.zeros(desk_basis.n_modes)
         expect[k] = betas[k]
         diag_dev = max(diag_dev, float(np.abs(coeffs - expect).max()))
@@ -254,7 +254,7 @@ def test_criterion_05_finite_speed_halving(finite_speed_violations, acceptance_l
 
 def test_criterion_06_unreachable_bump_stall(desk_basis, acceptance_log):
     y = presets.center_bump_target(desk_basis.domain)
-    y_norm = desk_basis.h_norm(y.values)
+    y_norm = desk_basis.h_norm(y)
     ratios = []
     for alpha in DEFAULT_ALPHA_SCHEDULE:
         res = synthesize_control(
@@ -310,14 +310,14 @@ def test_criterion_08_observability(desk_basis, baselines, acceptance_log):
     y_bump = presets.center_bump_target(desk_basis.domain)
     g_bump = waveop.observe(y_bump, 0.3, desk_basis)
     silent = waveop.f_norm(
-        g_bump.samples, desk_basis.boundary_weights, g_bump.dt
-    ) / desk_basis.h_norm(y_bump.values)
+        g_bump, desk_basis.boundary_weights, 0.3 / waveop.DEFAULT_TIME_STEPS
+    ) / desk_basis.h_norm(y_bump)
 
     y_mode = presets.mode_target(desk_basis, 0)
     g_mode = waveop.observe(y_mode, T_DESK, desk_basis)
     loud = waveop.f_norm(
-        g_mode.samples, desk_basis.boundary_weights, g_mode.dt
-    ) / desk_basis.h_norm(y_mode.values)
+        g_mode, desk_basis.boundary_weights, T_DESK / waveop.DEFAULT_TIME_STEPS
+    ) / desk_basis.h_norm(y_mode)
 
     ref = baselines["first_mode_trace_ratio"]
     passed = silent <= 1e-3 and loud >= 0.1 and abs(loud - ref) <= 1e-9 * ref
@@ -344,7 +344,7 @@ def test_criterion_09_h1_experiment(desk_basis, baselines, acceptance_log):
         ),
         desk_basis,
     )
-    misfit = lifted_final_state(modal.control, desk_basis).values - y.values
+    misfit = lifted_final_state(modal.control, desk_basis) - y
     rescored = np.sqrt(h1_inner(misfit, misfit, desk_basis))
     direct = h1_star_experiment(y, T_DESK, desk_basis)
     inclusion = direct.final_residual <= rescored + 1e-6
@@ -365,15 +365,15 @@ def test_criterion_10_oracle_cross_validation(
     f = presets.stored_reference_control(T_DESK, 2, n_steps=1024)
     u_modal = waveop.control_to_state(f, desk_basis)
     u_fd = waveop.fd_oracle_forward(f, interval_domain)
-    rel = desk_basis.h_norm(u_modal.values - u_fd.values) / desk_basis.h_norm(
-        u_fd.values
+    rel = desk_basis.h_norm(u_modal - u_fd) / desk_basis.h_norm(
+        u_fd
     )
 
     pulse = presets.pulse_control(T_DESK, 2, support=(0.1, 0.5), n_steps=1024, row=0)
     u = waveop.control_to_state(pulse, desk_basis)
     x = interval_domain.axes[0]
     expect = presets._pulse_samples(T_DESK - x, (0.1, 0.5), 4.0)
-    travel = desk_basis.h_norm(u.values - expect) / desk_basis.h_norm(expect)
+    travel = desk_basis.h_norm(u - expect) / desk_basis.h_norm(expect)
 
     passed = rel <= 2e-2 and travel <= 1e-2
     acceptance_log(

@@ -60,7 +60,8 @@ def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workl
 def test_traced_run_ends_in_a_result_line_with_every_per_layer_metric():
     """The last line of a traced interval_lab run is the result the benchmark
     reads: correct, and with exactly the per-layer metrics BENCHMARK.json
-    declares, so a counter that goes missing fails here first."""
+    declares, so a counter that goes missing fails here first.  Every
+    <layer>.<function>.s and .calls metric reads above zero."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "interval_lab",
          "--seed", "0", "--seconds", "0", "--trace", "1"],
@@ -71,3 +72,12 @@ def test_traced_run_ends_in_a_result_line_with_every_per_layer_metric():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
+    # a traced public function that is renamed or leaves __all__ reads 0
+    layers = _load("workloads").LAYERS
+    traced = {
+        name: metric["value"] for name, metric in result["metrics"].items()
+        if name.split(".")[0] in layers and name.count(".") == 2
+        and name.endswith((".s", ".calls"))
+    }
+    assert len(traced) == 23
+    assert [name for name, value in traced.items() if not value > 0] == []

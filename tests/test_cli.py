@@ -568,9 +568,9 @@ def test_finite_speed_suite_drives_a_face_midpoint(monkeypatch):
     monkeypatch.setattr(cli, "control_to_state", recording)
     dist = geometry.eikonal_distance(domain)
     (item,) = cli._suite_finite_speed(cfg, dist, basis, None)
-    assert basis.h_norm(states[0].values) > 1e-3
+    assert basis.h_norm(states[0]) > 1e-3
     assert item["measured"] > 0
-    zero = waveop.StateField(np.zeros(domain.shape))
+    zero = np.zeros(domain.shape)
     monkeypatch.setattr(cli, "control_to_state", lambda f, b: zero)
     (item,) = cli._suite_finite_speed(cfg, dist, basis, None)
     assert item["measured"] == 0.0 and item["passed"] is False
@@ -664,6 +664,19 @@ def test_operators_on_one_basis_share_one_cylinder(monkeypatch):
     cylinder = waveop.modal_factors(basis, cfg.T, cfg.n_steps)
     assert len(seen) > 10 and all(fac.wt is cylinder.wt for fac in seen)
     assert [v for v in basis.sines.values() if isinstance(v, waveop.Factors)] == [cylinder]
+
+
+def test_in_range_target_is_built_on_the_runs_time_grid():
+    """The in_range target is the reference control's snapshot under the map
+    on the run's n_steps grid, the map the run then solves with: the basis
+    memo holds that cylinder only, and no DEFAULT_TIME_STEPS one."""
+    cfg = fast_config(target="in_range")
+    basis = cli.build_basis(cfg)
+    y = cli._target_state(cfg, basis)
+    assert [k for k in basis.sines if isinstance(k, tuple)] == [(cfg.T, 256)]
+    rows = basis.domain.face_midpoint_rows()
+    f = presets.stored_reference_control(cfg.T, 2, n_steps=256, rows=rows)
+    assert np.array_equal(y, waveop.control_to_state(f, basis))
 
 
 def test_verify_catches_broken_quadrature(tmp_path, monkeypatch, broken_duality):

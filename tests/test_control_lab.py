@@ -26,7 +26,6 @@ from wavecontrol.spectral import fd_operator
 from wavecontrol.waveop import (
     DEFAULT_TIME_STEPS,
     Factors,
-    StateField,
     _sin_factors,
     control_to_state,
     f_inner,
@@ -41,7 +40,7 @@ T_DESK = 0.75
 
 
 def test_problem_defaults():
-    y = StateField(values=np.zeros(17))
+    y = np.zeros(17)
     prob = SynthesisProblem(target=y, T=0.5)
     assert prob.delta == pytest.approx(0.05)
     assert prob.epsilon == pytest.approx(0.025)
@@ -60,14 +59,14 @@ def test_problem_defaults():
     ],
 )
 def test_problem_rejects_bad_knobs(kwargs, message):
-    y = StateField(values=np.zeros(17))
+    y = np.zeros(17)
     with pytest.raises(ValueError, match=message):
         SynthesisProblem(target=y, **kwargs)
 
 
 def test_unrestricted_class_ignores_band_ordering():
     # delta/epsilon only constrain the mollified classes
-    y = StateField(values=np.zeros(17))
+    y = np.zeros(17)
     SynthesisProblem(target=y, T=0.5, delta=0.3, epsilon=0.3)
 
 
@@ -363,7 +362,7 @@ def test_separated_bump_stalls_near_target_norm(desk_basis, interval_distance):
     region = geometry.filled_subdomain(interval_distance, T)
     bound = unreachability_bound(y, region, band=2 * interval_distance.h)
     # support separated from the boundary by more than T: full mass outside
-    assert bound.value == pytest.approx(desk_basis.h_norm(y.values), rel=1e-12)
+    assert bound.value == pytest.approx(desk_basis.h_norm(y), rel=1e-12)
     assert bound.dilated_value <= bound.value
     res = synthesize_control(
         SynthesisProblem(target=y, T=T, alpha=1e-6, budget=200), desk_basis
@@ -444,7 +443,7 @@ def test_silent_target_with_interior_mass_fails(desk_basis):
 
 
 def test_zero_target_passes_vacuously(desk_basis, interval_distance):
-    y = StateField(values=np.zeros(desk_basis.domain.shape[0]))
+    y = np.zeros(desk_basis.domain.shape[0])
     verdict = observability_test(
         y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=interval_distance
     )
@@ -556,7 +555,7 @@ def test_boundary_lift_built_once_per_basis(monkeypatch):
     monkeypatch.setattr(control_lab, "_boundary_lift", counting)
     f = waveop.random_control(basis, T_DESK, np.random.default_rng(3), n_steps=64)
     first = lifted_final_state(f, basis)
-    assert np.array_equal(lifted_final_state(f, basis).values, first.values)
+    assert np.array_equal(lifted_final_state(f, basis), first)
     y = presets.smooth_interior_target(basis.domain)
     assert h1_star_experiment(y, T_DESK, basis, budget=5, n_steps=64).iterations == 5
     assert built == [(17, 17)]
@@ -567,7 +566,7 @@ def test_lifted_final_state_rescores_h1_star_result(desk_basis):
     y = presets.ramp_target(desk_basis.domain)
     res = h1_star_experiment(y, T_DESK, desk_basis, budget=15)
     state = lifted_final_state(res.control, desk_basis)
-    misfit = state.values - y.values
+    misfit = state - y
     rescored = np.sqrt(h1_inner(misfit, misfit, desk_basis))
     assert rescored == pytest.approx(res.final_residual, rel=1e-9)
 
@@ -577,7 +576,7 @@ def test_lifted_state_matches_plain_snapshot_for_interior_pulse(desk_basis):
     g = presets.pulse_control(T_DESK, 2, support=(0.1, 0.5))
     lifted = lifted_final_state(g, desk_basis)
     plain = control_to_state(g, desk_basis)
-    assert np.max(np.abs(lifted.values - plain.values)) < 1e-12
+    assert np.max(np.abs(lifted - plain)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -650,7 +649,7 @@ def test_h1_star_not_worse_than_weighted_modal_solution(desk_basis):
         ),
         desk_basis,
     )
-    misfit = lifted_final_state(modal.control, desk_basis).values - y.values
+    misfit = lifted_final_state(modal.control, desk_basis) - y
     rescored = np.sqrt(h1_inner(misfit, misfit, desk_basis))
     direct = h1_star_experiment(y, T_DESK, desk_basis)
     assert direct.final_residual <= rescored + 1e-6
@@ -658,7 +657,7 @@ def test_h1_star_not_worse_than_weighted_modal_solution(desk_basis):
 
 def test_h1_star_respects_support_bound(desk_basis, interval_distance):
     # constant target, horizon too short to fill: certified floor holds
-    y = StateField(values=np.ones(desk_basis.domain.shape[0]))
+    y = np.ones(desk_basis.domain.shape[0])
     T = 0.2
     res = h1_star_experiment(y, T, desk_basis, budget=120)
     region = geometry.filled_subdomain(interval_distance, T)

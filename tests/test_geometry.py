@@ -663,7 +663,7 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
     assert b",-0\r\n" in tau_bytes and b",4.9406564584124654e-324\r\n" in tau_bytes
     assert b",1.0000000000000001e+300\r\n" in tau_bytes
     assert tau_bytes == (tmp_path / "tau_ref.csv").read_bytes()
-    waveop.write_state_csv(tmp_path / "state.csv", domain, waveop.StateField(tau))
+    waveop.write_state_csv(tmp_path / "state.csv", domain, tau)
     if domain.dimension == 2:
         assert (tmp_path / "state.csv").read_bytes() == tau_bytes.replace(
             b",tau\r\n", b",u\r\n", 1

@@ -15,16 +15,16 @@ def test_bump_support_and_peak():
 def test_center_bump_vanishes_outside_halfwidth(interval_domain):
     y = presets.center_bump_target(interval_domain)
     x = interval_domain.axes[0]
-    assert np.all(y.values[np.abs(x - 0.5) >= 0.05] == 0.0)
-    assert y.values.max() > 0.9
+    assert np.all(y[np.abs(x - 0.5) >= 0.05] == 0.0)
+    assert y.max() > 0.9
 
 
 def test_center_bump_2d_radial(square_domain):
     y = presets.center_bump_target(square_domain, halfwidth=0.2)
-    assert y.values.shape == tuple(square_domain.shape)
+    assert y.shape == tuple(square_domain.shape)
     # peak at the center node, zero on the boundary ring
-    assert y.values[64, 64] == y.values.max()
-    assert np.all(y.values[0, :] == 0.0)
+    assert y[64, 64] == y.max()
+    assert np.all(y[0, :] == 0.0)
 
 
 def test_ramp_rejects_2d(square_domain):
@@ -34,10 +34,10 @@ def test_ramp_rejects_2d(square_domain):
 
 def test_smooth_interior_zero_on_boundary(interval_domain, square_domain):
     y1 = presets.smooth_interior_target(interval_domain)
-    assert y1.values[0] == pytest.approx(0.0, abs=1e-14)
-    assert y1.values[-1] == pytest.approx(0.0, abs=1e-14)
+    assert y1[0] == pytest.approx(0.0, abs=1e-14)
+    assert y1[-1] == pytest.approx(0.0, abs=1e-14)
     y2 = presets.smooth_interior_target(square_domain)
-    for edge in (y2.values[0, :], y2.values[-1, :], y2.values[:, 0], y2.values[:, -1]):
+    for edge in (y2[0, :], y2[-1, :], y2[:, 0], y2[:, -1]):
         assert np.abs(edge).max() < 1e-13
 
 
@@ -71,7 +71,7 @@ def test_in_range_target_matches_forward_map(desk_basis):
     y = presets.in_range_target(desk_basis, 0.75)
     f = presets.stored_reference_control(0.75, 2)
     u = control_to_state(f, desk_basis)
-    np.testing.assert_allclose(y.values, u.values, atol=1e-14)
+    np.testing.assert_allclose(y, u, atol=1e-14)
 
 
 def test_in_range_target_2d_is_reached(square_basis):
@@ -82,7 +82,7 @@ def test_in_range_target_2d_is_reached(square_basis):
     nodes = square_basis.domain.boundary_nodes()
     assert nodes[list(square_basis.domain.face_midpoint_rows())].tolist() == [[0, 64], [128, 64]]
     y = presets.in_range_target(square_basis, 0.75)
-    assert square_basis.h_norm(y.values) > 1e-3
+    assert square_basis.h_norm(y) > 1e-3
     res = synthesize_control(SynthesisProblem(target=y, T=0.75), square_basis)
     assert res.relative_residual <= 1e-6
     hist = res.residual_history
@@ -92,6 +92,7 @@ def test_in_range_target_2d_is_reached(square_basis):
 def test_registry_builds_every_target(desk_basis):
     domain = desk_basis.domain
     for name, maker in presets.TARGET_PRESETS.items():
-        y = maker(domain, desk_basis, 0.75)
-        assert y.values.shape == tuple(domain.shape), name
-        assert np.isfinite(y.values).all(), name
+        y = maker(desk_basis, 0.75, 1024)
+        assert isinstance(y, np.ndarray) and y.dtype == float, name
+        assert y.shape == tuple(domain.shape), name
+        assert np.isfinite(y).all(), name

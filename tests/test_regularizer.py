@@ -183,10 +183,10 @@ def test_beta_table_matches_scalar(interval_basis):
 
 def test_regularize_state_is_modal_multiplier(interval_basis, rng):
     alphas = rng.standard_normal(interval_basis.n_modes)
-    y = waveop.StateField(spectral.reconstruct(alphas, interval_basis))
+    y = spectral.reconstruct(alphas, interval_basis)
     eps = 0.04
     smoothed = regularizer.regularize_state(y, eps, interval_basis)
-    got = spectral.project(smoothed.values, interval_basis)
+    got = spectral.project(smoothed, interval_basis)
     expect = alphas * regularizer.beta_table(eps, interval_basis.lambdas)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -345,14 +345,14 @@ def test_smooth_control_pairing_identity(interval_basis, rng):
     for _ in range(5):
         f = waveop.random_smooth_control(interval_basis, T, rng, support=(delta, T))
         y = waveop.random_state(interval_basis, rng)
-        alphas = spectral.project(y.values, interval_basis)
+        alphas = spectral.project(y, interval_basis)
         f_eps = regularizer.smooth_control(f, eps, delta)
         lhs = waveop.control_to_modal(f_eps, interval_basis) @ alphas
         rhs = waveop.control_to_modal(f, interval_basis) @ (bvals * alphas)
         gobs = waveop.observe(y, T, interval_basis)
         scale = waveop.f_norm(
             f.samples, interval_basis.boundary_weights, f.dt
-        ) * waveop.f_norm(gobs.samples, interval_basis.boundary_weights, gobs.dt)
+        ) * waveop.f_norm(gobs, interval_basis.boundary_weights, f.dt)
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst <= 1e-8
 

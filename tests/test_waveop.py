@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavecontrol import geometry, presets, regularizer, spectral, waveop
+from wavecontrol import control_lab, geometry, presets, regularizer, spectral, waveop
 
 
 def test_boundary_control_validation():
@@ -83,10 +83,10 @@ def test_observe_single_mode_closed_form(interval_basis):
     lam = interval_basis.lambdas[k]
     expect = (
         interval_basis.conormal_traces[k][:, None]
-        * np.sin(np.sqrt(lam) * (g.times - T))[None, :]
+        * np.sin(np.sqrt(lam) * (waveop.time_grid(T) - T))[None, :]
         / np.sqrt(lam)
     )
-    np.testing.assert_allclose(g.samples, expect, atol=1e-12)
+    np.testing.assert_allclose(g, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("basis_name", ["desk", "square_33"])
@@ -107,9 +107,9 @@ def test_factor_kernels_match_full_contractions(request, rng, basis_name):
     got = waveop.control_to_modal(f, basis)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
     y = waveop.random_state(basis, rng)
-    alphas = spectral.project(y.values, basis)
+    alphas = spectral.project(y, basis)
     expect = np.einsum("k,kg,kt->gt", alphas, basis.conormal_traces, S)
-    got = waveop.observe(y, T, basis, n_steps=256).samples
+    got = waveop.observe(y, T, basis, n_steps=256)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -173,7 +173,7 @@ def test_dalembert_traveling_pulse(interval_domain, interval_basis):
     u = waveop.control_to_state(f, interval_basis)
     x = np.linspace(0, 1, 513)
     expect = presets._pulse_samples(T - x, (0.1, 0.5), 4.0)
-    err = interval_basis.h_norm(u.values - expect) / interval_basis.h_norm(expect)
+    err = interval_basis.h_norm(u - expect) / interval_basis.h_norm(expect)
     assert err <= 1e-2
 
 
@@ -249,7 +249,7 @@ def test_fd_oracle_cfl_guard_at_the_bound(domain, eig_max):
     with pytest.raises(ValueError, match="stability bound"):
         waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 1.001 * limit), domain)
     u = waveop.fd_oracle_forward(waveop.BoundaryControl(samples, T=8 * 0.999 * limit), domain)
-    assert np.all(u.values == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_fd_oracle_cfl_guard_mixed_coefficients():
@@ -270,8 +270,8 @@ def test_fd_oracle_matches_transposition(interval_domain, interval_basis):
     u_modal = waveop.control_to_state(f, interval_basis)
     u_fd = waveop.fd_oracle_forward(f, interval_domain)
     rel = interval_basis.h_norm(
-        u_modal.values - u_fd.values
-    ) / interval_basis.h_norm(u_fd.values)
+        u_modal - u_fd
+    ) / interval_basis.h_norm(u_fd)
     assert rel <= 2e-2
 
 
@@ -292,7 +292,7 @@ def test_fd_oracle_matches_transposition_2d():
         f = waveop.BoundaryControl(samples=samples, T=T)
         u_fd = waveop.fd_oracle_forward(f, dom)
         u_modal = waveop.control_to_state(f, basis)
-        rels.append(basis.h_norm(u_modal.values - u_fd.values) / basis.h_norm(u_fd.values))
+        rels.append(basis.h_norm(u_modal - u_fd) / basis.h_norm(u_fd))
     assert rels[1] <= 4e-2
     assert rels[1] / rels[0] <= 0.35
 
@@ -376,8 +376,32 @@ def test_duality_property(seed, small_basis):
     assert waveop.verify_duality(f, y, small_basis) <= 1e-12
 
 
+# the producers of grid states, and the observation, on a control f and a state y of one basis
+_STATE_PRODUCERS = {
+    "control_to_state": lambda basis, f, y: waveop.control_to_state(f, basis),
+    "regularize_state": lambda basis, f, y: regularizer.regularize_state(y, 0.05, basis),
+    "lifted_final_state": lambda basis, f, y: control_lab.lifted_final_state(f, basis),
+    "fd_oracle_forward": lambda basis, f, y: waveop.fd_oracle_forward(f, basis.domain),
+    "random_state": lambda basis, f, y: waveop.random_state(basis, np.random.default_rng(1)),
+    "observe": lambda basis, f, y: waveop.observe(y, 0.5, basis, n_steps=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_PRODUCERS))
+def test_states_and_traces_are_plain_arrays(small_basis, name):
+    """A state is a float array of the domain's shape; an observation is the
+    (n_boundary, n_steps + 1) array of its samples."""
+    rng = np.random.default_rng(5)
+    f = waveop.random_control(small_basis, 0.5, rng, n_steps=64)
+    y = waveop.random_state(small_basis, rng)
+    out = _STATE_PRODUCERS[name](small_basis, f, y)
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    expect = (2, 65) if name == "observe" else tuple(small_basis.domain.shape)
+    assert out.shape == expect
+
+
 def test_state_csv_1d(tmp_path, interval_domain, interval_basis):
-    u = waveop.StateField(np.linspace(0, 1, 513))
+    u = np.linspace(0, 1, 513)
     path = tmp_path / "state.csv"
     waveop.write_state_csv(path, interval_domain, u)
     lines = path.read_text().splitlines()
@@ -386,9 +410,8 @@ def test_state_csv_1d(tmp_path, interval_domain, interval_basis):
 
 
 def test_trace_csv(tmp_path, interval_basis):
-    g = waveop.BoundaryTrace(samples=np.ones((2, 5)), T=1.0)
     path = tmp_path / "trace.csv"
-    waveop.write_trace_csv(path, g)
+    waveop.write_trace_csv(path, np.ones((2, 5)), 1.0)
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma_id,t,g"
     assert len(lines) == 1 + 2 * 5
@@ -412,14 +435,13 @@ def _twelve_rows():
 
 def test_trace_csv_matches_csv_writer(tmp_path):
     for samples in (_EDGE_ROWS, _twelve_rows()):
-        trace = waveop.BoundaryTrace(samples=samples, T=0.7)
         expect = tmp_path / "expect.csv"
         with open(expect, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma_id", "t", "g"])
             for g_id in range(samples.shape[0]):
-                for i, t in enumerate(trace.times):
+                for i, t in enumerate(np.linspace(0.0, 0.7, samples.shape[1])):
                     writer.writerow([g_id, f"{t:.17g}", f"{samples[g_id, i]:.17g}"])
         got = tmp_path / "got.csv"
-        waveop.write_trace_csv(got, trace)
+        waveop.write_trace_csv(got, samples, 0.7)
         assert got.read_bytes() == expect.read_bytes()
