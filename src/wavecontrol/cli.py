@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .spectral import eigensolve, project, write_spectrum_csv
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
+    _last_entry,
     control_to_state,
     f_norm,
     modal_factors,
@@ -207,32 +208,60 @@ def load_config(path: str | None) -> ExperimentConfig:
     return parse_config(p.read_text())
 
 
+# The last preset domain built, by preset and shape, and the last eigenpairs
+# on it, by mode count (waveop._last_entry): consecutive runs on one config
+# share them, and a new preset domain frees both.
+_LAST_DOMAIN = {}
+_LAST_BASIS = {}
+
+
 def build_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
-    if cfg.coefficient_csv:
+    if cfg.coefficient_csv:  # read on every run, since the file may change
         try:
             return geometry.domain_from_coefficient_csv(cfg.coefficient_csv, cfg.shape)
         except (OSError, IndexError, ValueError) as exc:  # unreadable, off-grid or malformed
             raise ConfigError(f"coefficient_csv: {exc}") from exc
+    return _last_entry(_LAST_DOMAIN, (cfg.preset, cfg.shape), lambda: _preset_domain(cfg))
+
+
+def _preset_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
+    _LAST_BASIS.clear()  # the eigenpairs of the domain this one replaces
     if cfg.preset == "interval":
-        return geometry.interval(n=cfg.shape[0])
-    if cfg.preset == "interval_bump":
+        domain = geometry.interval(n=cfg.shape[0])
+    elif cfg.preset == "interval_bump":
         coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5,), 0.25)
-        return geometry.interval(n=cfg.shape[0], a=coeff)
-    if cfg.preset == "square":
-        return geometry.rectangle(shape=cfg.shape)
-    coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
-    return geometry.rectangle(shape=cfg.shape, a11=coeff)  # a22=None repeats the a11 samples
+        domain = geometry.interval(n=cfg.shape[0], a=coeff)
+    elif cfg.preset == "square":
+        domain = geometry.rectangle(shape=cfg.shape)
+    else:
+        coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
+        domain = geometry.rectangle(shape=cfg.shape, a11=coeff)  # a22=None repeats a11
+    domain.coeff.setflags(write=False)  # shared by the runs that follow
+    return domain
 
 
 def build_basis(cfg: ExperimentConfig, domain=None):
+    """A fresh basis, with an empty memo.  On the memoised preset domain its
+    read-only eigenpairs are those of the last run with the same mode count."""
     domain = domain if domain is not None else build_domain(cfg)
     interior = int(np.prod([n - 2 for n in domain.shape]))
     if cfg.basis_size > interior:  # only runs that build a basis need this many nodes
         raise ConfigError(f"n_modes={cfg.basis_size} exceeds interior dimension {interior}")
+    if domain is not _LAST_DOMAIN.get((cfg.preset, cfg.shape)):  # a table's, or a caller's
+        return _eigenpairs(domain, cfg.basis_size)
+    pairs = _last_entry(_LAST_BASIS, cfg.basis_size, lambda: _eigenpairs(domain, cfg.basis_size))
+    return replace(pairs)
+
+
+def _eigenpairs(domain, n_modes: int):
     try:
-        return eigensolve(domain, cfg.basis_size)
+        basis = eigensolve(domain, n_modes)
     except NotImplementedError as exc:  # a mixed a12 term the fd operator lacks
         raise ConfigError(str(exc)) from exc
+    for array in (basis.lambdas, basis.modes, basis.conormal_traces, basis.mass_weights,
+                  basis.boundary_weights):
+        array.setflags(write=False)
+    return basis
 
 
 def _write_json(path: Path, payload: dict):

@@ -6,7 +6,7 @@ import numpy as np
 
 from .geometry import DomainSpec
 from .spectral import SpectralBasis
-from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, _bump, control_to_state
+from .waveop import DEFAULT_TIME_STEPS, BoundaryControl, _bump, control_to_state, time_grid
 
 __all__ = [
     "bump",
@@ -82,7 +82,7 @@ def pulse_control(
     row: int = 0,
 ) -> BoundaryControl:
     """Smooth pulse on one boundary row, zero elsewhere."""
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = time_grid(T, n_steps)
     samples = np.zeros((n_boundary, n_steps + 1))
     samples[row] = _pulse_samples(times, support, sharpness)
     return BoundaryControl(samples=samples, T=T)
@@ -96,7 +96,7 @@ def two_sided_pulse_control(
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> BoundaryControl:
     """The same pulse on every boundary row."""
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = time_grid(T, n_steps)
     samples = np.tile(_pulse_samples(times, support, sharpness), (n_boundary, 1))
     return BoundaryControl(samples=samples, T=T)
 
@@ -105,7 +105,7 @@ def stored_reference_control(
     T: float, n_boundary: int, n_steps: int = DEFAULT_TIME_STEPS, rows: tuple = (0, -1)
 ) -> BoundaryControl:
     """Fixed smooth control on two boundary rows, used to manufacture in-range targets."""
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = time_grid(T, n_steps)
     s = times / T
     profile = np.sin(np.pi * s) ** 3 * (1.0 + 0.4 * np.cos(3 * np.pi * s))
     samples = np.zeros((n_boundary, n_steps + 1))

@@ -49,9 +49,13 @@ class SpectralBasis:
     boundary_weights : quadrature weights of the boundary measure
     sines            : the basis's memo, filled on first use through ``memo``:
                        the modal factor object of each boundary cylinder by
-                       (T, n_steps), with its read-only sines and class folds
-                       (waveop, control_lab), and the boundary lift
-                       (control_lab); it lives exactly as long as the basis
+                       (T, n_steps), with its class folds (waveop,
+                       control_lab), and the boundary lift (control_lab); it
+                       lives exactly as long as the basis.  What a process
+                       keeps between runs is outside it: the CLI's last
+                       eigenpairs, which the next run on the same preset
+                       domain and mode count gets in a fresh basis, and
+                       waveop's last sine table
     """
 
     domain: DomainSpec

@@ -77,7 +77,7 @@ class BoundaryControl:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
+        return time_grid(self.T, self.n_t - 1)
 
 
 def time_grid(T: float, n_steps: int = DEFAULT_TIME_STEPS) -> np.ndarray:
@@ -151,17 +151,38 @@ class Factors:
         return _f_product(f, g, self.bw, self.wt)
 
 
+def _last_entry(memo: dict, key, build):
+    """memo[key], calling build() on a miss after emptying memo, so a memo
+    holds at most its last entry and the entry it replaces is freed first."""
+    if key not in memo:
+        memo.clear()
+        memo[key] = build()
+    return memo[key]
+
+
+# the last sine table built, by (lambdas bytes, T, n_steps): consecutive runs
+# on one basis and horizon share it
+_LAST_SINES = {}
+
+
 def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
     """Conormal traces x read-only sine time factors on time_grid(T, n_steps).
 
     The boundary cylinder, built once per basis, horizon and step count and
     kept in the basis's memo, so every operator on it shares one object.  It
     holds the basis's arrays, never the basis: no cycle keeps a basis alive.
+    The sine table is taken from a process-wide memo of the last one built,
+    so a later run with the same eigenvalues, T and n_steps reuses it; the
+    object itself, its weights and folds are the run's own.
     """
 
-    def build():
+    def sines():
         S = _sin_factors(basis.lambdas, time_grid(T, n_steps), T)
         S.setflags(write=False)
+        return S
+
+    def build():
+        S = _last_entry(_LAST_SINES, (basis.lambdas.tobytes(), T, n_steps), sines)
         wt = time_weights(n_steps + 1, T / n_steps)
         return Factors(basis.conormal_traces, S, basis.boundary_weights, wt)
 
@@ -354,7 +375,7 @@ def random_smooth_control(
     if not 0.0 <= a < b <= T:
         raise ValueError(f"support must satisfy 0 <= a < b <= {T}, got ({a}, {b})")
     n_bnd = len(basis.boundary_weights)
-    t = np.linspace(0.0, T, n_steps + 1)
+    t = time_grid(T, n_steps)
     s = (2.0 * (t - a) / (b - a)) - 1.0
     window = _bump(s, 1.0) * np.e
     coeffs = rng.standard_normal((n_bnd, n_harmonics)) / np.arange(1, n_harmonics + 1)

@@ -5,13 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavecontrol import geometry, spectral, waveop
+from wavecontrol import cli, geometry, spectral, waveop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # acceptance tests register one line per criterion clause here; the terminal
 # summary prints them all so every pass/fail is visible in one place
 _ACCEPTANCE_LOG = []
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the last-entry memos of the domain, the eigenpairs and the sine
+    table, so every test that counts builds or measures memory sees a cold
+    process, whatever ran before it."""
+    for memo in (cli._LAST_DOMAIN, cli._LAST_BASIS, waveop._LAST_SINES):
+        memo.clear()
 
 
 @pytest.fixture(scope="session")

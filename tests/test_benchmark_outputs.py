@@ -32,17 +32,14 @@ def _benchmarked_workloads():
     return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize(
-    "workload, expected",
-    [("interval_lab", {"ok": 12}), ("square_bump", {"ok": 1, "refused": 4})],
-)
-def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workload, expected):
-    assert workload in _benchmarked_workloads()
+def _run_workload(perfbench, workload, root):
+    """Every call of the workload at seed 0, its artifacts under root; returns
+    the count of each outcome and the failures."""
     checks, workloads = perfbench
     reference = checks.load_reference()[workload]
     outcomes, failures = {}, []
     for name, sub, overrides in workloads.WORKLOADS[workload]:
-        out = tmp_path / name
+        out = root / name
         call = {"name": name, "sub": sub, "status": None, "error": None}
         try:
             call["status"] = cli.run(cli.ExperimentConfig(seed=0, **overrides), sub, out_dir=str(out))
@@ -53,8 +50,32 @@ def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workl
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if outcome == "failed":
             failures.append(f"{name}: {detail}")
-    assert failures == []
-    assert outcomes == expected
+    return outcomes, failures
+
+
+def _artifacts(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "workload, expected",
+    [("interval_lab", {"ok": 12}), ("square_bump", {"ok": 1, "refused": 4})],
+)
+def test_benchmark_calls_keep_their_reference_outcome(tmp_path, perfbench, workload, expected):
+    """The workload runs twice in one process.  The second pass reads the
+    domain, eigenpairs and sine table the first left in the memos, and gives
+    the same outcomes and byte-identical artifacts (manifest.json excluded)."""
+    assert workload in _benchmarked_workloads()
+    first = _run_workload(perfbench, workload, tmp_path / "first")
+    second = _run_workload(perfbench, workload, tmp_path / "second")
+    assert first == second == (expected, [])
+    cold, warm = _artifacts(tmp_path / "first"), _artifacts(tmp_path / "second")
+    assert cold and sorted(cold) == sorted(warm)
+    assert [name for name in cold if cold[name] != warm[name]] == []
 
 
 def test_traced_run_ends_in_a_result_line_with_every_per_layer_metric():

@@ -1,7 +1,9 @@
+import gc
 import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -512,6 +514,72 @@ def test_verify_builds_its_domain_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_domain", lambda cfg: built.append(cfg) or real_build(cfg))
     cli.run(fast_config(), "verify", out_dir=str(tmp_path))
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# what consecutive runs share
+
+
+def test_consecutive_runs_share_the_domain_eigenpairs_and_sines():
+    """Two runs on one config get one domain, one set of read-only
+    eigenpairs and one sine table, but each its own basis and factor object."""
+    cfg = fast_config()
+    domain = cli.build_domain(cfg)
+    assert cli.build_domain(fast_config()) is domain
+    assert not domain.coeff.flags.writeable
+    first, second = cli.build_basis(cfg, domain), cli.build_basis(cfg)
+    assert first is not second and first.sines is not second.sines
+    for name in ("lambdas", "modes", "conormal_traces", "mass_weights", "boundary_weights"):
+        assert getattr(first, name) is getattr(second, name)
+        assert not getattr(first, name).flags.writeable
+    fac, other = (waveop.modal_factors(b, cfg.T, cfg.n_steps) for b in (first, second))
+    assert fac is not other and fac.V is other.V
+
+
+def test_coefficient_csv_is_read_on_every_run(tmp_path):
+    """A table rewritten at the same path between two runs gives the new speed."""
+    table = tmp_path / "coefficients.csv"
+    cfg = fast_config(nx=65, coefficient_csv=str(table))
+    fills = []
+    for a11 in (1.0, 4.0):  # wave speed 1, then 2
+        table.write_text("i,j,a11\n" + "".join(f"{i},0,{a11}\n" for i in range(65)))
+        assert cli.run(cfg, "eikonal", out_dir=str(tmp_path / f"a{a11:g}")) == 0
+        fills.append(json.loads((tmp_path / f"a{a11:g}" / "summary.json").read_text())["T_fill"])
+    assert fills == [pytest.approx(0.5, abs=1e-12), pytest.approx(0.25, abs=1e-12)]
+
+
+def test_a_run_on_another_config_frees_the_last_domain_eigenpairs_and_sines(tmp_path):
+    """With the cyclic collector off, the memos alone keep the last domain,
+    eigenpairs and sine table alive.  A run on another preset frees the
+    domain and its eigenpairs, and the next sine table frees the last one."""
+    cfg = fast_config()
+    gc.collect()
+    gc.disable()
+    try:
+        domain = cli.build_domain(cfg)
+        basis = cli.build_basis(cfg, domain)
+        sines = weakref.ref(waveop.modal_factors(basis, cfg.T, cfg.n_steps).V)
+        kept = [weakref.ref(x) for x in (domain, basis.lambdas, basis.modes)]
+        del domain, basis
+        assert all(ref() is not None for ref in kept) and sines() is not None
+        other = fast_config(preset="interval_bump", T=0.3)
+        assert cli.run(other, "eikonal", out_dir=str(tmp_path / "eikonal")) == 0
+        assert all(ref() is None for ref in kept) and sines() is not None
+        assert cli.run(other, "control", out_dir=str(tmp_path / "control")) == 0
+        assert sines() is None
+    finally:
+        gc.enable()
+
+
+def test_a_coefficient_table_basis_is_not_kept(tmp_path):
+    """A table's domain is new on every run, so its eigenpairs are never
+    memoised: the preset domain and eigenpairs stay the only ones kept."""
+    table = tmp_path / "coefficients.csv"
+    table.write_text("i,j,a11\n" + "".join(f"{i},0,1\n" for i in range(129)))
+    preset = cli.build_basis(fast_config())
+    from_table = cli.build_basis(fast_config(coefficient_csv=str(table)))
+    assert from_table.lambdas is not preset.lambdas
+    assert cli.build_basis(fast_config()).lambdas is preset.lambdas
 
 
 def test_verify_marches_the_eikonal_once(tmp_path, monkeypatch):

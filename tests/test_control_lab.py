@@ -316,8 +316,9 @@ def test_residual_curve_builds_class_operator_once(desk_basis, monkeypatch):
 def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeypatch):
     """An alpha sweep and the H1 experiment on one basis build the "smooth"
     class operator once, and with the cyclic collector off, the mollifier
-    blocks and the sines die with the basis: the memo holds no reference
-    back to the basis, so nothing in it outlives a run."""
+    blocks and the class fold die with the basis: the memo holds no reference
+    back to the basis.  The sine table is the process's last one and dies
+    when the next table replaces it."""
     real_blocks = regularizer._toeplitz_blocks
     built = []
 
@@ -336,11 +337,17 @@ def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeyp
         basis = replace(desk_basis)  # a fresh memo
         residual_curve(prob, DEFAULT_ALPHA_SCHEDULE, basis)
         h1_star_experiment(ramp, T_DESK, basis, budget=20)
-        sines = weakref.ref(waveop.modal_factors(basis, T_DESK, DEFAULT_TIME_STEPS).V)
+        fac = waveop.modal_factors(basis, T_DESK, DEFAULT_TIME_STEPS)
+        sines = weakref.ref(fac.V)
+        (fold,) = [weakref.ref(folded) for _, _, folded in fac.folds.values()]
+        del fac
         assert len(built) == 1
-        assert built[0]() is not None and sines() is not None
+        assert built[0]() is not None and fold() is not None and sines() is not None
         del basis
-        assert built[0]() is None and sines() is None
+        assert built[0]() is None and fold() is None
+        assert sines() is not None
+        waveop.modal_factors(replace(desk_basis), 0.5 * T_DESK, DEFAULT_TIME_STEPS)
+        assert sines() is None
     finally:
         gc.enable()
 
