@@ -91,10 +91,9 @@ def main():
         "boundary-cylinder norm of the first mode's observation at T=0.75",
     )
 
-    dist = geometry.eikonal_distance(domain)
     y_half = presets.center_bump_target(domain, center=0.3, halfwidth=0.1)
-    region = geometry.filled_subdomain(dist, 0.3)
-    bound = unreachability_bound(y_half, region, band=2 * dist.h)
+    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), 0.3)
+    bound = unreachability_bound(y_half, region, band=2 * max(domain.spacings))
     prob_h = SynthesisProblem(target=y_half, T=0.3, alpha=1e-6)
     res_h = synthesize_control(prob_h, basis)
     put(
@@ -104,7 +103,7 @@ def main():
     )
     put(
         "half_out_bump_support_bound",
-        bound.dilated_value,
+        bound,
         "target mass outside the filled region dilated by 2h",
     )
 

@@ -219,7 +219,7 @@ def build_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
     if cfg.coefficient_csv:  # read on every run, since the file may change
         try:
             return geometry.domain_from_coefficient_csv(cfg.coefficient_csv, cfg.shape)
-        except (OSError, IndexError, ValueError) as exc:  # unreadable, off-grid or malformed
+        except (OSError, ValueError) as exc:  # unreadable, malformed or off-grid
             raise ConfigError(f"coefficient_csv: {exc}") from exc
     return _last_entry(_LAST_DOMAIN, (cfg.preset, cfg.shape), lambda: _preset_domain(cfg))
 
@@ -286,14 +286,14 @@ def _target_state(cfg: ExperimentConfig, basis):
 
 def _run_eikonal(cfg, out, domain, timings):
     with _timed(timings, "eikonal"):
-        dist = geometry.eikonal_distance(domain)
-        region = geometry.filled_subdomain(dist, cfg.T)
+        tau = geometry.eikonal_distance(domain)
+        region = geometry.filled_subdomain(domain, tau, cfg.T)
     with _timed(timings, "artifacts"):
         geometry.write_eikonal_csvs(out / "tau.csv", out / "region.csv", domain, region)
     return {
         "T": cfg.T,
-        "T_fill": geometry.filling_time(dist),
-        "h": dist.h,
+        "T_fill": float(tau.max()),
+        "h": max(domain.spacings),
         "covered_fraction": float(np.mean(region.indicator)),
     }
 
@@ -320,9 +320,8 @@ def _run_forward(cfg, out, domain, timings):
     f = presets.stored_reference_control(cfg.T, n_bnd, n_steps=cfg.n_steps)
     with _timed(timings, "forward"):
         u = control_to_state(f, basis)
-    dist = geometry.eikonal_distance(domain)
-    region = geometry.filled_subdomain(dist, cfg.T)
-    band = 2 * dist.h + 2 * cfg.T / cfg.n_steps
+    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
+    band = 2 * max(domain.spacings) + 2 * cfg.T / cfg.n_steps
     with _timed(timings, "artifacts"):
         write_state_csv(out / "state.csv", domain, u)
     return {
@@ -410,9 +409,7 @@ def _run_control(cfg, out, domain, timings):
     with _timed(timings, "synthesis"):
         results = residual_curve(problem, cfg.alphas, basis)
     res = results[-1]
-    dist = geometry.eikonal_distance(domain)
-    region = geometry.filled_subdomain(dist, cfg.T)
-    bound = unreachability_bound(y, region, band=2 * dist.h)
+    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
     with _timed(timings, "artifacts"):
         _write_residuals_csv(out / "residuals.csv", res.residual_history)
         with open(out / "curve.csv", "w", newline="") as fh:
@@ -435,8 +432,10 @@ def _run_control(cfg, out, domain, timings):
         "relative_residual": res.relative_residual,
         "iterations": res.iterations,
         "converged": res.converged,
-        "unreachability_bound": bound.value,
-        "unreachability_bound_dilated": bound.dilated_value,
+        "unreachability_bound": unreachability_bound(y, region),
+        "unreachability_bound_dilated": unreachability_bound(
+            y, region, band=2 * max(domain.spacings)
+        ),
     }
 
 
@@ -481,7 +480,7 @@ def _item(name, measured, bound, passed=None) -> dict:
     }
 
 
-def _suite_adjointness(cfg, dist, basis, rng):
+def _suite_adjointness(cfg, tau, basis, rng):
     worst = 0.0
     for trial in range(20):
         f = random_control(basis, cfg.T, rng, n_steps=cfg.n_steps)
@@ -494,7 +493,7 @@ def _suite_adjointness(cfg, dist, basis, rng):
 _ANALYTIC_LAMBDA1 = {"interval": (np.pi**2, 1e-3), "square": (2 * np.pi**2, 1e-2)}
 
 
-def _suite_spectral(cfg, dist, basis, rng):
+def _suite_spectral(cfg, tau, basis, rng):
     gram = basis.gram()
     off = float(np.abs(gram - np.eye(basis.n_modes)).max())
     lam = basis.lambdas
@@ -532,7 +531,7 @@ def _beta_sweep(lambdas) -> list:
     ]
 
 
-def _suite_regularizer(cfg, dist, basis, rng):
+def _suite_regularizer(cfg, tau, basis, rng):
     lam = basis.lambdas
     k = int(rng.integers(0, basis.n_modes))
     smoothed = regularize_state(basis.modes[k], cfg.epsilon, basis)
@@ -543,22 +542,22 @@ def _suite_regularizer(cfg, dist, basis, rng):
     return _beta_sweep(lam) + [_item("regularizer_diagonal_in_modes", dev, 1e-10)]
 
 
-def _suite_finite_speed(cfg, dist, basis, rng):
+def _suite_finite_speed(cfg, tau, basis, rng):
     n_bnd = len(basis.boundary_weights)
     T = min(cfg.T, 0.3)
     # a face midpoint, not the 2D corner (row 0), where every trace vanishes
     row = basis.domain.face_midpoint_rows()[0]
     f = presets.pulse_control(T, n_bnd, support=(0.1 * T, 0.6 * T), n_steps=cfg.n_steps, row=row)
     u = control_to_state(f, basis)
-    region = geometry.filled_subdomain(dist, T)
-    band = 2 * dist.h + 2 * T / cfg.n_steps
+    region = geometry.filled_subdomain(basis.domain, tau, T)
+    band = 2 * max(basis.domain.spacings) + 2 * T / cfg.n_steps
     viol = support_violation(u, region, band)
     # a zero state has no mass outside the region, and shows nothing
     passed = viol <= 1e-3 and basis.h_norm(u) > 0
     return [_item("pulse_mass_outside_filled_region", viol, 1e-3, passed)]
 
 
-def _suite_smoothing_identity(cfg, dist, basis, rng):
+def _suite_smoothing_identity(cfg, tau, basis, rng):
     # pairing with the raw control equals pairing of the regularized state
     # with the smoothed control, per the kernel antisymmetrization
     trials = 10
@@ -587,15 +586,14 @@ def _suite_smoothing_identity(cfg, dist, basis, rng):
 _OBSERVABILITY_WINDOW = 0.05  # the observation window's onset; verify needs T beyond it
 
 
-def _suite_observability(cfg, dist, basis, rng):
+def _suite_observability(cfg, tau, basis, rng):
     T = 0.3
     w = _OBSERVABILITY_WINDOW
     y = presets.center_bump_target(basis.domain)
-    verdict = observability_test(
-        y, T, w, 1e-3, basis, dist, band=2 * dist.h, n_steps=cfg.n_steps
-    )
+    band = 2 * max(basis.domain.spacings)
+    verdict = observability_test(y, T, w, 1e-3, basis, tau, band=band, n_steps=cfg.n_steps)
     y1 = presets.mode_target(basis, 0)
-    v2 = observability_test(y1, cfg.T, w, 1e-3, basis, dist, n_steps=cfg.n_steps)
+    v2 = observability_test(y1, cfg.T, w, 1e-3, basis, tau, n_steps=cfg.n_steps)
     return [
         _item(
             "center_bump_trace_and_support",
@@ -612,7 +610,7 @@ def _suite_observability(cfg, dist, basis, rng):
     ]
 
 
-def _suite_synthesis(cfg, dist, basis, rng):
+def _suite_synthesis(cfg, tau, basis, rng):
     y_in = presets.in_range_target(basis, cfg.T, cfg.n_steps)
     prob = SynthesisProblem(target=y_in, T=cfg.T, budget=cfg.budget, n_steps=cfg.n_steps)
     res = synthesize_control(prob, basis)
@@ -636,8 +634,8 @@ def _suite_synthesis(cfg, dist, basis, rng):
     ]
 
 
-# the invariant registry, in report order; every suite takes (cfg, dist,
-# basis, rng), dist the eikonal distance of basis.domain, marched once per
+# the invariant registry, in report order; every suite takes (cfg, tau,
+# basis, rng), tau the eikonal distance of basis.domain, marched once per
 # verify, and returns a list of _item records
 _SUITES = (
     ("adjointness", _suite_adjointness),
@@ -689,10 +687,10 @@ def verify_suite(cfg: ExperimentConfig, domain=None) -> dict:
     suites = {}
     timings = {}
     with _timed(timings, "eikonal"):
-        dist = geometry.eikonal_distance(domain)
+        tau = geometry.eikonal_distance(domain)
     for name, suite in _SUITES:
         with _timed(timings, name):
-            suites[name] = suite(cfg, dist, basis, rng)
+            suites[name] = suite(cfg, tau, basis, rng)
     all_passed = all(item["passed"] for items in suites.values() for item in items)
     return {
         "version": __version__,

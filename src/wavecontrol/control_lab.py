@@ -31,9 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import (
-    DistanceField, DomainSpec, FilledRegion, filled_subdomain, grid_trapezoid_weights
-)
+from .geometry import DomainSpec, FilledRegion, filled_subdomain, grid_trapezoid_weights
 from .regularizer import CONTROL_CLASSES, _identity, class_operators
 from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
@@ -49,7 +47,6 @@ from .waveop import (
 __all__ = [
     "SynthesisProblem",
     "SynthesisResult",
-    "UnreachabilityReport",
     "ObservabilityVerdict",
     "DEFAULT_ALPHA_SCHEDULE",
     "synthesize_control",
@@ -235,27 +232,15 @@ def residual_curve(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> l
     return [synthesize_control(replace(problem, alpha=a), basis) for a in alphas]
 
 
-@dataclass(frozen=True)
-class UnreachabilityReport:
-    """Mass of a target beyond the filled region: a lower misfit bound."""
-
-    value: float  # H-norm of the target outside the region
-    dilated_value: float  # same outside the band-dilated region
-
-
-def unreachability_bound(
-    target: np.ndarray, region: FilledRegion, band: float = 0.0
-) -> UnreachabilityReport:
-    """Certified lower bound on the best final-snapshot misfit in H.
+def unreachability_bound(target: np.ndarray, region: FilledRegion, band: float = 0.0) -> float:
+    """Lower bound on the best final-snapshot misfit in H: the H-norm of the
+    target outside the region dilated by ``band``.
 
     Any reachable snapshot is supported in the filled region, so the target
-    mass outside bounds the misfit from below; the band-dilated figure
-    discounts the discrete smearing layer and is the honest certificate.
+    mass outside bounds the misfit from below; a band of a few grid spacings
+    discounts the discrete smearing layer and gives the honest certificate.
     """
-    return UnreachabilityReport(
-        value=math.sqrt(region.mass_outside(target)),
-        dilated_value=math.sqrt(region.mass_outside(target, band)),
-    )
+    return math.sqrt(region.mass_outside(target, band))
 
 
 @dataclass(frozen=True)
@@ -279,12 +264,13 @@ def observability_test(
     delta: float,
     tol: float,
     basis: SpectralBasis,
-    dist: DistanceField,
+    tau: np.ndarray,
     band: float = 0.0,
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> ObservabilityVerdict:
     """Near-zero observation on [delta, T] should force the perturbation
-    to live outside the region filled within time T - delta, shrunk by band."""
+    to live outside the region filled within time T - delta, shrunk by band;
+    tau is the eikonal distance of basis.domain."""
     if not 0 < delta < T:
         raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
     g = observe(y, T, basis, n_steps=n_steps)
@@ -292,7 +278,7 @@ def observability_test(
     tr = f_norm(g[:, sel], basis.boundary_weights, T / n_steps)
     y_norm = basis.h_norm(y)
     trace_ratio = tr / y_norm if y_norm > 0 else 0.0
-    inside = filled_subdomain(dist, T - delta).dilated(-band)
+    inside = filled_subdomain(basis.domain, tau, T - delta).dilated(-band)
     w = basis.mass_weights
     inside_ratio = float(
         np.sqrt(np.sum(w[inside] * y[inside] ** 2)) / y_norm if y_norm > 0 else 0.0

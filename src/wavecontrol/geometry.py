@@ -2,10 +2,11 @@
 
 The symmetric coefficient field a^{ij}(x) of the elliptic operator induces the
 travel-time metric a_{ij} = (a^{ij})^{-1}.  ``eikonal_distance`` computes the
-metric distance tau(x) from every node to the boundary; the region filled by
-boundary-launched waves within time T is Omega^T = {tau < T}, and the filling
-time of the whole domain is max tau.  ``FilledRegion`` holds Omega^T (T, tau
-and the trapezoid mass weights); every mass off it is its ``mass_outside``.
+metric distance tau(x) from every node to the boundary, as a node array of
+the domain's shape; the region filled by boundary-launched waves within time
+T is Omega^T = {tau < T}, and the filling time of the whole domain is
+tau.max().  ``FilledRegion`` holds Omega^T (T, tau and the trapezoid mass
+weights); every mass off it is its ``mass_outside``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "DomainSpec",
-    "DistanceField",
     "FilledRegion",
     "interval",
     "rectangle",
@@ -31,7 +31,6 @@ __all__ = [
     "domain_from_coefficient_csv",
     "eikonal_distance",
     "filled_subdomain",
-    "filling_time",
     "grid_trapezoid_weights",
     "trapezoid_weights",
     "write_eikonal_csvs",
@@ -188,19 +187,6 @@ def trapezoid_weights(domain: DomainSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DistanceField:
-    """Metric distance tau to the boundary, sampled at nodes."""
-
-    tau: np.ndarray
-    spacings: tuple
-
-    @property
-    def h(self) -> float:
-        """Largest grid spacing, used as the resolution scale."""
-        return max(self.spacings)
-
-
-@dataclass(frozen=True)
 class FilledRegion:
     """Sublevel set {tau < T} with the trapezoid mass weights of its grid."""
 
@@ -312,66 +298,63 @@ def domain_from_coefficient_csv(
             raise ValueError(f"{path}: missing i or j column")
         has_q = "q" in reader.fieldnames
 
-        def cell(row, name):
-            if not row[name].strip():  # float's own message names no line
-                raise ValueError(f"{path}: line {reader.line_num}: column {name} is empty")
-            return float(row[name])
+        def cell(row, name, parse=float, blank=None):
+            """Column ``name``, parsed; ``blank`` stands in for an absent or empty cell."""
+            value = (row.get(name) or "").strip()
+            if not value and blank is None:
+                raise ValueError(f"{at}: column {name} is empty")
+            try:  # the parsers' own messages name no line
+                return parse(value) if value else blank
+            except ValueError:
+                raise ValueError(f"{at}: column {name}: cannot read {value!r}") from None
 
         for row in reader:
+            at = f"{path}: line {reader.line_num}"
             if None in row.values():  # DictReader pads a short row with None
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields, "
-                    f"got {sum(v is not None for v in row.values())}"
-                )
-            i, j = int(row["i"]), int(row["j"])
+                got = sum(v is not None for v in row.values())
+                raise ValueError(f"{at}: expected {len(reader.fieldnames)} fields, got {got}")
+            i, j = cell(row, "i", int), cell(row, "j", int)
             if i < 0 or j < 0:  # numpy would wrap a negative index to the far end
-                raise ValueError(f"{path}: negative node index ({i}, {j})")
+                raise ValueError(f"{at}: negative node index ({i}, {j})")
             node = (i,) if d == 1 else (i, j)
             if d == 1 and j != 0:
-                raise ValueError(f"{path}: 1D table must have j=0, got j={j}")
+                raise ValueError(f"{at}: 1D table must have j=0, got j={j}")
+            if any(k >= n for k, n in zip(node, shape)):
+                raise ValueError(f"{at}: node {node} is out of bounds for the grid shape {shape}")
             if seen[node]:
-                raise ValueError(f"{path}: node {node} listed twice")
-            coeff[node + (0, 0)] = cell(row, "a11")
+                raise ValueError(f"{at}: node {node} listed twice")
+            a11 = coeff[node + (0, 0)] = cell(row, "a11")
             if d == 2:
-                a12 = float(row.get("a12", 0.0) or 0.0)
-                coeff[node + (0, 1)] = coeff[node + (1, 0)] = a12
-                coeff[node + (1, 1)] = float(row.get("a22", row["a11"]) or row["a11"])
+                coeff[node + (0, 1)] = coeff[node + (1, 0)] = cell(row, "a12", blank=0.0)
+                coeff[node + (1, 1)] = cell(row, "a22", blank=a11)
             if has_q:
                 pot[node] = cell(row, "q")
             seen[node] = True
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise ValueError(f"{path}: no row for node {tuple(missing)}")
-    return DomainSpec(
-        extents=extents,
-        shape=tuple(shape),
-        coeff=coeff,
-        potential=pot if has_q else None,
-    )
+    return DomainSpec(extents, tuple(shape), coeff, pot if has_q else None)
 
 
 # ---------------------------------------------------------------------------
 # eikonal solvers
 
 
-def eikonal_distance(domain: DomainSpec) -> DistanceField:
-    """Metric distance from every node to the boundary.
+def eikonal_distance(domain: DomainSpec) -> np.ndarray:
+    """Metric distance tau from every node to the boundary, shaped like the grid.
 
     1D integrates 1/sqrt(a) exactly on the grid (closed form for constant
-    coefficients).  2D with axis-aligned coefficients runs first-order fast
-    marching with the upwind two-term update; coefficients with a mixed term
-    fall back to a shortest-path sweep over the 8-neighbor graph with metric
-    edge lengths.  All variants are first-order accurate and monotone.
+    coefficients).  2D with axis-aligned coefficients runs fast marching with
+    the upwind two-term update, first-order accurate and monotone.
+    Coefficients with a mixed term fall back to a shortest-path sweep over the
+    8-neighbor graph with metric edge lengths: monotone, but its paths keep to
+    8 directions, so its error does not shrink with h (ROADMAP item 15).
     """
     if domain.dimension == 1:
-        tau = _eikonal_1d(domain)
-    else:
-        a12 = domain.coeff[..., 0, 1]
-        if np.all(a12 == 0):
-            tau = _fast_march_2d(domain)
-        else:
-            tau = _dijkstra_2d(domain)
-    return DistanceField(tau=tau, spacings=domain.spacings)
+        return _eikonal_1d(domain)
+    if np.all(domain.coeff[..., 0, 1] == 0):
+        return _fast_march_2d(domain)
+    return _dijkstra_2d(domain)
 
 
 def _eikonal_1d(domain: DomainSpec) -> np.ndarray:
@@ -493,17 +476,12 @@ def _dijkstra_2d(domain: DomainSpec) -> np.ndarray:
     return dijkstra(graph, indices=seeds, min_only=True).reshape(nx, ny)
 
 
-def filled_subdomain(dist: DistanceField, T: float) -> FilledRegion:
-    """Region reachable from the boundary within time T, with its mass weights."""
+def filled_subdomain(domain: DomainSpec, tau: np.ndarray, T: float) -> FilledRegion:
+    """Region of ``domain`` reachable from the boundary within time T, tau its
+    eikonal distance, with the domain's trapezoid mass weights."""
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    weights = grid_trapezoid_weights(dist.tau.shape, dist.spacings)
-    return FilledRegion(T=T, tau=dist.tau, weights=weights)
-
-
-def filling_time(dist: DistanceField) -> float:
-    """Smallest horizon at which the filled region covers every node."""
-    return float(np.max(dist.tau))
+    return FilledRegion(T=T, tau=tau, weights=trapezoid_weights(domain))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def eigensolve(domain: DomainSpec, n_modes: int, backend: str = "auto") -> Spect
     if backend == "analytic":
         if not constant:
             raise ValueError("analytic backend needs constant isotropic coefficients")
-        lambdas, modes = _analytic_modes(domain, n_modes)
+        lambdas, modes = _separable_modes(domain, n_modes, lambda axis: _sine_modes(axis, n_modes))
     elif backend == "fd":
         lambdas, modes = _fd_modes(domain, n_modes, constant)
     else:
@@ -152,23 +152,33 @@ def _mode_order(lams_1d: list) -> list:
     return sorted(zip(sums, indices))
 
 
-def _analytic_modes(domain: DomainSpec, n_modes: int):
+def _separable_modes(domain: DomainSpec, n_modes: int, axis_modes):
+    """Constant isotropic coefficients: products of per-axis 1D eigenpairs.
+
+    axis_modes(axis) gives the eigenvalues and the node-sampled modes of the
+    constant-coefficient interval of one axis; products are ordered by
+    eigenvalue sum (_mode_order), and q shifts every eigenvalue.
+    """
     a = float(domain.coeff[..., 0, 0].flat[0])
     q = 0.0 if domain.potential is None else float(domain.potential.flat[0])
-    axes = domain.axes
-    lams_1d, funcs_1d = [], []
-    for (lo, hi), x in zip(domain.extents, axes):
-        L = hi - lo
-        # a key past n_modes on an axis lies above n_modes smaller keys
-        ks = np.arange(1, min(len(x) - 2, n_modes) + 1)
-        lams_1d.append(a * (ks * np.pi / L) ** 2)
-        funcs_1d.append(np.sqrt(2.0 / L) * np.sin(np.outer(ks, (x - lo)) * np.pi / L))
+    axes = zip(domain.extents, domain.shape)
+    lams_1d, funcs_1d = zip(*(axis_modes(interval(n, lo, hi, a, None)) for (lo, hi), n in axes))
     order = _mode_order(lams_1d)[:n_modes]
     lambdas = np.array([lam + q for lam, _ in order])
     modes = np.stack(
         [reduce(np.multiply.outer, [f[k] for f, k in zip(funcs_1d, ks)]) for _, ks in order]
     )
     return lambdas, modes
+
+
+def _sine_modes(axis: DomainSpec, n_modes: int):
+    """Closed-form eigenpairs of a constant-coefficient interval, the first
+    n_modes: a key past n_modes on an axis lies above n_modes smaller keys."""
+    ((lo, hi),), (x,) = axis.extents, axis.axes
+    L = hi - lo
+    ks = np.arange(1, min(len(x) - 2, n_modes) + 1)
+    a = float(axis.coeff[0, 0, 0])
+    return a * (ks * np.pi / L) ** 2, np.sqrt(2.0 / L) * np.sin(np.outer(ks, (x - lo)) * np.pi / L)
 
 
 def _fd_stencil(domain: DomainSpec):
@@ -220,8 +230,8 @@ def _fd_modes(domain: DomainSpec, n_modes: int, constant: bool):
     """``constant`` is _is_constant_isotropic(domain), which eigensolve has evaluated."""
     if domain.dimension == 1:
         return _fd_modes_1d(domain, n_modes)
-    if constant:
-        return _fd_modes_2d_separable(domain, n_modes)
+    if constant:  # the Kronecker sum of the 1D interior matrices
+        return _separable_modes(domain, n_modes, _fd_modes_1d)
     return _fd_modes_2d_general(domain, n_modes)
 
 
@@ -235,22 +245,6 @@ def _fd_modes_1d(domain: DomainSpec, n_modes: int | None = None):
     modes = np.zeros((len(lambdas),) + tuple(domain.shape))
     # eigh returns Euclid-orthonormal columns; mass weight h on the interior
     modes[:, 1:-1] = vecs.T / np.sqrt(domain.spacings[0])
-    return lambdas, modes
-
-
-def _fd_modes_2d_separable(domain: DomainSpec, n_modes: int):
-    """Constant isotropic 2D: eigenpairs of the assembled matrix by its
-    Kronecker-sum factorization into the 1D interior matrices."""
-    a = float(domain.coeff[..., 0, 0].flat[0])
-    q = 0.0 if domain.potential is None else float(domain.potential.flat[0])
-    axes = zip(domain.extents, domain.shape)
-    lams_1d, modes_1d = zip(*(_fd_modes_1d(interval(n, lo, hi, a, None)) for (lo, hi), n in axes))
-    order = _mode_order(lams_1d)[:n_modes]
-    nx, ny = domain.shape
-    lambdas = np.array([lam + q for lam, _ in order])
-    modes = np.zeros((n_modes, nx, ny))
-    for m, (_, (kx, ky)) in enumerate(order):
-        modes[m, 1:-1, 1:-1] = np.outer(modes_1d[0][kx, 1:-1], modes_1d[1][ky, 1:-1])
     return lambdas, modes
 
 

@@ -208,9 +208,8 @@ def finite_speed_violations():
     ):
         domain = geometry.interval(n=n)
         basis = spectral.eigensolve(domain, n_modes)
-        dist = geometry.eikonal_distance(domain)
-        region = geometry.filled_subdomain(dist, T)
-        band = 2 * dist.h + 2 * T / n_steps
+        region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), T)
+        band = 2 * max(domain.spacings) + 2 * T / n_steps
         pulses = [
             presets.pulse_control(T, 2, support=(0.05, 0.25), n_steps=n_steps),
             presets.two_sided_pulse_control(T, 2, support=(0.05, 0.25), n_steps=n_steps),
@@ -387,27 +386,27 @@ def test_criterion_10_oracle_cross_validation(
 def test_criterion_11_geometry(
     interval_distance, square_domain, acceptance_log
 ):
-    t1 = geometry.filling_time(interval_distance)
+    t1 = float(interval_distance.max())
     err_1d = abs(t1 - 0.5)
 
-    dist_sq = geometry.eikonal_distance(square_domain)
-    err_2d = abs(geometry.filling_time(dist_sq) - 0.5)
+    h_sq = max(square_domain.spacings)
+    err_2d = abs(float(geometry.eikonal_distance(square_domain).max()) - 0.5)
 
     base = geometry.rectangle(shape=(65, 65), a11=lambda x, y: 1.0 + 0.0 * x)
     fast = geometry.rectangle(shape=(65, 65), a11=lambda x, y: 4.0 + 0.0 * x)
-    tau_base = geometry.eikonal_distance(base).tau
-    tau_fast = geometry.eikonal_distance(fast).tau
+    tau_base = geometry.eikonal_distance(base)
+    tau_fast = geometry.eikonal_distance(fast)
     scale_err = float(np.abs(tau_fast - tau_base / 2.0).max())
-    h = geometry.eikonal_distance(base).h
+    h = max(base.spacings)
 
     passed = (
         err_1d <= 1e-12
-        and err_2d <= 2 * dist_sq.h
+        and err_2d <= 2 * h_sq
         and scale_err <= 2 * h
     )
     acceptance_log(
         11, "eikonal geometry", passed,
-        f"1D fill-time err {err_1d:.1e}, 2D err {err_2d:.2e} <= {2 * dist_sq.h:.2e}, "
+        f"1D fill-time err {err_1d:.1e}, 2D err {err_2d:.2e} <= {2 * h_sq:.2e}, "
         f"c=2 scaling err {scale_err:.2e} <= {2 * h:.2e}",
     )
     assert passed

@@ -154,6 +154,15 @@ def test_config_grammar_parses_or_raises_config_error(lines):
     assert cfg.control_class in regularizer.CONTROL_CLASSES
 
 
+def _square_5_table(row, text):
+    """Config of a 5 x 5 square read from a table ``i,j,a11`` whose row ``row``
+    (0-based, so on line row + 2) reads ``text``."""
+    rows = [f"{i},{j},1\n" for i in range(5) for j in range(5)]
+    rows[row] = text + "\n"
+    table = "table:i,j,a11\n" + "".join(rows)
+    return {"preset": "square", "nx": "5", "ny": "5", "coefficient_csv": table}
+
+
 @pytest.mark.parametrize(
     "subcommand, overrides, message",
     [
@@ -226,6 +235,21 @@ def test_config_grammar_parses_or_raises_config_error(lines):
             "coefficients.csv: line 9: column q is empty",
         ),
         ("verify", {"debug_break_quadrature": "1"}, "unknown key 'debug_break_quadrature'"),
+        (
+            "eikonal",
+            _square_5_table(12, "2,2,abc"),
+            "coefficients.csv: line 14: column a11: cannot read 'abc'",
+        ),
+        (
+            "eikonal",
+            _square_5_table(3, "x,3,1"),
+            "coefficients.csv: line 5: column i: cannot read 'x'",
+        ),
+        (
+            "eikonal",
+            _square_5_table(20, "9,0,1"),
+            "coefficients.csv: line 22: node (9, 0) is out of bounds",
+        ),
     ],
 )
 def test_main_refuses_configs_that_used_to_end_in_a_traceback(

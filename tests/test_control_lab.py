@@ -366,23 +366,23 @@ def test_separated_bump_stalls_near_target_norm(desk_basis, interval_distance):
         )
         assert res.final_residual >= 0.99 * res.target_norm
 
-    region = geometry.filled_subdomain(interval_distance, T)
-    bound = unreachability_bound(y, region, band=2 * interval_distance.h)
+    region = geometry.filled_subdomain(desk_basis.domain, interval_distance, T)
+    bound = unreachability_bound(y, region)
+    dilated = unreachability_bound(y, region, band=2 * max(desk_basis.domain.spacings))
     # support separated from the boundary by more than T: full mass outside
-    assert bound.value == pytest.approx(desk_basis.h_norm(y), rel=1e-12)
-    assert bound.dilated_value <= bound.value
+    assert bound == pytest.approx(desk_basis.h_norm(y), rel=1e-12)
+    assert dilated <= bound
     res = synthesize_control(
         SynthesisProblem(target=y, T=T, alpha=1e-6, budget=200), desk_basis
     )
-    assert res.final_residual >= (1 - 1e-2) * bound.dilated_value
+    assert res.final_residual >= (1 - 1e-2) * dilated
 
 
 def test_reachable_region_gives_zero_bound(desk_basis, interval_distance):
     y = presets.center_bump_target(desk_basis.domain)
-    region = geometry.filled_subdomain(interval_distance, T_DESK)  # everything
-    bound = unreachability_bound(y, region)
-    assert bound.value == 0.0
-    assert bound.dilated_value == 0.0
+    region = geometry.filled_subdomain(desk_basis.domain, interval_distance, T_DESK)  # everything
+    assert unreachability_bound(y, region) == 0.0
+    assert unreachability_bound(y, region, band=2 * max(desk_basis.domain.spacings)) == 0.0
 
 
 def test_frontier_straddling_bump_regression(desk_basis, interval_distance, baselines):
@@ -390,9 +390,9 @@ def test_frontier_straddling_bump_regression(desk_basis, interval_distance, base
     # below the dilated support bound: the discrete wavefront leaks a thin
     # precursor layer; both numbers are pinned as regression values
     y = presets.center_bump_target(desk_basis.domain, center=0.3, halfwidth=0.1)
-    region = geometry.filled_subdomain(interval_distance, 0.3)
-    bound = unreachability_bound(y, region, band=2 * interval_distance.h)
-    assert bound.dilated_value == pytest.approx(
+    region = geometry.filled_subdomain(desk_basis.domain, interval_distance, 0.3)
+    bound = unreachability_bound(y, region, band=2 * max(desk_basis.domain.spacings))
+    assert bound == pytest.approx(
         baselines["half_out_bump_support_bound"], rel=1e-12
     )
     res = synthesize_control(
@@ -410,7 +410,7 @@ def test_frontier_straddling_bump_regression(desk_basis, interval_distance, base
 def test_first_mode_is_observable(desk_basis, interval_distance):
     y = presets.mode_target(desk_basis, 0)
     verdict = observability_test(
-        y, T=0.3, delta=0.03, tol=0.1, basis=desk_basis, dist=interval_distance
+        y, T=0.3, delta=0.03, tol=0.1, basis=desk_basis, tau=interval_distance
     )
     assert verdict.observable
     assert verdict.passed
@@ -426,8 +426,8 @@ def test_silent_bump_sits_outside_filled_region(desk_basis, interval_distance):
         delta=0.03,
         tol=1e-3,
         basis=desk_basis,
-        dist=interval_distance,
-        band=2 * interval_distance.h,
+        tau=interval_distance,
+        band=2 * max(desk_basis.domain.spacings),
     )
     assert not verdict.observable
     assert verdict.trace_ratio <= 1e-3
@@ -439,10 +439,8 @@ def test_silent_bump_sits_outside_filled_region(desk_basis, interval_distance):
 def test_silent_target_with_interior_mass_fails(desk_basis):
     # claiming the whole domain fills instantly must trip the verdict
     y = presets.center_bump_target(desk_basis.domain)
-    fake = geometry.DistanceField(
-        tau=np.zeros(desk_basis.domain.shape[0]), spacings=desk_basis.domain.spacings
-    )
-    verdict = observability_test(y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=fake)
+    fake = np.zeros(desk_basis.domain.shape)
+    verdict = observability_test(y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, tau=fake)
     assert not verdict.observable
     assert verdict.inside_ratio > 0.95
     assert verdict.support_ok is False
@@ -452,7 +450,7 @@ def test_silent_target_with_interior_mass_fails(desk_basis):
 def test_zero_target_passes_vacuously(desk_basis, interval_distance):
     y = np.zeros(desk_basis.domain.shape[0])
     verdict = observability_test(
-        y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, dist=interval_distance
+        y, T=0.3, delta=0.03, tol=1e-3, basis=desk_basis, tau=interval_distance
     )
     assert verdict.trace_ratio == 0.0
     assert verdict.passed
@@ -464,7 +462,7 @@ def test_observability_rejects_bad_window(desk_basis, interval_distance):
         with pytest.raises(ValueError, match="delta"):
             observability_test(
                 y, T=0.3, delta=delta, tol=0.1, basis=desk_basis,
-                dist=interval_distance,
+                tau=interval_distance,
             )
 
 
@@ -667,6 +665,6 @@ def test_h1_star_respects_support_bound(desk_basis, interval_distance):
     y = np.ones(desk_basis.domain.shape[0])
     T = 0.2
     res = h1_star_experiment(y, T, desk_basis, budget=120)
-    region = geometry.filled_subdomain(interval_distance, T)
-    bound = unreachability_bound(y, region, band=2 * interval_distance.h)
-    assert res.final_residual >= (1 - 1e-2) * bound.dilated_value
+    region = geometry.filled_subdomain(desk_basis.domain, interval_distance, T)
+    bound = unreachability_bound(y, region, band=2 * max(desk_basis.domain.spacings))
+    assert res.final_residual >= (1 - 1e-2) * bound

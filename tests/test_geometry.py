@@ -102,26 +102,27 @@ def test_validation_error_names_offending_node():
 
 
 def test_eikonal_interval_exact(interval_distance):
-    tau = interval_distance.tau
+    tau = interval_distance
     x = np.linspace(0, 1, 513)
     np.testing.assert_allclose(tau, np.minimum(x, 1 - x), atol=1e-13)
-    assert geometry.filling_time(interval_distance) == pytest.approx(0.5, abs=1e-13)
+    assert float(tau.max()) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_eikonal_interval_variable_coefficient():
     # medium twice as stiff: unit-speed metric is 1/sqrt(4) = 1/2, so the
     # midpoint distance halves
     dom = geometry.interval(n=257, a=4.0)
-    dist = geometry.eikonal_distance(dom)
-    assert geometry.filling_time(dist) == pytest.approx(0.25, abs=1e-12)
+    tau = geometry.eikonal_distance(dom)
+    assert float(tau.max()) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eikonal_square_center(square_domain):
-    dist = geometry.eikonal_distance(square_domain)
-    c = dist.tau[64, 64]
-    assert abs(c - 0.5) <= 2 * dist.h
+    tau = geometry.eikonal_distance(square_domain)
+    h = max(square_domain.spacings)
+    c = tau[64, 64]
+    assert abs(c - 0.5) <= 2 * h
     # distance to the nearest edge for an off-center node
-    assert abs(dist.tau[16, 64] - 16 / 128) <= 2 * dist.h
+    assert abs(tau[16, 64] - 16 / 128) <= 2 * h
 
 
 def test_eikonal_metric_scaling_2d():
@@ -131,53 +132,54 @@ def test_eikonal_metric_scaling_2d():
     dom4 = geometry.rectangle(shape=(65, 65), a11=a4, a22=a4)
     t1 = geometry.eikonal_distance(dom1)
     t4 = geometry.eikonal_distance(dom4)
-    np.testing.assert_allclose(t4.tau, t1.tau / 2.0, atol=1e-12)
+    np.testing.assert_allclose(t4, t1 / 2.0, atol=1e-12)
 
 
 def test_eikonal_mixed_coefficient_uses_graph_fallback():
     dom = geometry.rectangle(shape=(33, 33), a11=1.0, a12=0.2, a22=1.0)
-    dist = geometry.eikonal_distance(dom)
-    assert np.all(dist.tau >= 0)
-    assert np.all(dist.tau[dom.boundary_mask] == 0.0)
+    tau = geometry.eikonal_distance(dom)
+    assert np.all(tau >= 0)
+    assert np.all(tau[dom.boundary_mask] == 0.0)
     # graph paths overestimate the metric distance but stay within the
     # 8-neighbor anisotropy factor of the axis-aligned answer
-    center = dist.tau[16, 16]
+    center = tau[16, 16]
     assert 0.3 <= center <= 0.65
 
 
 def test_filled_region_interval(interval_domain, interval_distance):
-    region = geometry.filled_subdomain(interval_distance, 0.2)
+    region = geometry.filled_subdomain(interval_domain, interval_distance, 0.2)
     x = np.linspace(0, 1, 513)
     expect = (x < 0.2) | (x > 0.8)
     mismatch = np.flatnonzero(region.indicator != expect)
     # only nodes within one cell of the frontier may disagree
-    assert all(min(abs(x[i] - 0.2), abs(x[i] - 0.8)) <= interval_distance.h + 1e-12 for i in mismatch)
+    h = max(interval_domain.spacings)
+    assert all(min(abs(x[i] - 0.2), abs(x[i] - 0.8)) <= h + 1e-12 for i in mismatch)
 
 
-def test_filled_region_covers_all_after_fill_time(interval_distance):
-    region = geometry.filled_subdomain(interval_distance, 0.75)
+def test_filled_region_covers_all_after_fill_time(interval_domain, interval_distance):
+    region = geometry.filled_subdomain(interval_domain, interval_distance, 0.75)
     assert region.indicator.all()
 
 
-def test_filled_region_requires_positive_horizon(interval_distance):
+def test_filled_region_requires_positive_horizon(interval_domain, interval_distance):
     with pytest.raises(ValueError, match="positive"):
-        geometry.filled_subdomain(interval_distance, 0.0)
+        geometry.filled_subdomain(interval_domain, interval_distance, 0.0)
 
 
-def test_dilated_region_monotone(interval_distance):
-    region = geometry.filled_subdomain(interval_distance, 0.2)
+def test_dilated_region_monotone(interval_domain, interval_distance):
+    region = geometry.filled_subdomain(interval_domain, interval_distance, 0.2)
     grown = region.dilated(0.05)
     assert np.all(grown[region.indicator])
     assert grown.sum() > region.indicator.sum()
 
 
-def _mass_outside_by_node(dist, T, band, u):
+def _mass_outside_by_node(tau, spacings, T, band, u):
     """Squared mass of u where tau >= T + band, one node at a time."""
     total = 0.0
-    for node in np.ndindex(dist.tau.shape):
-        if not dist.tau[node] < T + band:
+    for node in np.ndindex(tau.shape):
+        if not tau[node] < T + band:
             w = 1.0
-            for i, n, h in zip(node, dist.tau.shape, dist.spacings):
+            for i, n, h in zip(node, tau.shape, spacings):
                 w *= h / 2 if i in (0, n - 1) else h
             total += w * u[node] ** 2
     return total
@@ -187,16 +189,18 @@ def _mass_outside_by_node(dist, T, band, u):
     "domain", [geometry.interval(), geometry.rectangle(shape=(33, 17))], ids=["desk", "33x17"]
 )
 def test_mass_outside_matches_node_loop(domain):
-    dist = geometry.eikonal_distance(domain)
-    T = 0.5 * geometry.filling_time(dist)
-    region = geometry.filled_subdomain(dist, T)
+    tau = geometry.eikonal_distance(domain)
+    T = 0.5 * float(tau.max())
+    region = geometry.filled_subdomain(domain, tau, T)
     u = 1.0 + sum(x**2 for x in domain.grids())
     total = float(np.sum(region.weights * u**2))
     masses = []
-    for band in (-2 * dist.h, 0.0, 2 * dist.h):
+    h = max(domain.spacings)
+    for band in (-2 * h, 0.0, 2 * h):
         masses.append(region.mass_outside(u, band))
         assert 0 < masses[-1] < total  # mass on both sides of the frontier
-        assert masses[-1] == pytest.approx(_mass_outside_by_node(dist, T, band, u), rel=1e-13)
+        by_node = _mass_outside_by_node(tau, domain.spacings, T, band, u)
+        assert masses[-1] == pytest.approx(by_node, rel=1e-13)
     assert masses[0] > masses[1] > masses[2]  # a wider band leaves less outside
     assert region.mass_outside(u) == masses[1]
 
@@ -205,7 +209,7 @@ def test_mass_outside_matches_node_loop(domain):
 def test_region_weights_are_the_basis_mass_weights(preset):
     cfg = cli.ExperimentConfig(preset=preset, nx=17, ny=9, n_modes=4)
     domain = cli.build_domain(cfg)
-    region = geometry.filled_subdomain(geometry.eikonal_distance(domain), cfg.T)
+    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
     weights = spectral.eigensolve(domain, 4).mass_weights
     assert region.weights.shape == weights.shape
     assert region.weights.tobytes() == weights.tobytes()
@@ -218,10 +222,10 @@ def test_region_weights_are_the_basis_mass_weights(preset):
 )
 def test_filled_region_monotone_in_horizon(t1, t2):
     dom = geometry.interval(n=129)
-    dist = geometry.eikonal_distance(dom)
+    tau = geometry.eikonal_distance(dom)
     lo, hi = sorted((t1, t2))
-    r_lo = geometry.filled_subdomain(dist, lo)
-    r_hi = geometry.filled_subdomain(dist, hi)
+    r_lo = geometry.filled_subdomain(dom, tau, lo)
+    r_hi = geometry.filled_subdomain(dom, tau, hi)
     assert np.all(r_hi.indicator[r_lo.indicator])
 
 
@@ -232,7 +236,7 @@ def test_eikonal_scaling_law_1d(c):
     domc = geometry.interval(n=65, a=c * c)
     t1 = geometry.eikonal_distance(dom1)
     tc = geometry.eikonal_distance(domc)
-    np.testing.assert_allclose(tc.tau, t1.tau / c, atol=1e-12)
+    np.testing.assert_allclose(tc, t1 / c, atol=1e-12)
 
 
 def test_coefficient_csv_roundtrip(tmp_path):
@@ -263,7 +267,7 @@ def test_coefficient_csv_missing_node(tmp_path):
 
 def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
     path = tmp_path / "tau.csv"
-    region = geometry.filled_subdomain(interval_distance, 0.2)
+    region = geometry.filled_subdomain(interval_domain, interval_distance, 0.2)
     geometry.write_eikonal_csvs(path, tmp_path / "region.csv", interval_domain, region)
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,x,y,tau"
@@ -274,7 +278,7 @@ def test_distance_csv_format(tmp_path, interval_domain, interval_distance):
 
 
 def test_region_csv_format(tmp_path, interval_domain, interval_distance):
-    region = geometry.filled_subdomain(interval_distance, 0.2)
+    region = geometry.filled_subdomain(interval_domain, interval_distance, 0.2)
     path = tmp_path / "region.csv"
     geometry.write_eikonal_csvs(tmp_path / "tau.csv", path, interval_domain, region)
     lines = path.read_text().splitlines()
@@ -421,7 +425,7 @@ _MARCH_CASES = [
 )
 def test_fast_march_matches_reference_loop(build, falls_back):
     dom = build()
-    tau = geometry.eikonal_distance(dom).tau
+    tau = geometry.eikonal_distance(dom)
     ref, fallbacks = _reference_fast_march(dom)
     assert np.all(np.isfinite(ref))
     assert np.array_equal(tau, ref)
@@ -477,7 +481,7 @@ def test_dijkstra_matches_reference_loop():
         _variable_rectangle((17, 41), a12=0.25),
     ):
         assert not np.all(dom.coeff[..., 0, 1] == 0)  # takes the graph fallback
-        tau = geometry.eikonal_distance(dom).tau
+        tau = geometry.eikonal_distance(dom)
         ref = _reference_dijkstra(dom)
         assert np.all(np.isfinite(ref))
         assert np.all(np.abs(tau - ref) <= 1e-14 * np.abs(ref))
@@ -643,12 +647,11 @@ _NODE_TABLE_DOMAINS = pytest.mark.parametrize(
 
 @_NODE_TABLE_DOMAINS
 def test_node_csv_matches_csv_writer(tmp_path, domain):
-    tau = geometry.eikonal_distance(domain).tau.copy()
+    tau = geometry.eikonal_distance(domain).copy()
     flat = tau.reshape(-1)
     flat[1], flat[2], flat[3] = -0.0, 5e-324, 1e300
     flat[-4], flat[-3], flat[-2] = -0.0, 5e-324, 1e300  # the same cells in the last block
-    dist = geometry.DistanceField(tau=tau, spacings=domain.spacings)
-    region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
+    region = geometry.filled_subdomain(domain, tau, 0.5 * float(tau.max()))
     assert 0 < region.indicator.sum() < region.indicator.size
 
     geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, region)
@@ -685,12 +688,12 @@ def test_node_csv_matches_csv_writer(tmp_path, domain):
 @_NODE_TABLE_DOMAINS
 def test_eikonal_csvs_match_csv_writer(tmp_path, domain):
     """One pass writes tau.csv and region.csv as csv.writer renders each."""
-    dist = geometry.eikonal_distance(domain)
-    region = geometry.filled_subdomain(dist, 0.5 * geometry.filling_time(dist))
+    tau = geometry.eikonal_distance(domain)
+    region = geometry.filled_subdomain(domain, tau, 0.5 * float(tau.max()))
     assert 0 < region.indicator.sum() < region.indicator.size
     geometry.write_eikonal_csvs(tmp_path / "tau.csv", tmp_path / "region.csv", domain, region)
     _csv_writer_rendering(
-        tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in dist.tau.reshape(-1)]
+        tmp_path / "tau_ref.csv", domain, "tau", [f"{v:.17g}" for v in tau.reshape(-1)]
     )
     _csv_writer_rendering(
         tmp_path / "region_ref.csv", domain, "inside",

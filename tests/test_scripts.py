@@ -1,9 +1,13 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+FIXTURE = Path(__file__).parent / "fixtures" / "baselines.json"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +58,21 @@ def test_compare_artifacts_spellings(compare_artifacts):
     assert compare(b"g,1", b"h,1") == "text differs outside the numeric cells"
     assert compare(b"1,2", b"1,2,3") == "text differs outside the numeric cells"
     assert compare(b"[0]", b"[NaN]") == "largest relative change inf"
+
+
+def test_freeze_baselines_writes_every_fixture_entry(tmp_path):
+    """The script writes the fixture's entry names to --out, and the support
+    bound it computes is the fixture's to the last bit.  The other values are
+    not compared: several predate later numerical changes, and the script no
+    longer reproduces them."""
+    out = tmp_path / "baselines.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "freeze_baselines.py"), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = json.loads(out.read_text())["entries"]
+    fixture = json.loads(FIXTURE.read_text())["entries"]
+    assert len(fixture) == 8 and sorted(written) == sorted(fixture)
+    bound = written["half_out_bump_support_bound"]["value"]
+    assert bound == fixture["half_out_bump_support_bound"]["value"] == 0.14316315929180287

@@ -98,7 +98,8 @@ def _full_table_modes(domain, n_modes):
 )
 def test_analytic_modes_match_full_table(domain, n_modes):
     """Building only the leading rows per axis keeps the sorted cut, ties included."""
-    lam, modes = spectral._analytic_modes(domain, n_modes)
+    basis = spectral.eigensolve(domain, n_modes, backend="analytic")
+    lam, modes = basis.lambdas, basis.modes
     lam_full, modes_full = _full_table_modes(domain, n_modes)
     assert np.array_equal(lam, lam_full)
     assert np.array_equal(modes, modes_full)

@@ -301,8 +301,7 @@ def test_support_violation_zero_after_fill(interval_domain, interval_basis):
     T = 0.75
     f = presets.stored_reference_control(T, 2, n_steps=1024)
     u = waveop.control_to_state(f, interval_basis)
-    dist = geometry.eikonal_distance(interval_domain)
-    region = geometry.filled_subdomain(dist, T)
+    region = geometry.filled_subdomain(interval_domain, geometry.eikonal_distance(interval_domain), T)
     v = waveop.support_violation(u, region, band=0.0)
     assert v == 0.0  # horizon beyond the filling time covers everything
 
@@ -311,9 +310,8 @@ def test_support_violation_short_horizon(interval_domain, interval_basis):
     T = 0.3
     f = presets.pulse_control(T, 2, support=(0.05, 0.25), n_steps=1024)
     u = waveop.control_to_state(f, interval_basis)
-    dist = geometry.eikonal_distance(interval_domain)
-    region = geometry.filled_subdomain(dist, T)
-    band = 2 * dist.h + 2 * T / 1024
+    region = geometry.filled_subdomain(interval_domain, geometry.eikonal_distance(interval_domain), T)
+    band = 2 * max(interval_domain.spacings) + 2 * T / 1024
     v = waveop.support_violation(u, region, band)
     assert v <= 1e-3
 
