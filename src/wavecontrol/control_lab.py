@@ -37,6 +37,7 @@ from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
     BoundaryControl,
+    _last_entry,
     _window_mask,
     control_to_modal,
     f_norm,
@@ -316,9 +317,10 @@ def _h1_diffs(u: np.ndarray, dim: int) -> list:
 def _h1_pairing(basis: SpectralBasis):
     """h1_inner as pair(u, v, du), with du = _h1_diffs(u, dim).
 
-    The per-axis difference weights are taken once, when the pairing is
-    built, so a solver that pairs on every iteration builds them once, and
-    a fixed stack u can take its differences once too.
+    u and v may each be one grid function or a stack of them along a leading
+    axis; the result is indexed by u's stack, then v's.  The per-axis
+    difference weights are taken once, when the pairing is built, and a
+    fixed stack u can take its differences once too.
     """
     dom = basis.domain
     dim = dom.dimension
@@ -326,13 +328,16 @@ def _h1_pairing(basis: SpectralBasis):
 
     def contract(a, b):
         # the dot np.tensordot(a, b, axes=dim) runs, on the same operands
-        return np.dot(a.reshape(-1, b.size), b.reshape(b.size, 1)).reshape(a.shape[:-dim])
+        size = math.prod(b.shape[b.ndim - dim :])
+        return np.dot(a.reshape(-1, size), b.reshape(-1, size).T).reshape(
+            a.shape[:-dim] + b.shape[:-dim]
+        )
 
     def pair(u, v, du):
         # weights go on v, so a stack u costs one temporary per axis
         total = contract(u, basis.mass_weights * v)
         for axis, (h, w, du_axis) in enumerate(zip(dom.spacings, weights, du)):
-            dv = w * np.diff(v, axis=axis) / h**2
+            dv = w * np.diff(v, axis=axis - dim) / h**2
             total = total + contract(du_axis, dv)
         return float(total) if np.ndim(total) == 0 else total
 
@@ -434,6 +439,13 @@ def h1_star_experiment(
     minimized in the grid H1 norm, so targets with nonzero boundary values
     are admissible.  Controls range over the "smooth" class, with no
     Tikhonov term, to a relative gradient tolerance of 1e-10.
+
+    CGLS runs in the lifted coordinates: with the Gram Q1 of the J = K +
+    n_bnd lifted columns R e_j and the split y = R y_J + y_perp of the
+    target (_lifted_target), the data space holds the (J + 1)-vectors
+    (pairs, perpendicular norm) under u[:J]^T Q1 v[:J] + u[J] v[J].  The
+    reachable states are (pairs, 0) and the target is (y_J, |y_perp|_H1), so
+    every misfit is the grid H1 misfit and no iteration touches the grid.
     """
     problem = SynthesisProblem(
         target=target,
@@ -446,6 +458,8 @@ def h1_star_experiment(
         n_steps=n_steps,
     )
     n_bnd = len(basis.boundary_weights)
+    gram, rhs = _lifted_target(target, basis)
+    J = len(gram)
     apply_c, apply_ct, V = _class_fold(problem, basis)
     # K mode rows (traces x folded sines) and n_bnd terminal-spike rows,
     # whose pairing reads (C g)[m, -1]
@@ -454,17 +468,23 @@ def h1_star_experiment(
     spikes[:, -1] = 1.0 / fac.wt[-1]
     U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
     fac = replace(fac, U=U, V=np.vstack([V, apply_ct(spikes)]))
-    return _solve(problem, fac, apply_c, target, *_h1_data_maps(basis))
+    to_data = lambda pairs: np.append(pairs, 0.0)
+    from_data = lambda z: gram @ z[:J]
+    inner_data = lambda u, v: float(u[:J] @ (gram @ v[:J]) + u[J] * v[J])
+    return _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data)
 
 
 def _h1_data_maps(basis: SpectralBasis):
-    """h1_star_experiment's data space: (to_data, from_data, inner_data).
+    """The grid-side H1 data space of the lifted states, and its row stack.
 
-    to_data takes the K modal pairings and the n_bnd final-time values to
-    the lifted state; from_data pairs z in H1 with the K modes and the lift
-    columns, the lift part less its modal shadow; inner_data is h1_inner.
-    The difference weights, and the differences of the fixed (K + n_bnd)-row
-    stack, are taken once here rather than once per CGLS iteration.
+    Returns (to_data, from_data, inner_data, h1_rows).  to_data takes the K
+    modal pairings and the n_bnd final-time values to the lifted state;
+    from_data pairs z (one grid function, or a stack of them) in H1 with the
+    K modes and the lift columns, the lift part less its modal shadow;
+    inner_data is h1_inner.  h1_rows is the (K + n_bnd)-row stack of modes
+    and lift columns that from_data pairs with, whose differences are taken
+    once here.  They build Q1 and split targets (_lifted_target) and are
+    freed before CGLS starts.
     """
     K = basis.n_modes
     dim = basis.domain.dimension
@@ -481,4 +501,84 @@ def _h1_data_maps(basis: SpectralBasis):
 
     to_data = lambda pairs: state(pairs[:K], pairs[K:])  # pairs[K:]: final-time values
     inner_data = lambda u, v: pair(u, v, _h1_diffs(u, dim))
-    return to_data, from_data, inner_data
+    return to_data, from_data, inner_data, h1_rows
+
+
+# multiply-adds up to which OpenBLAS keeps a GEMM on the calling thread; a
+# threaded GEMM touches its worker's buffer: pairing the desk's 66-row stack
+# with all 66 rows at once touched 0.26 MB of new pages, blocks of 7 none
+_ONE_THREAD_GEMM = 2**18
+# stack rows paired at once where one row alone passes that threshold
+_GRAM_BLOCK = 64
+
+
+def _h1_gram(basis: SpectralBasis, from_data, h1_rows) -> np.ndarray:
+    """Q1 = R^T H R, the H1 Gram of the lifted columns R e_j = to_data(e_j).
+
+    With the stack's rows as the columns of S, the lifted columns are R = S T,
+    T = [[I, -lift_modal], [0, I]] (each lift column less its modal shadow),
+    and from_data(h1_rows[j]) is column j of T^T S^T H S, so Q1 is that
+    matrix times T.  The stack is paired with blocks of its own rows, so no
+    temporary is as large as the stack.
+    """
+    K = basis.n_modes
+    lift_modal = _lifted_state(basis)[1]
+    step = _ONE_THREAD_GEMM // h1_rows[0].size // len(h1_rows) or _GRAM_BLOCK
+    gram = np.concatenate(
+        [from_data(h1_rows[lo : lo + step]) for lo in range(0, len(h1_rows), step)], axis=1
+    )
+    gram[:, K:] -= gram[:, :K] @ lift_modal
+    gram = (gram + gram.T) / 2.0
+    gram.setflags(write=False)
+    return gram
+
+
+def _spd_solve(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q x = b for a symmetric positive definite Q, by Jacobi-preconditioned
+    conjugate gradients to rounding level, or J steps.
+
+    In numpy alone: one LAPACK solve of the desk's 66 x 66 Q1 touches
+    0.25 MB of new pages, which no other desk run needs.
+    """
+    inv_diag = 1.0 / np.diag(Q)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = rz0 = float(r @ z)
+    for _ in range(len(b)):
+        if rz <= 1e-32 * rz0:
+            break
+        q = Q @ p
+        step = rz / float(p @ q)
+        x += step * p
+        r -= step * q
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    return x
+
+
+def _lifted_target(target: np.ndarray, basis: SpectralBasis):
+    """(Q1, rhs): the lifted Gram and the target's data vector.
+
+    The target splits as y = R y_J + y_perp with Q1 y_J = from_data(y), so
+    y_perp is H1-orthogonal to every lifted column; rhs = (y_J, |y_perp|_H1).
+    Q1 is built once per basis and kept, read-only, in the basis's memo next
+    to the boundary lift; the split of the last target is kept there too, by
+    the target's bytes, so the CLI times it apart from the solve without a
+    second split.  The row stack is freed on return.
+    """
+
+    def build():
+        to_data, from_data, inner_data, h1_rows = _h1_data_maps(basis)
+        gram = basis.memo("h1_gram", lambda: _h1_gram(basis, from_data, h1_rows))
+        y_J = _spd_solve(gram, from_data(target))
+        y_perp = target - to_data(y_J)
+        rhs = np.append(y_J, math.sqrt(max(inner_data(y_perp, y_perp), 0.0)))
+        rhs.setflags(write=False)
+        return gram, rhs
+
+    return _last_entry(basis.memo("h1_target", dict), target.tobytes(), build)

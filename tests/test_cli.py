@@ -392,6 +392,26 @@ def test_manifest_times_the_domain_build(tmp_path, cfg):
     assert 0.0 <= timings["domain"] <= timings["total"]
 
 
+def test_manifest_times_the_h1star_stages(tmp_path, monkeypatch):
+    """h1star's manifest times the eigensolve, the lift stage (boundary lift,
+    Q1 and the target split) and the solve apart; the solve reuses the
+    lift stage's split, so the grid-side maps are built once per run."""
+    built = []
+    real = control_lab._h1_data_maps
+
+    def counting(basis):
+        built.append(basis.n_modes)
+        return real(basis)
+
+    monkeypatch.setattr(control_lab, "_h1_data_maps", counting)
+    assert cli.run(fast_config(target="ramp"), "h1star", out_dir=str(tmp_path)) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"domain", "eigensolve", "lift", "h1star", "artifacts", "total"}
+    stages = sum(v for k, v in timings.items() if k != "total")
+    assert 0.0 <= stages <= timings["total"]
+    assert built == [fast_config().n_modes]
+
+
 def test_eigen_artifacts(tmp_path):
     status = cli.run(fast_config(), "eigen", out_dir=str(tmp_path))
     assert status == 0

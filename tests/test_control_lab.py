@@ -1,11 +1,12 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wavecontrol import control_lab, geometry, presets, regularizer, spectral, waveop
+from wavecontrol import cli, control_lab, geometry, presets, regularizer, spectral, waveop
 from wavecontrol.control_lab import (
     DEFAULT_ALPHA_SCHEDULE,
     SynthesisProblem,
@@ -13,6 +14,7 @@ from wavecontrol.control_lab import (
     _boundary_lift,
     _h1_data_maps,
     _lifted_state,
+    _lifted_target,
     h1_inner,
     h1_star_experiment,
     lifted_final_state,
@@ -519,20 +521,28 @@ def _h1_inner_reference(u, v, basis):
     return total
 
 
-@pytest.mark.parametrize("which", ["desk", "square_17", "rectangle_17x13"])
+H1_GEOMETRIES = ["desk", "square_17", "rectangle_17x13"]
+
+
+def _h1_basis(which, desk_basis):
+    """A fresh-memo basis on the desk, on 17^2 or on 17 x 13 with unequal spacings."""
+    if which == "desk":
+        return replace(desk_basis)
+    if which == "square_17":
+        return spectral.eigensolve(geometry.rectangle(shape=(17, 17)), 20)
+    dom = geometry.rectangle(shape=(17, 13), extents=((0.0, 1.3), (0.0, 0.7)))
+    return spectral.eigensolve(dom, 20)
+
+
+@pytest.mark.parametrize("which", H1_GEOMETRIES)
 def test_h1_star_pairing_matches_h1_inner(which, desk_basis, rng):
-    """The H1 pairings h1star builds once per solve are bit-identical to h1_inner.
+    """The grid-side H1 pairings that build Q1 and split targets are
+    bit-identical to h1_inner.
 
     The desk and the square have dyadic spacings, on which dividing by h^2
     is exact; the rectangle's are not, so it also pins the operation order.
     """
-    if which == "desk":
-        basis = desk_basis
-    elif which == "square_17":
-        basis = spectral.eigensolve(geometry.rectangle(shape=(17, 17)), 20)
-    else:
-        dom = geometry.rectangle(shape=(17, 13), extents=((0.0, 1.3), (0.0, 0.7)))
-        basis = spectral.eigensolve(dom, 20)
+    basis = _h1_basis(which, desk_basis)
     K = basis.n_modes
     lift_cols, lift_modal, _ = _lifted_state(basis)
     rows = np.concatenate([basis.modes, lift_cols.T.reshape((-1,) + basis.modes.shape[1:])])
@@ -540,11 +550,120 @@ def test_h1_star_pairing_matches_h1_inner(which, desk_basis, rng):
     expect = _h1_inner_reference(rows, z, basis)
     assert np.array_equal(h1_inner(rows, z, basis), expect)
     expect[K:] -= lift_modal.T @ expect[:K]
-    _, from_data, inner_data = _h1_data_maps(basis)
+    _, from_data, inner_data, _ = _h1_data_maps(basis)
     for _ in range(2):  # the stack's differences are reused, not consumed
         assert np.array_equal(from_data(z), expect)
     u = rng.standard_normal(basis.domain.shape)
     assert inner_data(u, z) == h1_inner(u, z, basis) == float(_h1_inner_reference(u, z, basis))
+
+
+def _lifted_columns(basis):
+    """R e_j = to_data(e_j) for every lifted coordinate j, stacked."""
+    to_data, _, _, rows = _h1_data_maps(basis)
+    return np.stack([to_data(e) for e in np.eye(len(rows))])
+
+
+@pytest.mark.parametrize("which", H1_GEOMETRIES)
+def test_h1_gram_is_h1_inner_of_the_lifted_columns(which, desk_basis, rng):
+    """Q1 (memoised per basis) is h1_inner of every pair of lifted columns."""
+    basis = _h1_basis(which, desk_basis)
+    cols = _lifted_columns(basis)
+    expect = np.array([[h1_inner(a, b, basis) for b in cols] for a in cols])
+    gram, _ = _lifted_target(rng.standard_normal(basis.domain.shape), basis)
+    # measured 1.9e-16 on all three
+    assert np.abs(gram - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert np.array_equal(gram, gram.T) and not gram.flags.writeable
+    assert _lifted_target(rng.standard_normal(basis.domain.shape), basis)[0] is gram
+
+
+@pytest.mark.parametrize("which", H1_GEOMETRIES)
+def test_lifted_target_split_is_h1_orthogonal(which, desk_basis, rng):
+    """y = R y_J + y_perp with y_perp H1-orthogonal to every lifted column,
+    and |y_J|_Q1^2 + |y_perp|^2 reproduces h1_inner(y, y)."""
+    basis = _h1_basis(which, desk_basis)
+    y = rng.standard_normal(basis.domain.shape)
+    gram, rhs = _lifted_target(y, basis)
+    J = len(gram)
+    to_data = _h1_data_maps(basis)[0]
+    cols = _lifted_columns(basis)
+    y_perp = y - to_data(rhs[:J])
+    yy = h1_inner(y, y, basis)
+    scale = np.sqrt(yy * np.diag(gram).max())
+    # measured at most 9.3e-17 and 1.3e-16
+    assert np.abs(h1_inner(cols, y_perp, basis)).max() <= 1e-12 * scale
+    assert rhs[J] == pytest.approx(np.sqrt(h1_inner(y_perp, y_perp, basis)), rel=1e-12)
+    assert rhs[:J] @ gram @ rhs[:J] + rhs[J] ** 2 == pytest.approx(yy, rel=1e-12)
+
+
+def _grid_side_h1_star(target, T, basis, budget):
+    """h1_star_experiment with the grid-side maps: every CGLS iteration maps
+    to a grid function and pairs it with the whole row stack."""
+    problem = SynthesisProblem(target=target, T=T, control_class="smooth", budget=budget, tol=1e-10)
+    n_bnd = len(basis.boundary_weights)
+    apply_c, apply_ct, V = control_lab._class_fold(problem, basis)
+    fac = waveop.modal_factors(basis, T, problem.n_steps)
+    spikes = np.zeros((n_bnd, problem.n_steps + 1))
+    spikes[:, -1] = 1.0 / fac.wt[-1]
+    fac = replace(fac, U=np.vstack([fac.U, np.diag(1.0 / fac.bw)]), V=np.vstack([V, apply_ct(spikes)]))
+    to_data, from_data, inner_data, _ = _h1_data_maps(basis)
+    return control_lab._solve(problem, fac, apply_c, target, to_data, from_data, inner_data)
+
+
+@pytest.mark.parametrize("which", ["desk_ramp", "square_17_smooth_interior"])
+@pytest.mark.parametrize("budget", [5, 20])
+def test_lifted_solve_matches_grid_side_solve(which, budget, desk_basis):
+    """The lifted-coordinate solve runs the grid-side solve's iterations: the
+    residual histories and the controls agree to rounding."""
+    if which == "desk_ramp":
+        basis = replace(desk_basis)
+        y = presets.ramp_target(basis.domain)
+    else:
+        basis = spectral.eigensolve(geometry.rectangle(shape=(17, 17)), 20)
+        y = presets.smooth_interior_target(basis.domain)
+    got = h1_star_experiment(y, T_DESK, basis, budget=budget)
+    ref = _grid_side_h1_star(y, T_DESK, basis, budget)
+    assert got.iterations == ref.iterations == budget
+    # measured: histories within 1.7e-13 of their start, controls within
+    # 2.4e-11 of their largest sample, misfits within 2e-14 of the target norm
+    assert np.abs(got.residual_history - ref.residual_history).max() <= (
+        1e-12 * ref.residual_history[0]
+    )
+    scale = np.abs(ref.control.samples).max()
+    assert np.abs(got.control.samples - ref.control.samples).max() <= 1e-9 * scale
+    assert got.final_residual == pytest.approx(ref.final_residual, abs=1e-12 * ref.target_norm)
+    assert got.target_norm == pytest.approx(ref.target_norm, rel=1e-12)
+
+
+def test_h1_star_runs_no_lapack_solver_on_the_desk(desk_basis, monkeypatch):
+    """The desk h1star calls no numpy.linalg solver: one LAPACK solve of the
+    66 x 66 Q1 touches 0.25 MB of new pages (a VmRSS delta after warm
+    GEMMs), so targets are split by conjugate gradients in numpy alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg solver called")
+
+    for name in ("solve", "lstsq", "inv", "pinv", "cholesky", "eigh", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    basis = replace(desk_basis)  # a fresh memo: Q1 is built inside
+    res = h1_star_experiment(presets.ramp_target(basis.domain), T_DESK, basis, budget=5)
+    assert res.iterations == 5 and "h1_gram" in basis.sines
+
+
+def test_lifted_target_peak_memory_per_row_stack():
+    """The Q1 build pairs the row stack with blocks of its rows: on a 33^2
+    square the split peaks at 3.4 stack sizes (the stack and its two axis
+    differences are 2.9), and a one-block build read 6.1."""
+    basis = cli.build_basis(cli.ExperimentConfig(preset="square", nx=33, ny=33))
+    y = presets.smooth_interior_target(basis.domain)
+    _lifted_state(basis)  # the sparse-LU lift is built before the count starts
+    stack_bytes = (basis.n_modes + len(basis.boundary_weights)) * basis.mass_weights.nbytes
+    tracemalloc.start()
+    try:
+        _lifted_target(y, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack_bytes
 
 
 def test_boundary_lift_built_once_per_basis(monkeypatch):
