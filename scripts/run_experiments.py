@@ -2,9 +2,9 @@
 """Drive the showcase experiment set through the CLI.
 
 Writes one artifact directory per experiment under --out-root (default
-./out) and prints a one-line summary for each, with the run's total seconds
-and the seconds its CSV writers took (the manifest's ``total`` and
-``artifacts`` timings).  Every run is seeded and reproducible; see the
+./out) and prints a one-line summary for each, with the seconds of every
+stage the run's manifest times (its ``timings``, in the manifest's key
+order, ``total`` among them).  Every run is seeded and reproducible; see the
 manifest.json in each directory for the exact config.
 The coefficient tables that ``eikonal_mixed_65`` and ``eikonal_jump_65``
 read are written into the out root first.
@@ -154,7 +154,7 @@ def main():
             ]
             note = ", ".join(f"{k}={summary[k]:.6g}" for k in keys)
         timings = json.loads((out_dir / "manifest.json").read_text())["timings"]
-        seconds = f"total {timings['total']:.3f} s, artifacts {timings.get('artifacts', 0.0):.3f} s"
+        seconds = ", ".join(f"{stage} {t:.3f} s" for stage, t in timings.items())
         print(f"[{'ok' if status == 0 else 'FAIL'}] {name}: {note} ({seconds})")
     return worst
 

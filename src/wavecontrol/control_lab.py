@@ -39,7 +39,7 @@ from .waveop import (
     BoundaryControl,
     _last_entry,
     _window_mask,
-    control_to_modal,
+    control_to_state,
     f_norm,
     modal_factors,
     observe,
@@ -309,49 +309,37 @@ def _axis_diff_weights(domain: DomainSpec, axis: int) -> np.ndarray:
     return reduce(np.multiply.outer, ws)
 
 
-def _h1_diffs(u: np.ndarray, dim: int) -> list:
-    """Forward differences of u (or of a stack of grid functions) per axis."""
-    return [np.diff(u, axis=axis - dim) for axis in range(dim)]
+def _h1_apply(v: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """The grid H1 form as an operator: h1_inner(u, v) = <u, H v>.
 
-
-def _h1_pairing(basis: SpectralBasis):
-    """h1_inner as pair(u, v, du), with du = _h1_diffs(u, dim).
-
-    u and v may each be one grid function or a stack of them along a leading
-    axis; the result is indexed by u's stack, then v's.  The per-axis
-    difference weights are taken once, when the pairing is built, and a
-    fixed stack u can take its differences once too.
+    Mass weights times v, plus per axis the transposed forward differences
+    of the weighted difference quotients of v.  v may be one grid function
+    or a stack of them along a leading axis.
     """
     dom = basis.domain
-    dim = dom.dimension
-    weights = [_axis_diff_weights(dom, axis) for axis in range(dim)]
-
-    def contract(a, b):
-        # the dot np.tensordot(a, b, axes=dim) runs, on the same operands
-        size = math.prod(b.shape[b.ndim - dim :])
-        return np.dot(a.reshape(-1, size), b.reshape(-1, size).T).reshape(
-            a.shape[:-dim] + b.shape[:-dim]
-        )
-
-    def pair(u, v, du):
-        # weights go on v, so a stack u costs one temporary per axis
-        total = contract(u, basis.mass_weights * v)
-        for axis, (h, w, du_axis) in enumerate(zip(dom.spacings, weights, du)):
-            dv = w * np.diff(v, axis=axis - dim) / h**2
-            total = total + contract(du_axis, dv)
-        return float(total) if np.ndim(total) == 0 else total
-
-    return pair
+    out = basis.mass_weights * v
+    for axis, h in enumerate(dom.spacings):
+        along = axis - dom.dimension  # the same axis of a stack
+        flux = _axis_diff_weights(dom, axis) * np.diff(v, axis=along) / h**2
+        # D^T flux: each quotient leaves its low node and enters its high one
+        node, flux = np.moveaxis(out, along, 0), np.moveaxis(flux, along, 0)
+        node[:-1] -= flux
+        node[1:] += flux
+    return out
 
 
 def h1_inner(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float | np.ndarray:
     """Grid gradient quadrature plus the mass term.
 
     Uses forward difference quotients per axis, so boundary values enter;
-    targets are not required to vanish on the boundary.  u may also be a
-    stack of grid functions along a leading axis, paired with v one by one.
+    targets are not required to vanish on the boundary.  u and v may each be
+    one grid function or a stack of them along a leading axis; the result is
+    indexed by u's stack, then v's.
     """
-    return _h1_pairing(basis)(u, v, _h1_diffs(u, basis.domain.dimension))
+    dim, size = basis.domain.dimension, basis.mass_weights.size
+    total = np.dot(u.reshape(-1, size), _h1_apply(v, basis).reshape(-1, size).T)
+    total = total.reshape(u.shape[: u.ndim - dim] + v.shape[: v.ndim - dim])
+    return float(total) if total.ndim == 0 else total
 
 
 def _boundary_lift(domain: DomainSpec) -> np.ndarray:
@@ -387,40 +375,36 @@ def _boundary_lift(domain: DomainSpec) -> np.ndarray:
     return cols
 
 
-def _lifted_state(basis: SpectralBasis):
-    """Boundary lift columns, their modal shadow, and the lifted state map.
+def _lift_rows(basis: SpectralBasis) -> np.ndarray:
+    """The boundary part of the lifted space: one grid function per boundary node.
 
-    The map takes modal coefficients and terminal boundary values b to the
-    grid state lift(b) + sum_k (coeffs - lift_modal b)_k e_k.  Built once
-    per basis (the 2D lift is a sparse LU solve) and kept, read-only, in
-    the basis's memo.
+    Row b is lift column b less its modal shadow, so the lifted state with
+    modal coefficients c and terminal boundary values b is c @ modes +
+    b @ rows, and the lifted columns are R = [modes; rows].  Built once per
+    basis (the 2D lift is a sparse LU solve) and kept, read-only, in the
+    basis's memo.
     """
 
     def build():
-        lift_cols = _boundary_lift(basis.domain)  # (n_nodes, n_bnd)
-        flat_modes = basis.modes.reshape(basis.n_modes, -1)
-        # modal mass coefficients of each lift column, for the correction term
-        lift_modal = flat_modes @ (basis.mass_weights.ravel()[:, None] * lift_cols)
-        lift_cols.setflags(write=False)
-        lift_modal.setflags(write=False)
-        shape = tuple(basis.domain.shape)
+        lift = _boundary_lift(basis.domain).T  # (n_bnd, n_nodes)
+        flat = basis.modes.reshape(basis.n_modes, -1)
+        rows = (lift @ (basis.mass_weights.ravel() * flat).T) @ flat
+        np.subtract(lift, rows, out=rows)
+        rows = rows.reshape((-1,) + basis.modes.shape[1:])
+        rows.setflags(write=False)
+        return rows
 
-        def state(coeffs, b):
-            return (lift_cols @ b + (coeffs - lift_modal @ b) @ flat_modes).reshape(shape)
-
-        return lift_cols, lift_modal, state
-
-    return basis.memo("lifted_state", build)
+    return basis.memo("lift_rows", build)
 
 
 def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
     """Final snapshot carrying the control's terminal boundary values.
 
-    Boundary lifting of f(., T) plus the modal correction; agrees with the
-    plain modal snapshot whenever f(., T) = 0.
+    The modal snapshot plus the lift rows weighted by f(., T); agrees with
+    the plain modal snapshot whenever f(., T) = 0.
     """
-    state = _lifted_state(basis)[2]
-    return state(control_to_modal(control, basis), control.samples[:, -1])
+    b = control.samples[:, -1]
+    return control_to_state(control, basis) + np.tensordot(b, _lift_rows(basis), axes=1)
 
 
 def h1_star_experiment(
@@ -462,46 +446,16 @@ def h1_star_experiment(
     J = len(gram)
     apply_c, apply_ct, V = _class_fold(problem, basis)
     # K mode rows (traces x folded sines) and n_bnd terminal-spike rows,
-    # whose pairing reads (C g)[m, -1]
+    # whose pairing reads (C g)[m, -1]: C* folds into one spike, repeated
     fac = modal_factors(basis, T, n_steps)
-    spikes = np.zeros((n_bnd, n_steps + 1))
-    spikes[:, -1] = 1.0 / fac.wt[-1]
+    spike = np.zeros((1, n_steps + 1))
+    spike[0, -1] = 1.0 / fac.wt[-1]
     U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
-    fac = replace(fac, U=U, V=np.vstack([V, apply_ct(spikes)]))
+    fac = replace(fac, U=U, V=np.vstack([V, np.repeat(apply_ct(spike), n_bnd, axis=0)]))
     to_data = lambda pairs: np.append(pairs, 0.0)
     from_data = lambda z: gram @ z[:J]
     inner_data = lambda u, v: float(u[:J] @ (gram @ v[:J]) + u[J] * v[J])
     return _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data)
-
-
-def _h1_data_maps(basis: SpectralBasis):
-    """The grid-side H1 data space of the lifted states, and its row stack.
-
-    Returns (to_data, from_data, inner_data, h1_rows).  to_data takes the K
-    modal pairings and the n_bnd final-time values to the lifted state;
-    from_data pairs z (one grid function, or a stack of them) in H1 with the
-    K modes and the lift columns, the lift part less its modal shadow;
-    inner_data is h1_inner.  h1_rows is the (K + n_bnd)-row stack of modes
-    and lift columns that from_data pairs with, whose differences are taken
-    once here.  They build Q1 and split targets (_lifted_target) and are
-    freed before CGLS starts.
-    """
-    K = basis.n_modes
-    dim = basis.domain.dimension
-    lift_cols, lift_modal, state = _lifted_state(basis)
-    h1_rows = np.concatenate([basis.modes, lift_cols.T.reshape((-1,) + basis.modes.shape[1:])])
-    row_diffs = _h1_diffs(h1_rows, dim)
-    pair = _h1_pairing(basis)
-
-    def from_data(z):
-        d = pair(h1_rows, z, row_diffs)
-        # boundary part: lift columns paired with z, minus their modal shadow
-        d[K:] -= lift_modal.T @ d[:K]
-        return d
-
-    to_data = lambda pairs: state(pairs[:K], pairs[K:])  # pairs[K:]: final-time values
-    inner_data = lambda u, v: pair(u, v, _h1_diffs(u, dim))
-    return to_data, from_data, inner_data, h1_rows
 
 
 # multiply-adds up to which OpenBLAS keeps a GEMM on the calling thread; a
@@ -512,22 +466,16 @@ _ONE_THREAD_GEMM = 2**18
 _GRAM_BLOCK = 64
 
 
-def _h1_gram(basis: SpectralBasis, from_data, h1_rows) -> np.ndarray:
-    """Q1 = R^T H R, the H1 Gram of the lifted columns R e_j = to_data(e_j).
+def _h1_gram(basis: SpectralBasis, R: np.ndarray) -> np.ndarray:
+    """Q1 = R^T H R, the H1 Gram of the lifted columns R = [modes; rows].
 
-    With the stack's rows as the columns of S, the lifted columns are R = S T,
-    T = [[I, -lift_modal], [0, I]] (each lift column less its modal shadow),
-    and from_data(h1_rows[j]) is column j of T^T S^T H S, so Q1 is that
-    matrix times T.  The stack is paired with blocks of its own rows, so no
-    temporary is as large as the stack.
+    R is paired with blocks of its own rows, so no temporary is as large
+    as R.
     """
-    K = basis.n_modes
-    lift_modal = _lifted_state(basis)[1]
-    step = _ONE_THREAD_GEMM // h1_rows[0].size // len(h1_rows) or _GRAM_BLOCK
+    step = _ONE_THREAD_GEMM // R[0].size // len(R) or _GRAM_BLOCK
     gram = np.concatenate(
-        [from_data(h1_rows[lo : lo + step]) for lo in range(0, len(h1_rows), step)], axis=1
+        [h1_inner(R, R[lo : lo + step], basis) for lo in range(0, len(R), step)], axis=1
     )
-    gram[:, K:] -= gram[:, :K] @ lift_modal
     gram = (gram + gram.T) / 2.0
     gram.setflags(write=False)
     return gram
@@ -564,20 +512,20 @@ def _spd_solve(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lifted_target(target: np.ndarray, basis: SpectralBasis):
     """(Q1, rhs): the lifted Gram and the target's data vector.
 
-    The target splits as y = R y_J + y_perp with Q1 y_J = from_data(y), so
+    The target splits as y = R y_J + y_perp with Q1 y_J = h1_inner(R, y), so
     y_perp is H1-orthogonal to every lifted column; rhs = (y_J, |y_perp|_H1).
     Q1 is built once per basis and kept, read-only, in the basis's memo next
-    to the boundary lift; the split of the last target is kept there too, by
+    to the lift rows; the split of the last target is kept there too, by
     the target's bytes, so the CLI times it apart from the solve without a
-    second split.  The row stack is freed on return.
+    second split.  R is freed on return.
     """
 
     def build():
-        to_data, from_data, inner_data, h1_rows = _h1_data_maps(basis)
-        gram = basis.memo("h1_gram", lambda: _h1_gram(basis, from_data, h1_rows))
-        y_J = _spd_solve(gram, from_data(target))
-        y_perp = target - to_data(y_J)
-        rhs = np.append(y_J, math.sqrt(max(inner_data(y_perp, y_perp), 0.0)))
+        R = np.concatenate([basis.modes, _lift_rows(basis)])
+        gram = basis.memo("h1_gram", lambda: _h1_gram(basis, R))
+        y_J = _spd_solve(gram, h1_inner(R, target, basis))
+        y_perp = target - np.tensordot(y_J, R, axes=1)
+        rhs = np.append(y_J, math.sqrt(max(h1_inner(y_perp, y_perp, basis), 0.0)))
         rhs.setflags(write=False)
         return gram, rhs
 

@@ -47,11 +47,13 @@ class SpectralBasis:
                        boundary nodes, ordered like domain.boundary_nodes()
     mass_weights     : trapezoid quadrature weights of the H = L2 inner product
     boundary_weights : quadrature weights of the boundary measure
-    sines            : the basis's memo, filled on first use through ``memo``:
-                       the modal factor object of each boundary cylinder by
-                       (T, n_steps), with its class folds (waveop,
-                       control_lab), and the boundary lift (control_lab); it
-                       lives exactly as long as the basis.  What a process
+    sines            : the basis's memo, filled on first use through ``memo``;
+                       its keys: each boundary cylinder's (T, n_steps), the
+                       modal factor object with its class folds (waveop,
+                       control_lab), and from control_lab "lift_rows" (the
+                       boundary part of the lifted space), "h1_gram" (its H1
+                       Gram Q1) and "h1_target" (the last target's split).
+                       It lives exactly as long as the basis.  What a process
                        keeps between runs is outside it: the CLI's last
                        eigenpairs, which the next run on the same preset
                        domain and mode count gets in a fresh basis, and

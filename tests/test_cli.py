@@ -395,21 +395,21 @@ def test_manifest_times_the_domain_build(tmp_path, cfg):
 def test_manifest_times_the_h1star_stages(tmp_path, monkeypatch):
     """h1star's manifest times the eigensolve, the lift stage (boundary lift,
     Q1 and the target split) and the solve apart; the solve reuses the
-    lift stage's split, so the grid-side maps are built once per run."""
+    lift stage's split, so the target is split once per run."""
     built = []
-    real = control_lab._h1_data_maps
+    real = control_lab._spd_solve
 
-    def counting(basis):
-        built.append(basis.n_modes)
-        return real(basis)
+    def counting(Q, b):
+        built.append(len(b))
+        return real(Q, b)
 
-    monkeypatch.setattr(control_lab, "_h1_data_maps", counting)
+    monkeypatch.setattr(control_lab, "_spd_solve", counting)
     assert cli.run(fast_config(target="ramp"), "h1star", out_dir=str(tmp_path)) == 0
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
     assert set(timings) == {"domain", "eigensolve", "lift", "h1star", "artifacts", "total"}
     stages = sum(v for k, v in timings.items() if k != "total")
     assert 0.0 <= stages <= timings["total"]
-    assert built == [fast_config().n_modes]
+    assert built == [fast_config().n_modes + 2]  # one split, of J = K + n_bnd pairings
 
 
 def test_eigen_artifacts(tmp_path):
