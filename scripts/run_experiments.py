@@ -2,10 +2,11 @@
 """Drive the showcase experiment set through the CLI.
 
 Writes one artifact directory per experiment under --out-root (default
-./out) and prints a one-line summary for each, with the seconds of every
-stage the run's manifest times (its ``timings``, in the manifest's key
-order, ``total`` among them).  Every run is seeded and reproducible; see the
-manifest.json in each directory for the exact config.
+./out) and prints a one-line summary for each: its headline numbers (the
+CGLS ``iterations`` of every control and h1star run among them) and the
+seconds of every stage the run's manifest times (its ``timings``, in the
+manifest's key order, ``total`` among them).  Every run is seeded and
+reproducible; see the manifest.json in each directory for the exact config.
 The coefficient tables that ``eikonal_mixed_65`` and ``eikonal_jump_65``
 read are written into the out root first.
 """
@@ -146,6 +147,7 @@ def main():
                     "T_fill",
                     "lambda_1",
                     "relative_residual",
+                    "iterations",
                     "trace_ratio",
                     "support_violation",
                     "max_abs_beta",

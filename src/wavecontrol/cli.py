@@ -337,7 +337,7 @@ def _run_dual(cfg, out, domain, timings):
     basis = build_basis(cfg, domain)
     y = _target_state(cfg, basis)
     with _timed(timings, "dual"):
-        snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T / 2, cfg.T]))
+        snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T]))
     with _timed(timings, "artifacts"):
         write_state_csv(out / "dual_t0.csv", domain, snaps[0])
     return {

@@ -12,9 +12,10 @@ of ``regularizer.class_operators``: candidates are masked to [delta, T] and
 post-composed with time mollification, antisymmetrized about the horizon when
 the class requires the final snapshot data and its even time derivatives to
 vanish at t = T.  C* is folded into the sine time factors of the boundary
-cylinder (``waveop.modal_factors``) once per class, delta and epsilon, and
-kept on that object, which the alpha sweep and the H1 experiment share; C
-acts on the synthesized control once, never per iteration.
+cylinder (``waveop.modal_factors``) once per horizon, step count, class,
+delta and epsilon, and the folded cylinder is kept in the basis's memo, which
+the alpha sweep and the H1 experiment share; C acts on the synthesized
+control once, never per iteration.
 
 The H1 experiment reconstructs reachable states as a boundary lifting plus a
 modal correction.  Truncated modal sums vanish on the boundary, so without
@@ -32,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import DomainSpec, FilledRegion, filled_subdomain, grid_trapezoid_weights
-from .regularizer import CONTROL_CLASSES, _identity, class_operators
+from .regularizer import CONTROL_CLASSES, class_operators
 from .spectral import SpectralBasis, _fd_stencil, fd_operator, project
 from .waveop import (
     DEFAULT_TIME_STEPS,
@@ -152,20 +153,17 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol)
     return g, np.array(history), its, bool(converged)
 
 
-def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> SynthesisResult:
-    """CGLS over the control samples for a map held as rank-K factors.
+def _solve(problem, fwd, adj, inner_ctrl, apply_c, rhs, inner_data) -> SynthesisResult:
+    """CGLS over the control samples for the forward map fwd and its adjoint adj.
 
-    fac's time factors already carry C*: C acts in time only, so its adjoint
-    folds into them.  The forward map is then to_data(fac.pair(g)) and its
-    adjoint expands from_data(z) over the same factors, so the class
-    operator acts on the time factors once and on the output (apply_c)
-    once, never per iteration.  inner_data is the data-space inner product;
-    the misfit and the target norm are measured in it.
+    Both act through the class-folded cylinder: C acts in time only, so its
+    adjoint folds into the sine time factors, and the class operator acts
+    on those once and on the output (apply_c) once, never per iteration.
+    inner_ctrl and inner_data are the control- and data-space inner
+    products; the misfit and the target norm are measured in the latter.
     """
-    fwd = lambda g: to_data(fac.pair(g))
-    adj = lambda z: fac.expand(from_data(z))
     g, history, its, converged = _cgls(
-        fwd, adj, rhs, inner_data, fac.inner, problem.alpha, problem.budget, problem.tol
+        fwd, adj, rhs, inner_data, inner_ctrl, problem.alpha, problem.budget, problem.tol
     )
     norm = lambda u: float(np.sqrt(max(inner_data(u, u), 0.0)))
     final = norm(fwd(g) - rhs)
@@ -182,23 +180,25 @@ def _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data) -> Synthe
 
 
 def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
-    """The class operator (C, C*) and C* folded into the cylinder's sines.
+    """The class operator (C, C*) and the folded cylinder: the boundary
+    cylinder modal_factors(basis, T, n_steps) with C* folded into its sines.
 
-    Built once per class, delta and epsilon and kept, the fold read-only, in
-    the ``folds`` of the problem's boundary cylinder, modal_factors(basis, T,
-    n_steps): an alpha sweep and the H1 experiment build the class operator
-    and the fold once, and all of it is freed with the basis.
+    Kept, the sines read-only, in the basis's memo under (T, n_steps, class,
+    delta, epsilon): an alpha sweep and the H1 experiment build the class
+    operator and the fold once, and all of it is freed with the basis.
     """
-    fac = modal_factors(basis, problem.T, problem.n_steps)
-    key = (problem.control_class, problem.delta, problem.epsilon)
-    if key not in fac.folds:
+
+    def build():
         apply_c, apply_ct = class_operators(
             problem.control_class, problem.T, problem.delta, problem.epsilon, problem.n_steps + 1
         )
+        fac = modal_factors(basis, problem.T, problem.n_steps)
         V = apply_ct(fac.V)
         V.setflags(write=False)
-        fac.folds[key] = apply_c, apply_ct, V
-    return fac.folds[key]
+        return apply_c, apply_ct, replace(fac, V=V)
+
+    key = (problem.T, problem.n_steps, problem.control_class, problem.delta, problem.epsilon)
+    return basis.memo(key, build)
 
 
 def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
@@ -210,11 +210,11 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     """
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target, basis)
-    apply_c, _, V = _class_fold(problem, basis)
-    fac = modal_factors(basis, problem.T, problem.n_steps)
+    apply_c, _, fac = _class_fold(problem, basis)
     # the weighted forward map W: s-weighted traces x class-folded sines
-    fac = replace(fac, U=weights_s[:, None] * fac.U, V=V)
-    return _solve(problem, fac, apply_c, y_hat, _identity, _identity, lambda u, v: float(u @ v))
+    fac = replace(fac, U=weights_s[:, None] * fac.U)
+    inner_data = lambda u, v: float(u @ v)
+    return _solve(problem, fac.pair, fac.expand, fac.inner, apply_c, y_hat, inner_data)
 
 
 def residual_curve(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list:
@@ -222,8 +222,8 @@ def residual_curve(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> l
 
     One synthesize_control per alpha, so each result carries its own CGLS
     iteration count; the results in schedule order.  The class operator and
-    its fold into the time factors are built by the first solve and kept on
-    the boundary cylinder's factor object, so the sweep builds them once.
+    its fold into the time factors are built by the first solve and kept in
+    the basis's memo, so the sweep builds them once.
     """
     alphas = list(alphas)
     if any(a <= 0 for a in alphas):
@@ -427,9 +427,10 @@ def h1_star_experiment(
     CGLS runs in the lifted coordinates: with the Gram Q1 of the J = K +
     n_bnd lifted columns R e_j and the split y = R y_J + y_perp of the
     target (_lifted_target), the data space holds the (J + 1)-vectors
-    (pairs, perpendicular norm) under u[:J]^T Q1 v[:J] + u[J] v[J].  The
-    reachable states are (pairs, 0) and the target is (y_J, |y_perp|_H1), so
-    every misfit is the grid H1 misfit and no iteration touches the grid.
+    (coefficients, perpendicular norm) under u[:J]^T Q1 v[:J] + u[J] v[J].
+    The reachable states are (modal pairs, final-time values, 0) and the
+    target is (y_J, |y_perp|_H1), so every misfit is the grid H1 misfit and
+    no iteration touches the grid.
     """
     problem = SynthesisProblem(
         target=target,
@@ -441,21 +442,21 @@ def h1_star_experiment(
         epsilon=epsilon,
         n_steps=n_steps,
     )
-    n_bnd = len(basis.boundary_weights)
     gram, rhs = _lifted_target(target, basis)
-    J = len(gram)
-    apply_c, apply_ct, V = _class_fold(problem, basis)
-    # K mode rows (traces x folded sines) and n_bnd terminal-spike rows,
-    # whose pairing reads (C g)[m, -1]: C* folds into one spike, repeated
-    fac = modal_factors(basis, T, n_steps)
-    spike = np.zeros((1, n_steps + 1))
-    spike[0, -1] = 1.0 / fac.wt[-1]
-    U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
-    fac = replace(fac, U=U, V=np.vstack([V, np.repeat(apply_ct(spike), n_bnd, axis=0)]))
-    to_data = lambda pairs: np.append(pairs, 0.0)
-    from_data = lambda z: gram @ z[:J]
+    K, J = basis.n_modes, len(gram)
+    apply_c, apply_ct, fac = _class_fold(problem, basis)
+    # the final-time values (C g)[:, -1] are g @ w_T: C* folds the terminal
+    # spike delta_T / wt[-1] into one time row, which adj weights by q / bw
+    spike = apply_ct(np.eye(1, n_steps + 1, n_steps) / fac.wt[-1])[0]
+    w_T = fac.wt * spike
+    fwd = lambda g: np.concatenate([fac.pair(g), g @ w_T, [0.0]])
+
+    def adj(z):
+        q = gram @ z[:J]
+        return fac.expand(q[:K]) + np.outer(q[K:] / fac.bw, spike)
+
     inner_data = lambda u, v: float(u[:J] @ (gram @ v[:J]) + u[J] * v[J])
-    return _solve(problem, fac, apply_c, rhs, to_data, from_data, inner_data)
+    return _solve(problem, fwd, adj, fac.inner, apply_c, rhs, inner_data)
 
 
 # multiply-adds up to which OpenBLAS keeps a GEMM on the calling thread; a

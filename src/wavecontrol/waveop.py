@@ -17,7 +17,7 @@ oracle for the forward map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -123,16 +123,13 @@ class Factors:
     the trapezoid time weights wt.  ``pair`` maps g to <g, U_j x V_j>_F for
     every j, ``expand`` is its adjoint and ``inner`` the F inner product.
     The weighted factors are built on first use, once per object, so a
-    solver that builds its object once pays for them once.  ``folds`` holds
-    what control_lab derives from the time factors, by control class; an
-    object made by ``replace`` starts with none.
+    solver that builds its object once pays for them once.
     """
 
     U: np.ndarray
     V: np.ndarray
     bw: np.ndarray
     wt: np.ndarray
-    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _weighted(self):
@@ -173,7 +170,7 @@ def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
     holds the basis's arrays, never the basis: no cycle keeps a basis alive.
     The sine table is taken from a process-wide memo of the last one built,
     so a later run with the same eigenvalues, T and n_steps reuses it; the
-    object itself, its weights and folds are the run's own.
+    object itself and its weights are the run's own.
     """
 
     def sines():

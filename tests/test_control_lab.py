@@ -93,7 +93,9 @@ def test_class_operator_adjoint_pair(small_basis, rng, control_class):
 
 @pytest.mark.parametrize("control_class", ["smooth", "smooth_vanishing_at_T"])
 def test_class_operator_folds_into_time_factors(small_basis, rng, control_class):
-    """Factors (U, C* S) pair g as (U, S) pair C g; a terminal-spike row reads (C g)[:, -1]."""
+    """Factors (U, C* S) pair g as (U, S) pair C g; the terminal-spike rows
+    read (C g)[:, -1], and so does g against the one folded time row
+    wt * C*(delta_T / wt[-1])."""
     n_t = 129
     wt = time_weights(n_t, T_DESK / (n_t - 1))
     bw = small_basis.boundary_weights
@@ -109,15 +111,17 @@ def test_class_operator_folds_into_time_factors(small_basis, rng, control_class)
     terminal = Factors(np.diag(1.0 / bw), apply_ct(spikes), bw, wt).pair(g)
     smoothed = apply_c(g)
     assert np.abs(terminal - smoothed[:, -1]).max() <= 1e-12 * np.abs(smoothed).max()
+    folded_row = g @ (wt * apply_ct(spikes[:1])[0])
+    assert np.abs(folded_row - smoothed[:, -1]).max() <= 1e-12 * np.abs(smoothed).max()
 
 
 def test_class_operator_applied_once_per_solve(desk_basis, monkeypatch):
     """The class operator acts on the factors and the output, never per iteration.
 
-    The fold into the time factors is kept on the boundary cylinder, so a
-    second synthesis of the same class on that basis applies C to its output
-    only, and the H1 experiment, which runs the "smooth" class, reads that
-    class's entry: C* acts on its one terminal-spike row alone.
+    The folded cylinder is kept in the basis's memo, so a second synthesis
+    of the same class on that basis applies C to its output only, and the
+    H1 experiment, which runs the "smooth" class, reads that class's entry:
+    C* acts on its one terminal-spike row alone.
     """
     calls, built = [], []
     real = control_lab.class_operators
@@ -317,9 +321,9 @@ def test_residual_curve_builds_class_operator_once(desk_basis, monkeypatch):
 def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeypatch):
     """An alpha sweep and the H1 experiment on one basis build the "smooth"
     class operator once, and with the cyclic collector off, the mollifier
-    blocks and the class fold die with the basis: the memo holds no reference
-    back to the basis.  The sine table is the process's last one and dies
-    when the next table replaces it."""
+    blocks and the folded cylinder die with the basis: the memo holds no
+    reference back to the basis.  The sine table is the process's last one
+    and dies when the next table replaces it."""
     real_blocks = regularizer._toeplitz_blocks
     built = []
 
@@ -338,10 +342,9 @@ def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeyp
         basis = replace(desk_basis)  # a fresh memo
         residual_curve(prob, DEFAULT_ALPHA_SCHEDULE, basis)
         h1_star_experiment(ramp, T_DESK, basis, budget=20)
-        fac = waveop.modal_factors(basis, T_DESK, DEFAULT_TIME_STEPS)
-        sines = weakref.ref(fac.V)
-        (fold,) = [weakref.ref(folded) for _, _, folded in fac.folds.values()]
-        del fac
+        sines = weakref.ref(waveop.modal_factors(basis, T_DESK, DEFAULT_TIME_STEPS).V)
+        key = (T_DESK, DEFAULT_TIME_STEPS, "smooth", prob.delta, prob.epsilon)
+        fold = weakref.ref(basis.sines[key][2])
         assert len(built) == 1
         assert built[0]() is not None and fold() is not None and sines() is not None
         del basis
@@ -620,19 +623,20 @@ def test_lifted_target_split_is_h1_orthogonal(which, desk_basis, rng):
 def _grid_side_h1_star(target, T, basis, budget):
     """h1_star_experiment on the grid: every CGLS iteration maps to the
     lifted state, a grid function, and pairs it in H1 with every lifted
-    column R e_j."""
+    column R e_j.  The final-time values are n_bnd stacked rank-one rows,
+    diag(1/bw) x C*(delta_T / wt[-1]), under the folded cylinder's modes."""
     problem = SynthesisProblem(target=target, T=T, control_class="smooth", budget=budget, tol=1e-10)
     n_bnd = len(basis.boundary_weights)
-    apply_c, apply_ct, V = control_lab._class_fold(problem, basis)
-    fac = waveop.modal_factors(basis, T, problem.n_steps)
+    apply_c, apply_ct, fac = control_lab._class_fold(problem, basis)
     spikes = np.zeros((n_bnd, problem.n_steps + 1))
     spikes[:, -1] = 1.0 / fac.wt[-1]
-    fac = replace(fac, U=np.vstack([fac.U, np.diag(1.0 / fac.bw)]), V=np.vstack([V, apply_ct(spikes)]))
+    U = np.vstack([fac.U, np.diag(1.0 / fac.bw)])
+    fac = replace(fac, U=U, V=np.vstack([fac.V, apply_ct(spikes)]))
     R = np.concatenate([basis.modes, _lift_rows(basis)])
-    to_data = lambda pairs: np.tensordot(pairs, R, axes=1)
-    from_data = lambda z: h1_inner(R, z, basis)
+    fwd = lambda g: np.tensordot(fac.pair(g), R, axes=1)
+    adj = lambda z: fac.expand(h1_inner(R, z, basis))
     inner_data = lambda u, v: h1_inner(u, v, basis)
-    return control_lab._solve(problem, fac, apply_c, target, to_data, from_data, inner_data)
+    return control_lab._solve(problem, fwd, adj, fac.inner, apply_c, target, inner_data)
 
 
 @pytest.mark.parametrize("which", ["desk_ramp", "square_17_smooth_interior"])
@@ -690,6 +694,24 @@ def test_lifted_target_peak_memory_per_row_stack():
     finally:
         tracemalloc.stop()
     assert peak < 2 * stack_bytes
+
+
+def test_h1_star_warm_call_peak_memory_per_row_stack():
+    """A warm h1star call on a 33^2 square, with the lift, Q1, the split
+    and the class fold built, peaks below 4 row-stack sizes: the final-time
+    values are one folded time row.  n_bnd stacked spike rows, rebuilt per
+    call, read 5.0."""
+    basis = cli.build_basis(cli.ExperimentConfig(preset="square", nx=33, ny=33))
+    y = presets.smooth_interior_target(basis.domain)
+    h1_star_experiment(y, T_DESK, basis, budget=1)
+    stack_bytes = (basis.n_modes + len(basis.boundary_weights)) * basis.mass_weights.nbytes
+    tracemalloc.start()
+    try:
+        h1_star_experiment(y, T_DESK, basis, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack_bytes
 
 
 def test_boundary_lift_built_once_per_basis(monkeypatch):

@@ -36,11 +36,8 @@ def test_modal_factors_memoized_read_only():
     assert not fac.V.flags.writeable
     with pytest.raises(ValueError):
         fac.V[0, 0] = 1.0
-    # a basis derived by replace starts with no factors of its own, and a
-    # factor object derived by replace with no folds
+    # a basis derived by replace starts with no factors of its own
     assert replace(basis, lambdas=2 * basis.lambdas).sines == {}
-    fac.folds["key"] = "fold"
-    assert replace(fac, U=2.0 * fac.U).folds == {}
 
 
 def test_time_weights_sum():
