@@ -316,12 +316,14 @@ def _run_eigen(cfg, out, domain, timings):
 
 
 def _run_forward(cfg, out, domain, timings):
-    basis = build_basis(cfg, domain)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
     n_bnd = len(basis.boundary_weights)
     f = presets.stored_reference_control(cfg.T, n_bnd, n_steps=cfg.n_steps)
     with _timed(timings, "forward"):
         u = control_to_state(f, basis)
-    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
+    with _timed(timings, "eikonal"):
+        region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
     band = 2 * max(domain.spacings) + 2 * cfg.T / cfg.n_steps
     with _timed(timings, "artifacts"):
         write_state_csv(out / "state.csv", domain, u)
@@ -334,7 +336,8 @@ def _run_forward(cfg, out, domain, timings):
 
 
 def _run_dual(cfg, out, domain, timings):
-    basis = build_basis(cfg, domain)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
     y = _target_state(cfg, basis)
     with _timed(timings, "dual"):
         snaps = solve_dual(y, cfg.T, basis, times=np.array([0.0, cfg.T]))
@@ -349,7 +352,8 @@ def _run_dual(cfg, out, domain, timings):
 
 
 def _run_observe(cfg, out, domain, timings):
-    basis = build_basis(cfg, domain)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
     y = _target_state(cfg, basis)
     with _timed(timings, "observe"):
         g = observe(y, cfg.T, basis, n_steps=cfg.n_steps)
@@ -367,7 +371,8 @@ def _run_observe(cfg, out, domain, timings):
 
 
 def _run_beta(cfg, out, domain, timings):
-    basis = build_basis(cfg, domain)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
     with _timed(timings, "beta"):
         values = beta_table(cfg.epsilon, basis.lambdas)
     with _timed(timings, "artifacts"):
@@ -388,7 +393,8 @@ def _write_residuals_csv(path: Path, history):
 
 
 def _run_control(cfg, out, domain, timings):
-    basis = build_basis(cfg, domain)
+    with _timed(timings, "eigensolve"):
+        basis = build_basis(cfg, domain)
     # CGLS squares the weighted residual twice, so lambda^(s/2) past about 1e77
     # overflows it; refusing from 1e64 on leaves room for the data
     if cfg.s / 2 * np.log10(basis.lambdas[-1]) > 64:
@@ -410,7 +416,8 @@ def _run_control(cfg, out, domain, timings):
     with _timed(timings, "synthesis"):
         results = residual_curve(problem, cfg.alphas, basis)
     res = results[-1]
-    region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
+    with _timed(timings, "eikonal"):
+        region = geometry.filled_subdomain(domain, geometry.eikonal_distance(domain), cfg.T)
     with _timed(timings, "artifacts"):
         _write_residuals_csv(out / "residuals.csv", res.residual_history)
         with open(out / "curve.csv", "w", newline="") as fh:

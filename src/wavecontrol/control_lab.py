@@ -5,7 +5,10 @@ Controls are synthesized by conjugate gradients on the normal equations
 measured in a smoothness-weighted modal norm, plus an optional Tikhonov
 penalty on the control.  Because the forward and observation operators are
 exact discrete adjoints, the normal equations are available without any
-auxiliary PDE solves.
+auxiliary PDE solves.  A Tikhonov sweep is one multi-shift CGLS: the Krylov
+space of the normal equations does not depend on alpha, so the smallest
+alpha's run carries every larger one as a shift, and the operator pair is
+applied once per iteration, not once per alpha.
 
 Restricted control classes are realized structurally by the class operator
 of ``regularizer.class_operators``: candidates are masked to [delta, T] and
@@ -114,12 +117,23 @@ class SynthesisResult:
     converged: bool
 
 
-def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol):
-    """CGLS for min |A g - rhs|_data^2 + alpha |g|_ctrl^2, from g = 0.
+def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alphas, budget, tol):
+    """CGLS for min |A g - rhs|_data^2 + alpha |g|_ctrl^2, from g = 0, for
+    every alpha of a strictly decreasing schedule.
 
-    Returns (g, history, iterations, converged); history holds the augmented
-    objective norm per iteration, which CGLS keeps nonincreasing.
+    The last alpha is the seed, solved by plain CGLS.  Every other alpha is
+    a shift sigma = alpha - alphas[-1] of the seed's normal equations, whose
+    Krylov space does not depend on sigma: its normal residual is the seed's
+    s times a scalar zeta (multi-shift CG, Jegerlehner hep-lat/9612014), so
+    a shift applies neither A nor its adjoint.  It updates its own g and p
+    rows, and its data residual through A p from the seed's A s_k = q_k -
+    beta_{k-1} q_{k-1}, and stops once |zeta| |s| <= tol |s_0|.
+
+    Returns one (g, history, iterations, converged) per alpha, in schedule
+    order; history holds the augmented objective norm per iteration, which
+    CGLS keeps nonincreasing.
     """
+    alpha = alphas[-1]
     r = rhs.copy()  # data-space residual rhs - A g
     s_vec = apply_adj(r)  # gradient direction, minus alpha * g (g = 0)
     g = np.zeros_like(s_vec)
@@ -128,6 +142,16 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol)
     norm0 = math.sqrt(max(gamma, 0.0))
     history = [math.sqrt(max(inner_data(r, r), 0.0))]
     converged = norm0 == 0.0
+    # the running shifts: schedule index, alpha, zeta and its last ratio,
+    # stacked g and p rows, data residuals and A p; the seed's last step,
+    # beta and A p
+    live, a_sh = list(range(len(alphas) - 1)), np.array(alphas[:-1], dtype=float)
+    zeta, ratio = np.ones(len(live)), np.ones(len(live))
+    G, P = np.zeros((len(live),) + g.shape), np.repeat(p[None], len(live), axis=0)
+    R, W = np.repeat(r[None], len(live), axis=0), np.zeros((len(live),) + r.shape)
+    hists = [history[:] for _ in live]
+    step_old, beta, q_old = 1.0, 0.0, 0.0
+    out = [None] * len(alphas)
     its = 0
     for its in range(1, budget + 1):
         if converged:
@@ -139,6 +163,13 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol)
             its -= 1
             break
         step = gamma / denom
+        if live:
+            W *= (beta * ratio**2)[:, None]
+            W += zeta[:, None] * (q - beta * q_old)  # A p = zeta A s + beta' A p_old
+            sigma_step = (a_sh - alpha) * step
+            ratio = step_old / (step_old * (1.0 + sigma_step) + step * beta * (1.0 - ratio))
+            G += (step * ratio)[:, None, None] * P
+            R -= (step * ratio)[:, None] * W
         g += step * p
         r -= step * q
         s_vec = apply_adj(r)
@@ -147,36 +178,59 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alpha, budget, tol)
         history.append(math.sqrt(max(inner_data(r, r) + alpha * inner_ctrl(g, g), 0.0)))
         if math.sqrt(max(gamma_new, 0.0)) <= tol * norm0:
             converged = True
+        if live:
+            step_old, beta, q_old = step, gamma_new / gamma, q
+            zeta *= ratio
+            P *= (beta * ratio**2)[:, None, None]
+            P += zeta[:, None, None] * s_vec
+            objective = [inner_data(rj, rj) for rj in R] + a_sh * inner_ctrl(G, G)
+            for h, value in zip(hists, np.sqrt(np.maximum(objective, 0.0))):
+                h.append(float(value))
+            done = np.abs(zeta) * math.sqrt(max(gamma_new, 0.0)) <= tol * norm0
+            if done.any():
+                for j in np.flatnonzero(done):
+                    out[live[j]] = (G[j].copy(), np.array(hists[j]), its, True)
+                keep = np.flatnonzero(~done)
+                live, hists = [live[j] for j in keep], [hists[j] for j in keep]
+                a_sh, zeta, ratio, G, P, R, W = (x[keep] for x in (a_sh, zeta, ratio, G, P, R, W))
         p *= gamma_new / gamma
         p += s_vec
         gamma = gamma_new
-    return g, np.array(history), its, bool(converged)
+    for j, h, gj in zip(live, hists, G):
+        out[j] = (gj, np.array(h), its, norm0 == 0.0)
+    out[-1] = (g, np.array(history), its, bool(converged))
+    return out
 
 
-def _solve(problem, fwd, adj, inner_ctrl, apply_c, rhs, inner_data) -> SynthesisResult:
-    """CGLS over the control samples for the forward map fwd and its adjoint adj.
+def _solve(problem, alphas, fwd, adj, inner_ctrl, apply_c, rhs, inner_data) -> list:
+    """CGLS over the control samples for the forward map fwd and its adjoint
+    adj, one SynthesisResult per alpha of the decreasing schedule alphas.
 
     Both act through the class-folded cylinder: C acts in time only, so its
     adjoint folds into the sine time factors, and the class operator acts
-    on those once and on the output (apply_c) once, never per iteration.
+    on those once and on each output (apply_c) once, never per iteration.
     inner_ctrl and inner_data are the control- and data-space inner
     products; the misfit and the target norm are measured in the latter.
     """
-    g, history, its, converged = _cgls(
-        fwd, adj, rhs, inner_data, inner_ctrl, problem.alpha, problem.budget, problem.tol
-    )
     norm = lambda u: float(np.sqrt(max(inner_data(u, u), 0.0)))
-    final = norm(fwd(g) - rhs)
     target_norm = norm(rhs)
-    return SynthesisResult(
-        control=BoundaryControl(samples=apply_c(g), T=problem.T),
-        residual_history=history,
-        final_residual=final,
-        target_norm=target_norm,
-        relative_residual=final / target_norm if target_norm > 0 else final,
-        iterations=its,
-        converged=converged,
-    )
+    results = []
+    for g, history, its, converged in _cgls(
+        fwd, adj, rhs, inner_data, inner_ctrl, alphas, problem.budget, problem.tol
+    ):
+        final = norm(fwd(g) - rhs)
+        results.append(
+            SynthesisResult(
+                control=BoundaryControl(samples=apply_c(g), T=problem.T),
+                residual_history=history,
+                final_residual=final,
+                target_norm=target_norm,
+                relative_residual=final / target_norm if target_norm > 0 else final,
+                iterations=its,
+                converged=converged,
+            )
+        )
+    return results
 
 
 def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
@@ -201,6 +255,18 @@ def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
     return basis.memo(key, build)
 
 
+def _synthesize(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list:
+    """One CGLS for the schedule alphas on the s-weighted folded cylinder."""
+    weights_s = basis.lambdas ** (problem.s / 2.0)
+    y_hat = weights_s * project(problem.target, basis)
+    apply_c, _, fac = _class_fold(problem, basis)
+    if problem.s != 0:  # lambda^0 = 1 exactly: the memoised cylinder itself
+        # the weighted forward map W: s-weighted traces x class-folded sines
+        fac = replace(fac, U=weights_s[:, None] * fac.U)
+    inner_data = lambda u, v: float(u @ v)
+    return _solve(problem, alphas, fac.pair, fac.expand, fac.inner, apply_c, y_hat, inner_data)
+
+
 def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> SynthesisResult:
     """Minimize the weighted modal misfit of the final snapshot.
 
@@ -208,29 +274,24 @@ def synthesize_control(problem: SynthesisProblem, basis: SpectralBasis) -> Synth
     chosen control class.  Never raises on non-convergence; the budget result
     is returned with converged = False.
     """
-    weights_s = basis.lambdas ** (problem.s / 2.0)
-    y_hat = weights_s * project(problem.target, basis)
-    apply_c, _, fac = _class_fold(problem, basis)
-    # the weighted forward map W: s-weighted traces x class-folded sines
-    fac = replace(fac, U=weights_s[:, None] * fac.U)
-    inner_data = lambda u, v: float(u @ v)
-    return _solve(problem, fac.pair, fac.expand, fac.inner, apply_c, y_hat, inner_data)
+    return _synthesize(problem, (problem.alpha,), basis)[0]
 
 
 def residual_curve(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list:
     """Synthesis sweep over a decreasing positive Tikhonov schedule.
 
-    One synthesize_control per alpha, so each result carries its own CGLS
-    iteration count; the results in schedule order.  The class operator and
-    its fold into the time factors are built by the first solve and kept in
-    the basis's memo, so the sweep builds them once.
+    One multi-shift CGLS for the whole schedule: the smallest alpha is the
+    seed, solved as synthesize_control solves it, and every other alpha
+    rides its Krylov sequence with its own iteration count.  The results in
+    schedule order.  The class operator, its fold into the time factors and
+    the weighted cylinder are built once per sweep.
     """
     alphas = list(alphas)
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha schedule must be positive")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha schedule must be strictly decreasing")
-    return [synthesize_control(replace(problem, alpha=a), basis) for a in alphas]
+    return _synthesize(problem, alphas, basis)
 
 
 def unreachability_bound(target: np.ndarray, region: FilledRegion, band: float = 0.0) -> float:
@@ -456,7 +517,7 @@ def h1_star_experiment(
         return fac.expand(q[:K]) + np.outer(q[K:] / fac.bw, spike)
 
     inner_data = lambda u, v: float(u[:J] @ (gram @ v[:J]) + u[J] * v[J])
-    return _solve(problem, fwd, adj, fac.inner, apply_c, rhs, inner_data)
+    return _solve(problem, (0.0,), fwd, adj, fac.inner, apply_c, rhs, inner_data)[0]
 
 
 # multiply-adds up to which OpenBLAS keeps a GEMM on the calling thread; a

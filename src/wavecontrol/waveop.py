@@ -93,10 +93,12 @@ def time_weights(n_t: int, dt: float) -> np.ndarray:
     return grid_trapezoid_weights((n_t,), (dt,))
 
 
-def _f_product(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray) -> float:
+def _f_product(f: np.ndarray, g: np.ndarray, bw: np.ndarray, wt: np.ndarray):
     # the time sum as one matrix-vector product, then the boundary sum; the
-    # CGLS iteration count of an ill-conditioned solve moves with this order
-    return float(((f * g) @ wt * bw).sum())
+    # CGLS iteration count of an ill-conditioned solve moves with this order.
+    # Stacks of cylinders along a leading axis give one product per row.
+    total = ((f * g) @ wt * bw).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def f_inner(f: np.ndarray, g: np.ndarray, bweights: np.ndarray, dt: float) -> float:
@@ -121,7 +123,8 @@ class Factors:
     Every control-space operator here is a stack of boundary factors U
     (J, n_bnd) and time factors V (J, n_t) under the boundary weights bw and
     the trapezoid time weights wt.  ``pair`` maps g to <g, U_j x V_j>_F for
-    every j, ``expand`` is its adjoint and ``inner`` the F inner product.
+    every j, ``expand`` is its adjoint and ``inner`` the F inner product,
+    one per row for stacks of cylinders.
     The weighted factors are built on first use, once per object, so a
     solver that builds its object once pays for them once.
     """
@@ -144,7 +147,7 @@ class Factors:
         """sum_j c_j U_j x V_j as (n_bnd, n_t) samples."""
         return (self.U.T * c) @ self.V
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
+    def inner(self, f: np.ndarray, g: np.ndarray) -> float | np.ndarray:
         return _f_product(f, g, self.bw, self.wt)
 
 

@@ -412,6 +412,16 @@ def test_manifest_times_the_h1star_stages(tmp_path, monkeypatch):
     assert built == [fast_config().n_modes + 2]  # one split, of J = K + n_bnd pairings
 
 
+def test_manifest_times_the_control_stages(tmp_path):
+    """control's manifest times the eigensolve, the region march, the
+    synthesis and the artifacts apart, and its stages fit in its total."""
+    assert cli.run(fast_config(), "control", out_dir=str(tmp_path)) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"domain", "eigensolve", "eikonal", "synthesis", "artifacts", "total"}
+    stages = sum(v for k, v in timings.items() if k != "total")
+    assert 0.0 <= stages <= timings["total"]
+
+
 def test_eigen_artifacts(tmp_path):
     status = cli.run(fast_config(), "eigen", out_dir=str(tmp_path))
     assert status == 0
@@ -496,20 +506,22 @@ def test_sine_factors_built_once_per_time_grid(tmp_path, monkeypatch):
 
 
 def test_control_solves_each_alpha_once(tmp_path, monkeypatch):
-    """The curve, the residual history and the control share one solve per alpha."""
-    solved = []
-    real = control_lab.synthesize_control
+    """One multi-shift CGLS run solves the whole schedule, and the curve,
+    the residual history and the control share it."""
+    schedules = []
+    real = control_lab._cgls
 
-    def counting(problem, basis):
-        solved.append(problem.alpha)
-        return real(problem, basis)
+    def counting(*args):
+        schedules.append(list(args[5]))
+        return real(*args)
 
-    monkeypatch.setattr(control_lab, "synthesize_control", counting)
-    monkeypatch.setattr(cli, "synthesize_control", counting)
+    monkeypatch.setattr(control_lab, "_cgls", counting)
     cfg = fast_config(alphas=control_lab.DEFAULT_ALPHA_SCHEDULE)
     assert cli.run(cfg, "control", out_dir=str(tmp_path)) == 0
-    assert solved == list(cfg.alphas)
-    last = (tmp_path / "curve.csv").read_text().splitlines()[-1].split(",")
+    assert schedules == [list(cfg.alphas)]
+    rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == list(cfg.alphas)
+    last = rows[-1].split(",")
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert float(last[1]) == summary["final_residual"]
     assert int(last[3]) == summary["iterations"]
