@@ -158,7 +158,9 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alphas, budget, tol
             its -= 1
             break
         q = apply_fwd(p)
-        denom = inner_data(q, q) + alpha * inner_ctrl(p, p)
+        denom = inner_data(q, q)
+        if alpha:  # at alpha = 0 the control terms add exact zeros: skip them
+            denom += alpha * inner_ctrl(p, p)
         if denom <= 0:
             its -= 1
             break
@@ -173,9 +175,12 @@ def _cgls(apply_fwd, apply_adj, rhs, inner_data, inner_ctrl, alphas, budget, tol
         g += step * p
         r -= step * q
         s_vec = apply_adj(r)
-        s_vec -= alpha * g
+        objective = inner_data(r, r)
+        if alpha:
+            s_vec -= alpha * g
+            objective += alpha * inner_ctrl(g, g)
         gamma_new = inner_ctrl(s_vec, s_vec)
-        history.append(math.sqrt(max(inner_data(r, r) + alpha * inner_ctrl(g, g), 0.0)))
+        history.append(math.sqrt(max(objective, 0.0)))
         if math.sqrt(max(gamma_new, 0.0)) <= tol * norm0:
             converged = True
         if live:

@@ -59,7 +59,7 @@ class SpectralBasis:
                        keeps between runs is outside it: the CLI's last
                        eigenpairs, which the next run on the same preset
                        domain and mode count gets in a fresh basis, and
-                       waveop's last sine table
+                       waveop's last two sine tables on those eigenvalues
     """
 
     domain: DomainSpec

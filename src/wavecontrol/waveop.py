@@ -151,17 +151,20 @@ class Factors:
         return _f_product(f, g, self.bw, self.wt)
 
 
-def _last_entry(memo: dict, key, build):
-    """memo[key], calling build() on a miss after emptying memo, so a memo
-    holds at most its last entry and the entry it replaces is freed first."""
+def _last_entry(memo: dict, key, build, keep: int = 1):
+    """memo[key], calling build() on a miss after dropping the oldest entry of
+    a full memo, so a memo holds at most its last ``keep`` entries and the
+    entry a new one replaces is freed before the new one is built."""
     if key not in memo:
-        memo.clear()
+        if len(memo) >= keep:
+            del memo[next(iter(memo))]
         memo[key] = build()
     return memo[key]
 
 
-# the last sine table built, by (lambdas bytes, T, n_steps): consecutive runs
-# on one basis and horizon share it
+# the sine tables of the last eigenvalues, by their bytes: the last two
+# (T, n_steps) tables on them, so consecutive runs on one basis share them
+# across the two horizons a verify works on, and other eigenpairs free all
 _LAST_SINES = {}
 
 
@@ -171,9 +174,9 @@ def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
     The boundary cylinder, built once per basis, horizon and step count and
     kept in the basis's memo, so every operator on it shares one object.  It
     holds the basis's arrays, never the basis: no cycle keeps a basis alive.
-    The sine table is taken from a process-wide memo of the last one built,
-    so a later run with the same eigenvalues, T and n_steps reuses it; the
-    object itself and its weights are the run's own.
+    The sine table is taken from a process-wide memo of the last two built
+    on the last eigenvalues, so a later run with the same eigenvalues, T and
+    n_steps reuses it; the object itself and its weights are the run's own.
     """
 
     def sines():
@@ -182,7 +185,8 @@ def modal_factors(basis: SpectralBasis, T: float, n_steps: int) -> Factors:
         return S
 
     def build():
-        S = _last_entry(_LAST_SINES, (basis.lambdas.tobytes(), T, n_steps), sines)
+        tables = _last_entry(_LAST_SINES, basis.lambdas.tobytes(), dict)
+        S = _last_entry(tables, (T, n_steps), sines, keep=2)
         wt = time_weights(n_steps + 1, T / n_steps)
         return Factors(basis.conormal_traces, S, basis.boundary_weights, wt)
 
@@ -355,6 +359,23 @@ def _bump(s, k: float):
     return out if out.ndim else float(out)
 
 
+# the last window and harmonic table of random_smooth_control, by (T,
+# n_steps, support, n_harmonics): the trials of one verify share them
+_LAST_HARMONICS = {}
+
+
+def _harmonic_table(T: float, n_steps: int, a: float, b: float, n_harmonics: int):
+    """The bump window on [a, b] and the (n_harmonics, n_steps + 1) sine
+    harmonics of random_smooth_control, both read-only."""
+    s = (2.0 * (time_grid(T, n_steps) - a) / (b - a)) - 1.0
+    window = _bump(s, 1.0) * np.e
+    phase = np.pi * (s[None, :] + 1.0) / 2.0
+    harmonics = np.sin(np.arange(1, n_harmonics + 1)[:, None] * phase)
+    window.setflags(write=False)
+    harmonics.setflags(write=False)
+    return window, harmonics
+
+
 def random_smooth_control(
     basis: SpectralBasis,
     T: float,
@@ -375,12 +396,9 @@ def random_smooth_control(
     if not 0.0 <= a < b <= T:
         raise ValueError(f"support must satisfy 0 <= a < b <= {T}, got ({a}, {b})")
     n_bnd = len(basis.boundary_weights)
-    t = time_grid(T, n_steps)
-    s = (2.0 * (t - a) / (b - a)) - 1.0
-    window = _bump(s, 1.0) * np.e
+    key = (T, n_steps, a, b, n_harmonics)
+    window, harmonics = _last_entry(_LAST_HARMONICS, key, lambda: _harmonic_table(*key))
     coeffs = rng.standard_normal((n_bnd, n_harmonics)) / np.arange(1, n_harmonics + 1)
-    phase = np.pi * (s[None, :] + 1.0) / 2.0
-    harmonics = np.sin(np.arange(1, n_harmonics + 1)[:, None] * phase)
     return BoundaryControl(samples=window * (coeffs @ harmonics), T=T)
 
 
@@ -398,13 +416,22 @@ def write_state_csv(path, domain: DomainSpec, state: np.ndarray) -> None:
         fh.write("x,u\r\n" + "".join(f"{x:.17g},{v:.17g}\r\n" for x, v in rows))
 
 
+# the last trace row template, by (T, n_t): consecutive traces on one time
+# grid share it
+_LAST_TRACE_ROW = {}
+
+
+def _trace_row(T: float, n_t: int) -> str:
+    return "".join(f"\0{t:.17g},%.17g\r\n" for t in time_grid(T, n_t - 1).tolist())
+
+
 def write_trace_csv(path, samples: np.ndarray, T: float) -> None:
     """(n_boundary, n_t) samples on time_grid(T, n_t - 1), one line per sample."""
     # One boundary row is one % over a template of its time stamps, \0
     # standing for "gamma_id,", with the \r\n terminator csv.writer emits, so
     # the bytes match a csv.writer rendering at a fraction of its cost.
-    times = time_grid(T, samples.shape[1] - 1).tolist()
-    row = "".join(f"\0{t:.17g},%.17g\r\n" for t in times)
+    n_t = samples.shape[1]
+    row = _last_entry(_LAST_TRACE_ROW, (T, n_t), lambda: _trace_row(T, n_t))
     with open(path, "w", newline="") as fh:
         fh.write("gamma_id,t,g\r\n")
         for g_id, values in enumerate(samples.tolist()):

@@ -1,11 +1,12 @@
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavecontrol import cli, geometry, spectral, waveop
+from wavecontrol import geometry, spectral, waveop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,11 +17,15 @@ _ACCEPTANCE_LOG = []
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the last-entry memos of the domain, the eigenpairs and the sine
-    table, so every test that counts builds or measures memory sees a cold
-    process, whatever ran before it."""
-    for memo in (cli._LAST_DOMAIN, cli._LAST_BASIS, waveop._LAST_SINES):
-        memo.clear()
+    """Empty every process-wide memo, each module-level ``_LAST_*`` dict of
+    the loaded wavecontrol modules (a module not loaded holds none), so
+    every test that counts builds or measures memory sees a cold process,
+    whatever ran before it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wavecontrol."):
+            for key, memo in vars(module).items():
+                if key.startswith("_LAST_") and isinstance(memo, dict):
+                    memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import gc
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -488,7 +490,8 @@ def test_control_artifacts(tmp_path):
 
 
 def test_sine_factors_built_once_per_time_grid(tmp_path, monkeypatch):
-    """verify and a five-alpha control build each (T, n_steps) sine table once."""
+    """verify builds each of its two (T, n_steps) sine tables once, and a
+    five-alpha control at either horizon after it builds none."""
     built = []
     real = waveop._sin_factors
 
@@ -500,9 +503,10 @@ def test_sine_factors_built_once_per_time_grid(tmp_path, monkeypatch):
     assert cli.run(ExperimentConfig(), "verify", out_dir=str(tmp_path / "verify")) == 0
     assert sorted(built) == sorted(set(built)) == [(0.3, 1025), (0.75, 1025)]
     built.clear()
-    cfg = ExperimentConfig(alphas=control_lab.DEFAULT_ALPHA_SCHEDULE)
-    assert cli.run(cfg, "control", out_dir=str(tmp_path / "control")) == 0
-    assert built == [(cfg.T, cfg.n_steps + 1)]
+    for T in (0.75, 0.3):
+        cfg = ExperimentConfig(T=T, alphas=control_lab.DEFAULT_ALPHA_SCHEDULE)
+        assert cli.run(cfg, "control", out_dir=str(tmp_path / f"control{T}")) == 0
+    assert built == []
 
 
 def test_control_solves_each_alpha_once(tmp_path, monkeypatch):
@@ -590,6 +594,59 @@ def test_consecutive_runs_share_the_domain_eigenpairs_and_sines():
         assert not getattr(first, name).flags.writeable
     fac, other = (waveop.modal_factors(b, cfg.T, cfg.n_steps) for b in (first, second))
     assert fac is not other and fac.V is other.V
+
+
+def _process_memos() -> dict:
+    """Every module-level _LAST_* dict of the wavecontrol modules, by name."""
+    memos = {}
+    for info in pkgutil.iter_modules(wavecontrol.__path__):
+        module = importlib.import_module(f"wavecontrol.{info.name}")
+        for key, value in vars(module).items():
+            if key.startswith("_LAST_") and isinstance(value, dict):
+                memos[f"{info.name}.{key}"] = value
+    return memos
+
+
+@pytest.mark.parametrize("step", ["fill", "check"])
+def test_every_process_memo_is_emptied_between_tests(step):
+    """The first case leaves an entry in every process-wide memo; the
+    autouse fixture must have emptied them all before the second runs."""
+    memos = _process_memos()
+    known = {"cli._LAST_DOMAIN", "cli._LAST_BASIS", "waveop._LAST_SINES",
+             "waveop._LAST_TRACE_ROW", "waveop._LAST_HARMONICS"}
+    assert known <= set(memos)
+    if step == "fill":
+        for memo in memos.values():
+            memo["left by the previous test"] = None
+    else:
+        assert [name for name, memo in memos.items() if memo] == []
+
+
+def test_desk_runs_in_one_process_build_each_grid_table_once(tmp_path, monkeypatch):
+    """observe at T = 0.3, then control, h1star and verify at 0.75: each
+    horizon's sine table and trace template and verify's harmonic table are
+    built once, and every artifact matches a run from cold memos byte for
+    byte."""
+    built = []
+    for name in ("_sin_factors", "_trace_row", "_harmonic_table"):
+        real = getattr(waveop, name)
+        counting = lambda *args, name=name, real=real: built.append(name) or real(*args)
+        monkeypatch.setattr(waveop, name, counting)
+    runs = [("observe", ExperimentConfig(T=0.3)), ("control", ExperimentConfig()),
+            ("h1star", ExperimentConfig(target="ramp")), ("verify", ExperimentConfig())]
+    for sub, cfg in runs:
+        assert cli.run(cfg, sub, out_dir=str(tmp_path / "warm" / sub)) == 0
+    assert sorted(built) == ["_harmonic_table"] + ["_sin_factors"] * 2 + ["_trace_row"] * 2
+    for sub, cfg in runs:
+        for memo in _process_memos().values():
+            memo.clear()
+        assert cli.run(cfg, sub, out_dir=str(tmp_path / "cold" / sub)) == 0
+    warm = sorted(p.relative_to(tmp_path / "warm") for p in (tmp_path / "warm").rglob("*.*"))
+    cold = sorted(p.relative_to(tmp_path / "cold") for p in (tmp_path / "cold").rglob("*.*"))
+    assert warm == cold and len(warm) > len(runs)
+    for rel in warm:
+        if rel.name != "manifest.json":  # wall-clock timings
+            assert (tmp_path / "warm" / rel).read_bytes() == (tmp_path / "cold" / rel).read_bytes()
 
 
 def test_coefficient_csv_is_read_on_every_run(tmp_path):

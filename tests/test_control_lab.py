@@ -248,6 +248,23 @@ def test_history_monotone_and_budget_respected(desk_basis):
     assert np.all(hist[1:] <= hist[:-1] + 1e-12 * hist[0])
 
 
+@pytest.mark.parametrize("alpha, per_iteration", [(0.0, 1), (1e-4, 3)])
+def test_cgls_skips_the_control_terms_at_alpha_zero(alpha, per_iteration, desk_basis, monkeypatch):
+    """At alpha = 0 CGLS takes one control inner product per iteration, the
+    new gradient's, plus one at the start; alpha > 0 adds |p|^2 and |g|^2."""
+    calls = []
+    real = control_lab._cgls
+
+    def counting(fwd, adj, rhs, inner_data, inner_ctrl, *rest):
+        return real(fwd, adj, rhs, inner_data, lambda f, g: calls.append(1) or inner_ctrl(f, g), *rest)
+
+    monkeypatch.setattr(control_lab, "_cgls", counting)
+    y = presets.center_bump_target(desk_basis.domain)
+    prob = SynthesisProblem(target=y, T=0.3, alpha=alpha, budget=5, tol=1e-14)
+    assert synthesize_control(prob, desk_basis).iterations == 5
+    assert len(calls) == 5 * per_iteration + 1
+
+
 def test_longer_horizon_does_not_hurt(desk_basis):
     y = presets.center_bump_target(desk_basis.domain)
     short = synthesize_control(
@@ -438,8 +455,9 @@ def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeyp
     """An alpha sweep and the H1 experiment on one basis build the "smooth"
     class operator once, and with the cyclic collector off, the mollifier
     blocks and the folded cylinder die with the basis: the memo holds no
-    reference back to the basis.  The sine table is the process's last one
-    and dies when the next table replaces it."""
+    reference back to the basis.  The sine table is one of the process's
+    last two on these eigenvalues: a second new horizon frees it, the first
+    does not."""
     real_blocks = regularizer._toeplitz_blocks
     built = []
 
@@ -467,6 +485,8 @@ def test_cylinder_freed_with_its_basis_by_reference_counting(desk_basis, monkeyp
         assert built[0]() is None and fold() is None
         assert sines() is not None
         waveop.modal_factors(replace(desk_basis), 0.5 * T_DESK, DEFAULT_TIME_STEPS)
+        assert sines() is not None
+        waveop.modal_factors(replace(desk_basis), 0.25 * T_DESK, DEFAULT_TIME_STEPS)
         assert sines() is None
     finally:
         gc.enable()

@@ -40,6 +40,16 @@ def test_modal_factors_memoized_read_only():
     assert replace(basis, lambdas=2 * basis.lambdas).sines == {}
 
 
+def test_last_entry_drops_the_oldest_entry_before_it_builds():
+    """A memo keeps its last ``keep`` entries, and never holds keep + 1:
+    a miss on a full memo drops the oldest entry first, a hit builds nothing."""
+    memo, sizes = {}, []
+    for key in "abcaab":
+        waveop._last_entry(memo, key, lambda: sizes.append(len(memo)) or key.upper(), keep=2)
+    assert sizes == [0, 1, 1, 1, 1]
+    assert memo == {"a": "A", "b": "B"}
+
+
 def test_time_weights_sum():
     wt = waveop.time_weights(11, 0.1)
     assert wt.sum() == pytest.approx(1.0)
