@@ -230,12 +230,12 @@ def _preset_domain(cfg: ExperimentConfig) -> geometry.DomainSpec:
     if cfg.preset == "interval":
         domain = geometry.interval(n=cfg.shape[0])
     elif cfg.preset == "interval_bump":
-        coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5,), 0.25)
+        coeff = geometry.radial_bump_coefficient((0.5,))
         domain = geometry.interval(n=cfg.shape[0], a=coeff)
     elif cfg.preset == "square":
         domain = geometry.rectangle(shape=cfg.shape)
     else:
-        coeff = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
+        coeff = geometry.radial_bump_coefficient((0.5, 0.5))
         domain = geometry.rectangle(shape=cfg.shape, a11=coeff)  # a22=None repeats a11
     domain.coeff.setflags(write=False)  # shared by the runs that follow
     return domain

@@ -15,10 +15,8 @@ of ``regularizer.class_operators``: candidates are masked to [delta, T] and
 post-composed with time mollification, antisymmetrized about the horizon when
 the class requires the final snapshot data and its even time derivatives to
 vanish at t = T.  C* is folded into the sine time factors of the boundary
-cylinder (``waveop.modal_factors``) once per horizon, step count, class,
-delta and epsilon, and the folded cylinder is kept in the basis's memo, which
-the alpha sweep and the H1 experiment share; C acts on the synthesized
-control once, never per iteration.
+cylinder (``waveop.modal_factors``) once per solve, and C acts on the
+synthesized control once, never per iteration.
 
 The H1 experiment reconstructs reachable states as a boundary lifting plus a
 modal correction.  Truncated modal sums vanish on the boundary, so without
@@ -242,22 +240,13 @@ def _class_fold(problem: SynthesisProblem, basis: SpectralBasis):
     """The class operator (C, C*) and the folded cylinder: the boundary
     cylinder modal_factors(basis, T, n_steps) with C* folded into its sines.
 
-    Kept, the sines read-only, in the basis's memo under (T, n_steps, class,
-    delta, epsilon): an alpha sweep and the H1 experiment build the class
-    operator and the fold once, and all of it is freed with the basis.
+    Built once per call: an alpha sweep is one solve, so it folds once.
     """
-
-    def build():
-        apply_c, apply_ct = class_operators(
-            problem.control_class, problem.T, problem.delta, problem.epsilon, problem.n_steps + 1
-        )
-        fac = modal_factors(basis, problem.T, problem.n_steps)
-        V = apply_ct(fac.V)
-        V.setflags(write=False)
-        return apply_c, apply_ct, replace(fac, V=V)
-
-    key = (problem.T, problem.n_steps, problem.control_class, problem.delta, problem.epsilon)
-    return basis.memo(key, build)
+    apply_c, apply_ct = class_operators(
+        problem.control_class, problem.T, problem.delta, problem.epsilon, problem.n_steps + 1
+    )
+    fac = modal_factors(basis, problem.T, problem.n_steps)
+    return apply_c, apply_ct, replace(fac, V=apply_ct(fac.V))
 
 
 def _synthesize(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list:
@@ -265,9 +254,8 @@ def _synthesize(problem: SynthesisProblem, alphas, basis: SpectralBasis) -> list
     weights_s = basis.lambdas ** (problem.s / 2.0)
     y_hat = weights_s * project(problem.target, basis)
     apply_c, _, fac = _class_fold(problem, basis)
-    if problem.s != 0:  # lambda^0 = 1 exactly: the memoised cylinder itself
-        # the weighted forward map W: s-weighted traces x class-folded sines
-        fac = replace(fac, U=weights_s[:, None] * fac.U)
+    # the weighted forward map W: s-weighted traces x class-folded sines
+    fac = replace(fac, U=weights_s[:, None] * fac.U)
     inner_data = lambda u, v: float(u @ v)
     return _solve(problem, alphas, fac.pair, fac.expand, fac.inner, apply_c, y_hat, inner_data)
 
@@ -446,21 +434,13 @@ def _lift_rows(basis: SpectralBasis) -> np.ndarray:
 
     Row b is lift column b less its modal shadow, so the lifted state with
     modal coefficients c and terminal boundary values b is c @ modes +
-    b @ rows, and the lifted columns are R = [modes; rows].  Built once per
-    basis (the 2D lift is a sparse LU solve) and kept, read-only, in the
-    basis's memo.
+    b @ rows, and the lifted columns are R = [modes; rows].
     """
-
-    def build():
-        lift = _boundary_lift(basis.domain).T  # (n_bnd, n_nodes)
-        flat = basis.modes.reshape(basis.n_modes, -1)
-        rows = (lift @ (basis.mass_weights.ravel() * flat).T) @ flat
-        np.subtract(lift, rows, out=rows)
-        rows = rows.reshape((-1,) + basis.modes.shape[1:])
-        rows.setflags(write=False)
-        return rows
-
-    return basis.memo("lift_rows", build)
+    lift = _boundary_lift(basis.domain).T  # (n_bnd, n_nodes)
+    flat = basis.modes.reshape(basis.n_modes, -1)
+    rows = (lift @ (basis.mass_weights.ravel() * flat).T) @ flat
+    np.subtract(lift, rows, out=rows)
+    return rows.reshape((-1,) + basis.modes.shape[1:])
 
 
 def lifted_final_state(control: BoundaryControl, basis: SpectralBasis) -> np.ndarray:
@@ -581,15 +561,14 @@ def _lifted_target(target: np.ndarray, basis: SpectralBasis):
 
     The target splits as y = R y_J + y_perp with Q1 y_J = h1_inner(R, y), so
     y_perp is H1-orthogonal to every lifted column; rhs = (y_J, |y_perp|_H1).
-    Q1 is built once per basis and kept, read-only, in the basis's memo next
-    to the lift rows; the split of the last target is kept there too, by
-    the target's bytes, so the CLI times it apart from the solve without a
-    second split.  R is freed on return.
+    Both are kept, read-only, in the basis's memo for the last target, by
+    its bytes, so the CLI times the lift, Q1 and the split apart from the
+    solve without building them twice.  R is freed on return.
     """
 
     def build():
         R = np.concatenate([basis.modes, _lift_rows(basis)])
-        gram = basis.memo("h1_gram", lambda: _h1_gram(basis, R))
+        gram = _h1_gram(basis, R)
         y_J = _spd_solve(gram, h1_inner(R, target, basis))
         y_perp = target - np.tensordot(y_J, R, axes=1)
         rhs = np.append(y_J, math.sqrt(max(h1_inner(y_perp, y_perp, basis), 0.0)))

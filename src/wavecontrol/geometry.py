@@ -264,29 +264,23 @@ def rectangle(
     return _box(extents, tuple(shape), (a11, a22), a12, q)
 
 
-def radial_bump_coefficient(
-    base: float = 1.0, amplitude: float = 0.5, center=(0.5, 0.5), width: float = 0.25
-) -> Callable:
-    """Smooth isotropic coefficient preset: base + bump around ``center``."""
+def radial_bump_coefficient(center=(0.5, 0.5)) -> Callable:
+    """Smooth isotropic coefficient preset: 1 + a half-height bump of width
+    0.25 around ``center``."""
 
     def profile(*coords):
         r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
-        return base + amplitude * np.exp(-r2 / width**2)
+        return 1.0 + 0.5 * np.exp(-r2 / 0.25**2)
 
     return profile
 
 
-def domain_from_coefficient_csv(
-    path, shape: tuple, extents: tuple = None
-) -> DomainSpec:
-    """Build a domain from a node table ``i,j,a11,a12,a22[,q]``.
+def domain_from_coefficient_csv(path, shape: tuple) -> DomainSpec:
+    """Build a domain on the unit box from a node table ``i,j,a11,a12,a22[,q]``.
 
-    1D tables use j = 0 and only the a11 (and q) columns.  Extents default
-    to the unit box.
+    1D tables use j = 0 and only the a11 (and q) columns.
     """
     d = len(shape)
-    if extents is None:
-        extents = ((0.0, 1.0),) * d
     coeff = np.zeros(tuple(shape) + (d, d))
     pot = np.zeros(tuple(shape))
     seen = np.zeros(tuple(shape), dtype=bool)
@@ -333,7 +327,7 @@ def domain_from_coefficient_csv(
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise ValueError(f"{path}: no row for node {tuple(missing)}")
-    return DomainSpec(extents, tuple(shape), coeff, pot if has_q else None)
+    return DomainSpec(((0.0, 1.0),) * d, tuple(shape), coeff, pot if has_q else None)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ def bump(s, sharpness: float = 4.0):
 
 
 def center_bump_target(
-    domain: DomainSpec, center: float = 0.5, halfwidth: float = 0.05, sharpness: float = 6.0
+    domain: DomainSpec, center: float = 0.5, halfwidth: float = 0.05
 ) -> np.ndarray:
     """Velocity bump centered in the domain, supported in [0.45, 0.55] by default."""
     r = np.sqrt(sum((X - center) ** 2 for X in domain.grids()))
-    return bump(r / halfwidth, sharpness)
+    return bump(r / halfwidth, 6.0)
 
 
 def mode_target(basis: SpectralBasis, k: int = 0) -> np.ndarray:
@@ -67,24 +67,23 @@ def ramp_target(domain: DomainSpec) -> np.ndarray:
     return 1.0 - (x - lo) / (hi - lo)
 
 
-def _pulse_samples(times, support, sharpness):
+def _pulse_samples(times, support):
     t0, t1 = support
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    return bump((times - mid) / half, sharpness)
+    return bump((times - mid) / half)
 
 
 def pulse_control(
     T: float,
     n_boundary: int,
     support: tuple = (0.1, 0.5),
-    sharpness: float = 4.0,
     n_steps: int = DEFAULT_TIME_STEPS,
     row: int = 0,
 ) -> BoundaryControl:
     """Smooth pulse on one boundary row, zero elsewhere."""
     times = time_grid(T, n_steps)
     samples = np.zeros((n_boundary, n_steps + 1))
-    samples[row] = _pulse_samples(times, support, sharpness)
+    samples[row] = _pulse_samples(times, support)
     return BoundaryControl(samples=samples, T=T)
 
 
@@ -92,12 +91,11 @@ def two_sided_pulse_control(
     T: float,
     n_boundary: int,
     support: tuple = (0.05, 0.25),
-    sharpness: float = 4.0,
     n_steps: int = DEFAULT_TIME_STEPS,
 ) -> BoundaryControl:
     """The same pulse on every boundary row."""
     times = time_grid(T, n_steps)
-    samples = np.tile(_pulse_samples(times, support, sharpness), (n_boundary, 1))
+    samples = np.tile(_pulse_samples(times, support), (n_boundary, 1))
     return BoundaryControl(samples=samples, T=T)
 
 

@@ -49,12 +49,8 @@ class SpectralBasis:
     boundary_weights : quadrature weights of the boundary measure
     sines            : the basis's memo, filled on first use through ``memo``;
                        its keys: each boundary cylinder's (T, n_steps), the
-                       modal factor object (waveop); from control_lab each
-                       class fold's (T, n_steps, class, delta, epsilon), the
-                       class operator and the folded cylinder, "lift_rows"
-                       (the boundary part of the lifted space), "h1_gram"
-                       (its H1 Gram Q1) and "h1_target" (the last target's
-                       split).
+                       modal factor object (waveop), and control_lab's
+                       "h1_target", the last target's split with its Q1.
                        It lives exactly as long as the basis.  What a process
                        keeps between runs is outside it: the CLI's last
                        eigenpairs, which the next run on the same preset

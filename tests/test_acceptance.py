@@ -371,7 +371,7 @@ def test_criterion_10_oracle_cross_validation(
     pulse = presets.pulse_control(T_DESK, 2, support=(0.1, 0.5), n_steps=1024, row=0)
     u = waveop.control_to_state(pulse, desk_basis)
     x = interval_domain.axes[0]
-    expect = presets._pulse_samples(T_DESK - x, (0.1, 0.5), 4.0)
+    expect = presets._pulse_samples(T_DESK - x, (0.1, 0.5))
     travel = desk_basis.h_norm(u - expect) / desk_basis.h_norm(expect)
 
     passed = rel <= 2e-2 and travel <= 1e-2

@@ -126,7 +126,7 @@ def test_eikonal_square_center(square_domain):
 
 
 def test_eikonal_metric_scaling_2d():
-    a = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
+    a = geometry.radial_bump_coefficient((0.5, 0.5))
     dom1 = geometry.rectangle(shape=(65, 65), a11=a, a22=a)
     a4 = lambda x, y: 4.0 * a(x, y)
     dom4 = geometry.rectangle(shape=(65, 65), a11=a4, a22=a4)

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import wavecontrol
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 FIXTURE = Path(__file__).parent / "fixtures" / "baselines.json"
@@ -76,3 +79,40 @@ def test_freeze_baselines_writes_every_fixture_entry(tmp_path):
     assert len(fixture) == 8 and sorted(written) == sorted(fixture)
     bound = written["half_out_bump_support_bound"]["value"]
     assert bound == fixture["half_out_bump_support_bound"]["value"] == 0.14316315929180287
+
+
+def test_ledger_counts_the_package():
+    """The ledger's line total is wc -l over the modules, its public names
+    are the imported modules' __all__, and its settable values take the
+    defaulted init fields and parameters of public code only."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ledger.py")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    package = Path(wavecontrol.__file__).parent
+    total = sum(p.read_text().count("\n") for p in package.glob("*.py"))
+    assert f"  {total:5d}  total" in out
+
+    def section(title):
+        start = next(i for i, line in enumerate(out) if line.startswith(title + ": "))
+        count = int(out[start].split(": ")[1])
+        assert all(line.startswith("  ") for line in out[start + 1 : start + 1 + count])
+        return [line.strip() for line in out[start + 1 : start + 1 + count]]
+
+    expect = []
+    for p in sorted(package.glob("*.py")):
+        if p.stem != "__init__":
+            module = importlib.import_module(f"wavecontrol.{p.stem}")
+            expect += [f"{p.stem}.{name}" for name in module.__all__]
+    assert section("public names") == expect
+    assert "spectral.SpectralBasis" in section("types") and "cli._Draws" in section("types")
+    settable = section("settable values")
+    assert {
+        "cli.ExperimentConfig.seed",
+        "cli.run(out_dir)",
+        "geometry.FilledRegion.mass_outside(band)",
+    } <= set(settable)
+    # an init=False field, a field with no default and a private helper are not settable
+    assert not {"spectral.SpectralBasis.sines", "control_lab.SynthesisProblem.T"} & set(settable)
+    assert not [name for name in settable if "._" in name]

@@ -130,7 +130,7 @@ def test_is_constant_isotropic_matches_broadcast_formula(build, expected):
 
 
 def test_variable_coefficient_2d_dense_path():
-    a = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
+    a = geometry.radial_bump_coefficient((0.5, 0.5))
     dom = geometry.rectangle(shape=(21, 21), a11=a, a22=a)
     basis = spectral.eigensolve(dom, 5, backend="fd")
     assert basis.backend == "fd"
@@ -140,7 +140,7 @@ def test_variable_coefficient_2d_dense_path():
 
 
 def test_dense_2d_size_guard():
-    a = geometry.radial_bump_coefficient(1.0, 0.5, (0.5, 0.5), 0.25)
+    a = geometry.radial_bump_coefficient((0.5, 0.5))
     dom = geometry.rectangle(shape=(129, 129), a11=a, a22=a)
     with pytest.raises(ValueError, match="unknowns"):
         spectral.eigensolve(dom, 4, backend="fd")

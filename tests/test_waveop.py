@@ -179,7 +179,7 @@ def test_dalembert_traveling_pulse(interval_domain, interval_basis):
     f = presets.pulse_control(T, 2, support=(0.1, 0.5), n_steps=1024, row=0)
     u = waveop.control_to_state(f, interval_basis)
     x = np.linspace(0, 1, 513)
-    expect = presets._pulse_samples(T - x, (0.1, 0.5), 4.0)
+    expect = presets._pulse_samples(T - x, (0.1, 0.5))
     err = interval_basis.h_norm(u - expect) / interval_basis.h_norm(expect)
     assert err <= 1e-2
 
@@ -293,7 +293,7 @@ def test_fd_oracle_matches_transposition_2d():
         basis = spectral.eigensolve(dom, 400, backend="fd")
         nodes = dom.boundary_nodes()
         edge = nodes[:, 1] == 0
-        pulse = presets._pulse_samples(np.linspace(0.0, T, n_steps + 1), (0.0, 0.5), 4.0)
+        pulse = presets._pulse_samples(np.linspace(0.0, T, n_steps + 1), (0.0, 0.5))
         samples = np.zeros((len(nodes), n_steps + 1))
         samples[edge] = np.outer(np.sin(np.pi * dom.axes[0][nodes[edge, 0]]) ** 2, pulse)
         f = waveop.BoundaryControl(samples=samples, T=T)
